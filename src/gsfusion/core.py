@@ -477,12 +477,18 @@ def covariance(g: SemanticGaussian) -> np.ndarray:
     return (r * g.scale**2) @ r.T
 
 
-def _check_conditioning(scale: np.ndarray) -> None:
-    smax = float(np.max(scale))
-    smin = float(np.min(scale))
-    if smin <= 0.0 or (smax / smin) ** 2 > _DEGENERATE_CONDITION:
+def _check_conditioning(scales: np.ndarray) -> None:
+    """Reject the first of the (..., 3) `scales` with a non-positive axis or
+    a covariance condition number (smax / smin)**2 above 1e12."""
+    scales = np.reshape(scales, (-1, 3))
+    smax = np.max(scales, axis=1)
+    smin = np.min(scales, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bad = (smin <= 0.0) | ((smax / smin) ** 2 > _DEGENERATE_CONDITION)
+        shown = (smax / np.maximum(smin, 1e-300)) ** 2
+    if np.any(bad):
         raise DegenerateGaussianError(
-            f"covariance condition number {(smax / max(smin, 1e-300))**2:.3e} exceeds 1e12"
+            f"covariance condition number {shown[np.argmax(bad)]:.3e} exceeds 1e12"
         )
 
 

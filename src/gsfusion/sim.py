@@ -489,9 +489,8 @@ class EpisodeResult:
 
 
 def prepare_episode(spec: SceneSpec, model: ObservationModel) -> EpisodeData:
-    world = rasterize_world(spec)
     gt = build_ground_truth(spec, model)
-    obs = [observe(spec, a, model, world=world, visible=gt.visible_masks[a])
+    obs = [observe(spec, a, model, world=gt.world, visible=gt.visible_masks[a])
            for a in range(spec.num_agents)]
     return EpisodeData(spec, model, gt, obs)
 

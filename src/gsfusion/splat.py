@@ -3,9 +3,10 @@ dense channel grid by additive aggregation, decode per-voxel labels, and
 read/write grids in the VOXG binary format.
 
 Each Gaussian contributes opacity * exp(-0.5 * mahalanobis^2) * semantics
-at every voxel center within its truncation ellipsoid. The accumulation
-schedule is a fixed function of the inputs, so outputs are reproducible
-bit-for-bit; reorderings between implementations stay within 1e-6.
+at every voxel center within its truncation ellipsoid. The (gaussian,
+voxel) pairs are enumerated and accumulated in canonical order, ascending
+gaussian index then ascending flat voxel index, so the output is bit-exact
+for fixed inputs on a fixed platform.
 """
 
 from __future__ import annotations
@@ -48,77 +49,48 @@ class SplatConfig:
             raise ValueError("min_contribution must be non-negative")
 
 
-_WIDTH_LADDER = np.array([1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 26, 32, 40,
-                          52, 64, 80, 104, 128, 160, 208, 256, 512, 1024])
-
-
-def _block_bounds(gaussians: GaussianSet, geometry: GridGeometry, trunc: float):
-    """Candidate window per Gaussian: a cube of bucketed width, shifted to
-    lie inside the grid. Bucketing collapses the distinct window shapes to
-    a handful so whole groups vectorize; windows only ever grow, and the
-    per-voxel Mahalanobis mask keeps the result exact.
-
-    Returns (lo (N,3), shape (N,3), valid (N,)); invalid rows have their
-    whole window outside the grid.
-    """
-    h = geometry.voxel_size
-    dims = np.array(geometry.dims)
-    radius = trunc * np.max(gaussians.scales, axis=1)
-    lo = np.floor((gaussians.means - radius[:, None] - geometry.origin) / h - 0.5)
-    hi = np.ceil((gaussians.means + radius[:, None] - geometry.origin) / h - 0.5)
-    lo = lo.astype(np.int64)
-    hi = hi.astype(np.int64)
-    valid = np.all((hi >= 0) & (lo <= dims - 1), axis=1)
-    width = np.max(hi - lo + 1, axis=1)
-    bucket = _WIDTH_LADDER[np.searchsorted(_WIDTH_LADDER,
-                                           np.clip(width, 1, _WIDTH_LADDER[-1]))]
-    shape = np.minimum(bucket[:, None], dims[None, :])
-    lo = np.clip(lo, 0, dims[None, :] - shape)
-    return lo, shape, valid
-
-
 def _pair_lists(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfig):
     """All (gaussian, voxel) pairs inside the truncation ellipsoids.
 
     Returns flat arrays (pair_gauss, pair_voxel, e) where e is the
-    Gaussian exponential at the voxel center. Candidate windows are
-    enumerated per equal-shape group, then pruned by the Mahalanobis
-    mask so the channel work only touches surviving pairs.
+    Gaussian exponential at the voxel center, ordered by (gaussian, flat
+    voxel index). Candidates are the voxels whose centers lie in each
+    ellipsoid's axis-aligned bounding box, of half-extent t * sqrt(Sigma_ii)
+    on axis i, widened by 1e-9 voxel against rounding and clipped to the
+    grid; the Mahalanobis test q <= t**2 alone decides membership.
     """
-    _, ny, nz = geometry.dims
-    lo, shapes, valid = _block_bounds(gaussians, geometry, cfg.truncation_sigma)
-    rows = np.nonzero(valid)[0]
-    t2 = cfg.truncation_sigma**2
-    radius2 = (cfg.truncation_sigma * np.max(gaussians.scales, axis=1)) ** 2
+    dims = np.array(geometry.dims)
+    h = geometry.voxel_size
+    t = cfg.truncation_sigma
     rots = _quat_to_rotmat_unchecked(gaussians.rotations)
-    pg, pv, pq = [], [], []
-    for shape in np.unique(shapes[rows], axis=0):
-        idx = rows[np.all(shapes[rows] == shape, axis=1)]
-        offs = np.stack(np.meshgrid(np.arange(shape[0]), np.arange(shape[1]),
-                                    np.arange(shape[2]), indexing="ij"),
-                        axis=-1).reshape(-1, 3)
-        vox = lo[idx][:, None, :] + offs[None, :, :]             # (G, B, 3)
-        centers = geometry.origin + (vox + 0.5) * geometry.voxel_size
-        delta = centers - gaussians.means[idx][:, None, :]
-        # cheap euclidean bound first, exact anisotropic test on survivors
-        pre = np.sum(delta**2, axis=-1) <= radius2[idx][:, None]
-        if not np.any(pre):
-            continue
-        g_idx = np.broadcast_to(idx[:, None], pre.shape)[pre]
-        d = delta[pre]                                            # (P0, 3)
-        local = np.einsum("pk,pkj->pj", d, rots[g_idx])
-        q = np.sum((local / gaussians.scales[g_idx]) ** 2, axis=-1)
-        keep = q <= t2
-        if not np.any(keep):
-            continue
-        flat = (vox[..., 0] * ny + vox[..., 1]) * nz + vox[..., 2]
-        pg.append(g_idx[keep])
-        pv.append(flat[pre][keep])
-        pq.append(q[keep])
-    if not pg:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.empty(0)
-    return np.concatenate(pg), np.concatenate(pv), np.exp(-0.5 * np.concatenate(pq))
+    half = t * np.sqrt(np.einsum("nij,nj->ni", rots**2, gaussians.scales**2))
+    lo = np.ceil((gaussians.means - half - geometry.origin) / h - 0.5 - 1e-9)
+    hi = np.floor((gaussians.means + half - geometry.origin) / h - 0.5 + 1e-9)
+    lo = np.clip(lo, 0, dims).astype(np.int64)
+    ext = np.maximum(np.clip(hi, -1, dims - 1).astype(np.int64) - lo + 1, 0)
+    vol = np.prod(ext, axis=1)
+
+    def per_candidate(a):
+        return np.repeat(a, vol, axis=0)
+
+    # ragged expansion: candidate k of a gaussian is cell k of its box, x-major
+    g = per_candidate(np.arange(len(gaussians)))
+    k = np.arange(g.size) - per_candidate(np.cumsum(vol) - vol)
+    kxy, iz = np.divmod(k, per_candidate(ext[:, 2]))
+    ix, iy = np.divmod(kxy, per_candidate(ext[:, 1]))
+    vox = [i + per_candidate(lo[:, a]) for a, i in enumerate((ix, iy, iz))]
+    delta = np.empty((g.size, 3))
+    for a in range(3):
+        delta[:, a] = (geometry.origin[a] + (vox[a] + 0.5) * h
+                       - per_candidate(gaussians.means[:, a]))
+    # the arithmetic of a row-wise R^T delta and sum over axes, kept so
+    # that every pair's e is bit-identical to the brute force in the tests
+    local = np.einsum("pk,pkj->pj", delta, per_candidate(rots))
+    q = sum((local[:, j] / per_candidate(gaussians.scales[:, j])) ** 2 for j in range(3))
+    keep = q <= t**2
+    _, ny, nz = geometry.dims
+    flat = (vox[0][keep] * ny + vox[1][keep]) * nz + vox[2][keep]
+    return g[keep], flat, np.exp(-0.5 * q[keep])
 
 
 def splat(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfig | None = None,
@@ -138,8 +110,7 @@ def splat(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfig | Non
         return VoxelGrid(geometry, channels=out_flat.reshape(geometry.dims + (num_classes,)))
     if gaussians.num_classes != num_classes:
         raise ValueError("gaussian semantics width does not match grid classes")
-    for s in gaussians.scales:
-        _check_conditioning(s)
+    _check_conditioning(gaussians.scales)
     pg, pv, e = pairs if pairs is not None else _pair_lists(gaussians, geometry, cfg)
     w = gaussians.opacities[pg] * e
     sem = gaussians.semantics[pg]                                # (P, C)

@@ -14,6 +14,8 @@ import numpy as np
 
 from gsfusion.core import GaussianSet, SemanticGaussian
 from gsfusion.fusion import SCALE_FLOOR, FusionConfig, FusionParams
+from gsfusion.metrics import iou_3d
+from gsfusion.sim import ObservationModel, generate_scene, prepare_episode, run_episode
 
 
 def inv3x3(m):
@@ -62,6 +64,32 @@ def dense_splat_oracle(gaussians: GaussianSet, geometry):
                 for g in singles:
                     out[ix, iy, iz] += density_oracle(g, p)
     return out
+
+
+def splat_pairs_oracle(gaussians: GaussianSet, geometry, truncation_sigma, rots):
+    """Brute force over every voxel of the grid: the (gaussian, flat voxel)
+    pairs whose center has q <= truncation_sigma**2, in (gaussian, voxel)
+    order, with e = exp(-q/2).
+
+    q is spelled out element by element in the splat's own arithmetic
+    (delta = center - mean, local = R^T delta, q = sum_j (local_j/s_j)**2)
+    and the (N, 3, 3) rotation matrices `rots` are given, so e can be
+    compared bit for bit.
+    """
+    idx = np.indices(geometry.dims).reshape(3, -1)     # columns in flat voxel order
+    centers = [geometry.origin[a] + (idx[a] + 0.5) * geometry.voxel_size for a in range(3)]
+    pg, pv, pq = [], [], []
+    for i in range(len(gaussians)):
+        d = [centers[a] - gaussians.means[i, a] for a in range(3)]
+        r = rots[i]
+        local = [d[0] * r[0, j] + d[1] * r[1, j] + d[2] * r[2, j] for j in range(3)]
+        q = ((local[0] / gaussians.scales[i, 0]) ** 2 + (local[1] / gaussians.scales[i, 1]) ** 2
+             + (local[2] / gaussians.scales[i, 2]) ** 2)
+        vox = np.nonzero(q <= truncation_sigma**2)[0]
+        pg.append(np.full(vox.size, i))
+        pv.append(vox)
+        pq.append(q[vox])
+    return np.concatenate(pg), np.concatenate(pv), np.exp(-0.5 * np.concatenate(pq))
 
 
 def channels_at_points_oracle(gaussians: GaussianSet, points):
@@ -285,6 +313,25 @@ def oracle_gaps(fused: GaussianSet, oracle: GaussianSet) -> dict[str, float]:
     """Largest absolute difference per fused field."""
     return {name: float(np.max(np.abs(getattr(fused, name) - getattr(oracle, name))))
             for name in FUSED_FIELDS}
+
+
+def episode42_metrics() -> dict:
+    """The `episode42_*` goldens of tests/goldens/manifest.json: for the
+    single and zero_shot episodes of the seed-42 scene (3 agents, 50x50x8,
+    1 000 Gaussians/agent), the agent-mean mIoU and IoU against the
+    collaborative ground truth, and the zero_shot bytes sent."""
+    spec = generate_scene(seed=42, num_agents=3, world_half_xy=10.0, grid_dims=(50, 50, 8))
+    model = ObservationModel(gaussians_per_agent=1000)
+    episode = prepare_episode(spec, model)
+    out = {}
+    for mode in ("single", "zero_shot"):
+        res = run_episode(spec, model, mode, episode=episode)
+        scores = [iou_3d(res.labels[a], episode.gt.collaborative[a])
+                  for a in range(spec.num_agents)]
+        out[f"episode42_{mode}_miou"] = float(np.mean([s.miou for s in scores]))
+        out[f"episode42_{mode}_iou"] = float(np.mean([s.iou for s in scores]))
+    out["episode42_bytes_sent"] = res.comm.bytes_sent          # of the zero_shot run
+    return out
 
 
 def platform_description() -> dict[str, str]:

@@ -18,19 +18,11 @@ import hashlib
 import json
 import pathlib
 
-import numpy as np
-
 from gsfusion.fusion import fuse_scene
-from gsfusion.sim import (
-    ObservationModel,
-    generate_scene,
-    prepare_episode,
-    rasterize_world,
-    run_episode,
-)
-from gsfusion.metrics import iou_3d
+from gsfusion.sim import generate_scene, rasterize_world
 from helpers import (
     ORACLE_TOL,
+    episode42_metrics,
     fusion_digest,
     fusion_oracle,
     golden_fusion_fixture,
@@ -58,25 +50,6 @@ def checked_fusion_digest():
     return fusion_digest(fused)
 
 
-def episode_metrics():
-    spec = generate_scene(seed=42, num_agents=3, world_half_xy=10.0,
-                          grid_dims=(50, 50, 8))
-    model = ObservationModel(gaussians_per_agent=1000)
-    episode = prepare_episode(spec, model)
-    out = {}
-    for mode in ("single", "zero_shot"):
-        res = run_episode(spec, model, mode, episode=episode)
-        mious = [iou_3d(res.labels[a], episode.gt.collaborative[a]).miou
-                 for a in range(spec.num_agents)]
-        ious = [iou_3d(res.labels[a], episode.gt.collaborative[a]).iou
-                for a in range(spec.num_agents)]
-        out[f"episode42_{mode}_miou"] = float(np.mean(mious))
-        out[f"episode42_{mode}_iou"] = float(np.mean(ious))
-    out["episode42_bytes_sent"] = run_episode(spec, model, "zero_shot",
-                                              episode=episode).comm.bytes_sent
-    return out
-
-
 def main():
     GOLDEN_DIR.mkdir(exist_ok=True)
     path = GOLDEN_DIR / "manifest.json"
@@ -87,7 +60,7 @@ def main():
     if here not in seen_on:
         seen_on.append(here)
     manifest["world_hash_seed42"] = world_hash()
-    manifest.update(episode_metrics())
+    manifest.update(episode42_metrics())
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(json.dumps(manifest, indent=2, sort_keys=True))
 

@@ -245,6 +245,21 @@ class TestGroundTruth:
                                "manifest.json").read_text())
         assert digest == manifest["world_hash_seed42"]
 
+    def test_episode42_metrics_golden(self):
+        import json
+        import pathlib
+
+        from helpers import episode42_metrics
+
+        manifest = json.loads((pathlib.Path(__file__).parent / "goldens" /
+                               "manifest.json").read_text())
+        got = episode42_metrics()
+        assert got["episode42_bytes_sent"] == manifest["episode42_bytes_sent"]
+        for mode in ("single", "zero_shot"):
+            for metric in ("miou", "iou"):
+                key = f"episode42_{mode}_{metric}"
+                assert abs(got[key] - manifest[key]) <= 1e-12, (key, got[key], manifest[key])
+
 
 class TestEpisode:
     def _spec(self):

@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
 
-from gsfusion.core import GaussianSet, GridGeometry, SemanticGaussian, VoxelGrid
+from gsfusion.core import (
+    DegenerateGaussianError,
+    GaussianSet,
+    GridGeometry,
+    SemanticGaussian,
+    VoxelGrid,
+    _quat_to_rotmat_unchecked,
+    random_unit_quaternion,
+)
+from gsfusion.sim import empty_space_gaussian
 from gsfusion.splat import (
     SplatConfig,
+    _pair_lists,
     labels_from_channels,
     load_voxg,
     read_voxg,
@@ -13,7 +23,7 @@ from gsfusion.splat import (
     write_voxg,
 )
 
-from helpers import dense_splat_oracle
+from helpers import dense_splat_oracle, splat_pairs_oracle
 
 RNG = np.random.default_rng(777)
 
@@ -29,8 +39,6 @@ def tight_set(rng, n, geom, scale_lo=0.15, scale_hi=0.6):
     hi = geom.origin + np.array(geom.dims) * geom.voxel_size - 0.2
     gaussians = []
     for _ in range(n):
-        from gsfusion.core import random_unit_quaternion
-
         gaussians.append(SemanticGaussian(
             mean=rng.uniform(lo, hi),
             scale=rng.uniform(scale_lo, scale_hi, 3),
@@ -125,6 +133,84 @@ class TestSplat:
         a = channels_at_points_oracle(gs, pts)
         b = channels_at_points_oracle(transform_set(gs, t), t.apply(pts))
         assert np.max(np.abs(a - b)) < 1e-9 * max(1.0, np.max(np.abs(a)))
+
+
+def pair_test_set(geom):
+    """Rotated anisotropic Gaussians inside, across and wholly outside the
+    grid, needles and a disc just under the 1e12 condition limit through
+    voxel centers, Gaussians whose truncation surface passes through voxel
+    centers, and the 20 m empty-space Gaussian."""
+    rng = np.random.default_rng(4242)
+    h = geom.voxel_size
+    lo = geom.origin
+    hi = geom.origin + np.array(geom.dims) * h
+    centers = geom.voxel_centers().reshape(-1, 3)
+    thin = 1.0 / 0.999e6                        # condition (0.999e6)**2, just under 1e12
+    means, scales, rots = [], [], []
+
+    def add(mean, scale, rot=None):
+        means.append(mean)
+        scales.append(scale)
+        rots.append(random_unit_quaternion(rng) if rot is None else rot)
+
+    for _ in range(30):                         # in the grid and across its border
+        add(rng.uniform(lo - 1.0, hi + 1.0), np.exp(rng.uniform(np.log(0.05), np.log(0.9), 3)))
+    for far in (lo - 4.0, hi + 4.0, [hi[0] + 3.0, lo[1] + 0.5, lo[2] + 0.5]):
+        add(np.asarray(far, dtype=float), np.full(3, 0.3))
+    ident = np.array([1.0, 0.0, 0.0, 0.0])
+    for c in centers[rng.choice(len(centers), 4, replace=False)]:
+        add(c, np.array([0.9, 0.9 * thin, 0.9 * thin]))            # needle, random axis
+    add(centers[17], np.array([1.2, 1.2 * thin, 1.2 * thin]), ident)  # needle along x
+    add(centers[40], np.array([0.8, 0.8, 0.8 * thin]), ident)        # disc in the xy plane
+    for c in centers[rng.choice(len(centers), 3, replace=False)]:
+        add(c, np.full(3, h), ident)            # t-sigma surface through voxel centers
+    gs = GaussianSet(np.array(means), np.array(scales), np.array(rots),
+                     rng.uniform(0.1, 1.0, len(means)), rng.uniform(0, 1, (len(means), C)))
+    return GaussianSet.concat([gs, empty_space_gaussian()])
+
+
+class TestPairLists:
+    @pytest.mark.parametrize("sigma", [1.0, 3.0])
+    def test_equals_brute_force_over_every_voxel(self, sigma):
+        geom = GridGeometry(np.array([-1.5, -1.2, -0.6]), 0.3, (12, 10, 6), num_classes=C)
+        gs = pair_test_set(geom)
+        gs.validate()
+        pg, pv, e = _pair_lists(gs, geom, SplatConfig(truncation_sigma=sigma))
+        og, ov, oe = splat_pairs_oracle(gs, geom, sigma,
+                                        _quat_to_rotmat_unchecked(gs.rotations))
+        assert np.array_equal(pg, og)
+        assert np.array_equal(pv, ov)
+        assert np.array_equal(e, oe)            # bit for bit
+        # canonical order: ascending gaussian, then ascending flat voxel
+        assert np.all((np.diff(pg) > 0) | ((np.diff(pg) == 0) & (np.diff(pv) > 0)))
+        # the set reaches every case it is built for
+        per_gauss = np.bincount(pg, minlength=len(gs))
+        assert np.all(per_gauss[30:33] == 0)                        # wholly outside
+        assert np.all(per_gauss[33:39] >= 1)                        # needles and disc
+        assert per_gauss[-1] == geom.num_voxels                     # empty-space Gaussian
+
+    def test_gaussian_wider_than_1024_voxels(self):
+        geom = GridGeometry(np.zeros(3), 0.1, (2048, 1, 1), num_classes=C)
+        sem = np.zeros((1, C))
+        sem[0, 2] = 1.0
+        gs = GaussianSet(np.array([[102.4, 0.05, 0.05]]), np.full((1, 3), 40.0),
+                         np.array([[1.0, 0.0, 0.0, 0.0]]), np.ones(1), sem)
+        grid = splat(gs, geom, SplatConfig(min_contribution=0.0))
+        assert np.all(grid.channels[..., 2] > 0.0)
+        assert np.max(np.abs(grid.channels - dense_splat_oracle(gs, geom))) < 1e-12
+
+    def test_degenerate_gaussian_rejected_after_valid_ones(self):
+        geom = small_geom()
+        gs = tight_set(RNG, 6, geom)
+        splat(gs, geom)
+        gs.scales[2] = [1.0, 1.0, 1e-7]                             # condition 1e14
+        gs.scales[4] = [1e-8, 1.0, 1.0]                             # condition 1e16
+        with pytest.raises(DegenerateGaussianError,
+                           match=r"^covariance condition number 1\.000e\+14 exceeds 1e12$"):
+            splat(gs, geom)
+        gs.scales[2] = [0.3, 0.0, 0.3]
+        with pytest.raises(DegenerateGaussianError, match="condition number inf exceeds"):
+            splat(gs, geom)
 
 
 class TestLabels:
