@@ -5,6 +5,12 @@ format, and communication-volume accounting with budget enforcement.
 Wire record layout (little-endian, per Gaussian): mean xyz, scale xyz,
 quaternion wxyz, opacity, then the semantic weights, 24 scalars total.
 fp16 encoding makes that 48 bytes per primitive; fp32 doubles it.
+
+The 24-byte header carries no class count: the receiver supplies it, and
+it must match the sender's. A wrong count is caught only by the length
+check (the payload is not header Gaussian count times the record size),
+which reports it as a truncated payload, and a message with no Gaussians
+decodes under any count.
 """
 
 from __future__ import annotations
@@ -143,6 +149,10 @@ def deserialize_message(data: bytes, num_classes: int = 13) -> GaussianMessage:
     Quaternions are renormalized and re-canonicalized and opacities clipped
     into [0, 1] so the decoded Gaussians satisfy the core invariants despite
     quantization. Malformed inputs raise a DecodeError subclass.
+
+    The header holds no class count, so `num_classes` is trusted: a wrong
+    one is caught only by the length check, as a TruncatedPayloadError,
+    and an empty message decodes whatever it is.
     """
     if len(data) < HEADER_SIZE:
         raise TruncatedPayloadError("message shorter than header")
@@ -196,6 +206,7 @@ class LinkStats:
     messages: int = 0
     gaussians: int = 0
     bytes: int = 0
+    rejected: int = 0           # sent messages the receiver could not decode
 
 
 @dataclass
@@ -217,8 +228,12 @@ class CommStats:
         link.gaussians += msg.count
         link.bytes += nbytes
 
-    def record_rejected(self) -> None:
+    def record_rejected(self, link: tuple[int, int] | None = None) -> None:
+        """Count one rejected message, also against its (sender, receiver)
+        link when given."""
         self.messages_rejected += 1
+        if link is not None:
+            self.per_link.setdefault(link, LinkStats()).rejected += 1
 
     def merge(self, other: "CommStats") -> "CommStats":
         out = CommStats(
@@ -226,13 +241,15 @@ class CommStats:
             self.gaussians_sent + other.gaussians_sent,
             self.bytes_sent + other.bytes_sent,
             self.messages_rejected + other.messages_rejected,
-            {k: LinkStats(v.messages, v.gaussians, v.bytes) for k, v in self.per_link.items()},
+            {k: LinkStats(v.messages, v.gaussians, v.bytes, v.rejected)
+             for k, v in self.per_link.items()},
         )
         for k, v in other.per_link.items():
             link = out.per_link.setdefault(k, LinkStats())
             link.messages += v.messages
             link.gaussians += v.gaussians
             link.bytes += v.bytes
+            link.rejected += v.rejected
         return out
 
 

@@ -185,58 +185,100 @@ def _sigmoid(x):
 # neighborhood search
 # ---------------------------------------------------------------------------
 
+def _dense_ranks(pool_keys: np.ndarray, query_keys: np.ndarray):
+    """Ranks of `pool_keys` among their sorted distinct values, the rank of
+    each query key among the same values (-1 when absent), and the number
+    of distinct values."""
+    values, pool_rank = np.unique(pool_keys, return_inverse=True)
+    at = np.minimum(np.searchsorted(values, query_keys), values.size - 1)
+    return pool_rank, np.where(values[at] == query_keys, at, -1), values.size
+
+
+def _build_pairs(ego_means: np.ndarray, pool_means: np.ndarray, rho: float,
+                 max_neighbors: int | None):
+    """Radius-rho neighbour lists of every ego mean as one CSR
+    (seg_egos, pair_j, starts, counts): the egos with a non-empty closed
+    ball, then per ego its pool indices nearest first, ties by index,
+    capped at `max_neighbors` (None: no cap).
+
+    A sorted cell list with cell size rho: the pool is stably sorted by
+    cell, every ego looks its 3x3 columns of cells up with searchsorted,
+    each column covering the three cells around the ego's along z. Cell
+    coordinates stay floats and are replaced by dense ranks before two
+    axes are combined, so keys stay below len(pool)**2 however far apart
+    the means lie.
+    """
+    empty = (np.empty(0, dtype=np.int64),) * 4
+    if len(ego_means) == 0 or len(pool_means) == 0:
+        return empty
+    cp = np.floor(pool_means / rho)                      # (P, 3) cell coordinates
+    ce = np.floor(ego_means / rho)                       # (E, 3)
+    step = np.array([-1.0, 0.0, 1.0])
+    rx_p, rx_e, _ = _dense_ranks(cp[:, 0], ce[:, 0, None] + step)
+    ry_p, ry_e, ny = _dense_ranks(cp[:, 1], ce[:, 1, None] + step)
+    col_e = np.where((rx_e[:, :, None] < 0) | (ry_e[:, None, :] < 0), -1,
+                     rx_e[:, :, None] * ny + ry_e[:, None, :]).reshape(-1, 9)
+    col_p, col_e, _ = _dense_ranks(rx_p * ny + ry_p, col_e)
+    z_values, z_p = np.unique(cp[:, 2], return_inverse=True)
+    nz = z_values.size
+    key = col_p * nz + z_p
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    z_lo = np.searchsorted(z_values, ce[:, 2] - 1.0, side="left")
+    z_hi = np.searchsorted(z_values, ce[:, 2] + 1.0, side="right")
+    lo = np.searchsorted(key, col_e * nz + z_lo[:, None])
+    hi = np.where(col_e < 0, lo, np.searchsorted(key, col_e * nz + z_hi[:, None]))
+    n = (hi - lo).reshape(-1)
+    total = int(n.sum())
+    if total == 0:
+        return empty
+    first = np.cumsum(n) - n
+    cand_e = np.repeat(np.arange(len(ego_means)), n.reshape(-1, 9).sum(axis=1))
+    cand_j = order[np.arange(total) - np.repeat(first - lo.reshape(-1), n)]
+    d = np.linalg.norm(pool_means[cand_j] - ego_means[cand_e], axis=1)
+    keep = d <= rho
+    cand_e, cand_j, d = cand_e[keep], cand_j[keep], d[keep]
+    if cand_e.size == 0:
+        return empty
+    s = np.lexsort((cand_j, d, cand_e))
+    cand_e, cand_j = cand_e[s], cand_j[s]
+    seg_egos, seg_first, counts = np.unique(cand_e, return_index=True, return_counts=True)
+    if max_neighbors is not None:
+        cand_j = cand_j[np.arange(cand_e.size) - np.repeat(seg_first, counts) < max_neighbors]
+        counts = np.minimum(counts, max_neighbors)
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    return seg_egos, cand_j, starts, counts
+
+
 class HashGrid:
-    """Uniform spatial hash with cell size equal to the query radius, so a
-    radius query only ever touches the 27 surrounding cells."""
+    """Radius queries over a fixed point set, answered by the sorted cell
+    list of `_build_pairs` (one cell per query radius, so a query only
+    ever touches the 27 surrounding cells)."""
 
     def __init__(self, points: np.ndarray, cell: float):
         self.points = np.asarray(points, dtype=np.float64)
         self.cell = float(cell)
-        self.table: dict[tuple[int, int, int], list[int]] = {}
-        keys = np.floor(self.points / self.cell).astype(np.int64)
-        for i in range(len(self.points)):
-            self.table.setdefault(tuple(keys[i]), []).append(i)
 
     def query(self, x: np.ndarray, radius: float, cap: int | None = None) -> np.ndarray:
         """Indices with ||p - x|| <= radius, nearest first, ties by index,
         truncated to `cap` when given. radius must not exceed the cell size."""
         if radius > self.cell + 1e-12:
             raise ValueError("query radius exceeds hash cell size")
-        cx, cy, cz = np.floor(np.asarray(x) / self.cell).astype(np.int64)
-        cand: list[int] = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    cand.extend(self.table.get((cx + dx, cy + dy, cz + dz), ()))
-        if not cand:
-            return np.empty(0, dtype=np.int64)
-        cand_arr = np.array(cand, dtype=np.int64)
-        d = np.linalg.norm(self.points[cand_arr] - x, axis=1)
-        keep = d <= radius
-        cand_arr = cand_arr[keep]
-        d = d[keep]
-        order = np.lexsort((cand_arr, d))
-        cand_arr = cand_arr[order]
-        if cap is not None and cand_arr.size > cap:
-            cand_arr = cand_arr[:cap]
-        return cand_arr
+        return _build_pairs(np.reshape(np.asarray(x, dtype=np.float64), (1, 3)),
+                            self.points, radius, cap)[1]
 
 
 def neighborhood(ego: SemanticGaussian, received: GaussianSet, rho: float,
                  max_neighbors: int | None = None) -> GaussianSet:
     """Received Gaussians within the closed radius-rho ball of the ego mean,
     truncated to the nearest `max_neighbors` when the ball holds more."""
-    if len(received) == 0:
-        return received.copy()
-    grid = HashGrid(received.means, rho)
-    idx = grid.query(ego.mean, rho, max_neighbors)
-    return received.take(np.sort(idx))
+    return received.take(np.sort(neighborhood_indices(ego.mean, received.means, rho,
+                                                      max_neighbors)))
 
 
 def neighborhood_indices(ego_mean: np.ndarray, received_means: np.ndarray, rho: float,
                          max_neighbors: int | None = None) -> np.ndarray:
-    grid = HashGrid(received_means, rho)
-    return grid.query(np.asarray(ego_mean, dtype=np.float64), rho, max_neighbors)
+    return HashGrid(received_means, rho).query(ego_mean, rho, max_neighbors)
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +319,18 @@ def pairwise_features(ego: SemanticGaussian, nbr: SemanticGaussian) -> np.ndarra
 # proposal network
 # ---------------------------------------------------------------------------
 
+def _hidden(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """relu(x @ w.T + b), computed in one buffer."""
+    h = x @ w.T
+    h += b
+    return np.maximum(h, 0.0, out=h)
+
+
 def _mlp_forward(z: np.ndarray, params: FusionParams):
-    h1p = z @ params.w1.T + params.b1
-    h1 = np.maximum(h1p, 0.0)
-    h2p = h1 @ params.w2.T + params.b2
-    h2 = np.maximum(h2p, 0.0)
-    raw = h2 @ params.w3.T + params.b3
-    return raw, (h1p, h1, h2p, h2)
+    """Raw outputs and the two hidden layers' post-ReLU activations."""
+    h1 = _hidden(z, params.w1, params.b1)
+    h2 = _hidden(h1, params.w2, params.b2)
+    return h2 @ params.w3.T + params.b3, h1, h2
 
 
 def _activate(raw: np.ndarray, num_classes: int):
@@ -305,7 +352,7 @@ def propose(z: np.ndarray, params: FusionParams) -> Proposal:
     if not np.all(np.isfinite(z)):
         raise ValueError("non-finite pair feature")
     params.validate()
-    raw, _ = _mlp_forward(z[None, :], params)
+    raw = _mlp_forward(z[None, :], params)[0]
     num_classes = params.num_classes
     dm, s, r, a, c, _ = _activate(raw, num_classes)
     return Proposal(dm[0], s[0], r[0], float(a[0]), c[0])
@@ -411,9 +458,7 @@ class FusionTape:
     starts: np.ndarray
     counts: np.ndarray
     z: np.ndarray
-    h1p: np.ndarray
-    h1: np.ndarray
-    h2p: np.ndarray
+    h1: np.ndarray              # post-ReLU hidden activations (no pre-activation copies)
     h2: np.ndarray
     raw: np.ndarray
     dm: np.ndarray
@@ -438,38 +483,34 @@ class FusionTape:
     ego_sem: np.ndarray
 
 
-def _build_pairs(ego_means: np.ndarray, pool_means: np.ndarray, rho: float,
-                 max_neighbors: int):
-    grid = HashGrid(pool_means, rho)
-    seg_egos, pair_j, counts = [], [], []
-    for k in range(ego_means.shape[0]):
-        idx = grid.query(ego_means[k], rho, max_neighbors)
-        if idx.size:
-            seg_egos.append(k)
-            counts.append(idx.size)
-            pair_j.append(idx)
-    if not seg_egos:
-        return (np.empty(0, dtype=np.int64),) * 4
-    counts = np.array(counts, dtype=np.int64)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    return np.array(seg_egos, dtype=np.int64), np.concatenate(pair_j), starts, counts
+def scene_neighbors(ego_set: GaussianSet, received_sets: list[GaussianSet],
+                    cfg: FusionConfig):
+    """The neighbour CSR of `_build_pairs` that `fuse_scene` uses: ego means
+    against the concatenated received sets."""
+    pool_means = GaussianSet.concat([s for s in received_sets if len(s)]).means
+    return _build_pairs(ego_set.means, pool_means, cfg.radius_rho, cfg.max_neighbors)
 
 
 def fuse_scene(ego_set: GaussianSet, received_sets: list[GaussianSet],
                cfg: FusionConfig, params: FusionParams,
-               record: bool = False):
+               record: bool = False, neighbors=None):
     """Refine every ego Gaussian from its radius-rho neighborhood of
     received Gaussians. Cardinality is preserved; rows without neighbors
     are returned unchanged. With record=True also returns a FusionTape
-    (None when nothing was fused) for the analytic backward."""
+    (None when nothing was fused) for the analytic backward.
+
+    `neighbors` is `scene_neighbors` of the same inputs and config, for
+    callers that fuse one scene many times; it is searched for when not
+    given."""
     params.validate()
     fused = ego_set.copy()
     pool_set = GaussianSet.concat([s for s in received_sets if len(s)])
     if len(ego_set) == 0 or len(pool_set) == 0:
         return (fused, None) if record else fused
 
-    seg_egos, pair_j, starts, counts = _build_pairs(
-        ego_set.means, pool_set.means, cfg.radius_rho, cfg.max_neighbors)
+    if neighbors is None:
+        neighbors = scene_neighbors(ego_set, received_sets, cfg)
+    seg_egos, pair_j, starts, counts = neighbors
     if seg_egos.size == 0:
         return (fused, None) if record else fused
     pair_e = np.repeat(seg_egos, counts)
@@ -479,7 +520,7 @@ def fuse_scene(ego_set: GaussianSet, received_sets: list[GaussianSet],
     f_rel = rel_features(ego_set, pair_e, pool_set, pair_j)
     z = np.concatenate([e_all[pair_e], f_rel], axis=1)
 
-    raw, (h1p, h1, h2p, h2) = _mlp_forward(z, params)
+    raw, h1, h2 = _mlp_forward(z, params)
     dm, s, r, a, c, (rraw, rnorm) = _activate(raw, num_classes)
 
     if cfg.pooling == "mean":
@@ -516,7 +557,7 @@ def fuse_scene(ego_set: GaussianSet, received_sets: list[GaussianSet],
     tape = FusionTape(
         params=params, pooling=cfg.pooling, epsilon=eps, n_ego=len(ego_set),
         num_classes=num_classes, seg_egos=seg_egos, starts=starts, counts=counts,
-        z=z, h1p=h1p, h1=h1, h2p=h2p, h2=h2, raw=raw,
+        z=z, h1=h1, h2=h2, raw=raw,
         dm=dm, s=s, r=r, a=a, c=c, rraw=rraw, rnorm=rnorm, w=w, sigma=sigma,
         e_feats=e_all[seg_egos], f_rel=f_rel,
         pooled_c=pooled_c, rbar_raw=rbar_raw, rbar_norm=rbar_norm, rbar=rbar,
@@ -531,6 +572,30 @@ def fusion_backward(tape: FusionTape, grad_fused: dict[str, np.ndarray]) -> dict
     FusionParams tensors. Input Gaussians are treated as constants."""
     p = tape.params
     grads = {k: np.zeros_like(v) for k, v in p.as_dict().items()}
+    d_raw = _raw_output_grads(tape, grad_fused, grads)
+
+    # MLP backward; the ReLU masks are h > 0 (h = max(pre-activation, 0)),
+    # and each (pairs, hidden) temporary is freed or overwritten once spent
+    grads["w3"] = d_raw.T @ tape.h2
+    grads["b3"] = d_raw.sum(axis=0)
+    d_h2 = d_raw @ p.w3
+    d_h2 *= tape.h2 > 0.0
+    grads["w2"] = d_h2.T @ tape.h1
+    grads["b2"] = d_h2.sum(axis=0)
+    d_h1 = d_h2 @ p.w2
+    del d_h2
+    d_h1 *= tape.h1 > 0.0
+    grads["w1"] = d_h1.T @ tape.z
+    grads["b1"] = d_h1.sum(axis=0)
+    return grads
+
+
+def _raw_output_grads(tape: FusionTape, grad_fused: dict[str, np.ndarray],
+                      grads: dict[str, np.ndarray]) -> np.ndarray:
+    """Gradient w.r.t. the raw MLP outputs, back through the update, the
+    pooling and the activations; fills the attention projection gradients
+    in `grads` on the way."""
+    p = tape.params
     seg = tape.seg_egos
     starts, counts = tape.starts, tape.counts
     rep = lambda x: np.repeat(x, counts, axis=0)
@@ -590,17 +655,7 @@ def fusion_backward(tape: FusionTape, grad_fused: dict[str, np.ndarray]) -> dict
     d_raw[:, 6:10] = (d_r - tape.r * rdot[:, None]) / tape.rnorm[:, None]
     d_raw[:, 10] = d_a * tape.a * (1.0 - tape.a)
     d_raw[:, 11:] = d_c * _sigmoid(tape.raw[:, 11:])
-
-    # MLP backward
-    grads["w3"] = d_raw.T @ tape.h2
-    grads["b3"] = d_raw.sum(axis=0)
-    d_h2 = (d_raw @ p.w3) * (tape.h2p > 0.0)
-    grads["w2"] = d_h2.T @ tape.h1
-    grads["b2"] = d_h2.sum(axis=0)
-    d_h1 = (d_h2 @ p.w2) * (tape.h1p > 0.0)
-    grads["w1"] = d_h1.T @ tape.z
-    grads["b1"] = d_h1.sum(axis=0)
-    return grads
+    return d_raw
 
 
 # ---------------------------------------------------------------------------

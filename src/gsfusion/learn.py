@@ -24,6 +24,7 @@ from gsfusion.fusion import (
     _unpack_tensors,
     fuse_scene,
     fusion_backward,
+    scene_neighbors,
 )
 from gsfusion.splat import SplatConfig, _pair_lists, splat, splat_backward
 
@@ -232,10 +233,12 @@ class TrainExample:
 
 def scene_loss_and_grads(example: TrainExample, fusion_cfg: FusionConfig,
                          splat_cfg: SplatConfig, params: FusionParams,
-                         want_grads: bool = True):
-    """Forward pass of one scene and, optionally, parameter gradients."""
+                         want_grads: bool = True, neighbors=None):
+    """Forward pass of one scene and, optionally, parameter gradients.
+    `neighbors` is the example's `scene_neighbors`, searched for when not
+    given."""
     fused, tape = fuse_scene(example.fusion_input, example.received,
-                             fusion_cfg, params, record=True)
+                             fusion_cfg, params, record=True, neighbors=neighbors)
     full = GaussianSet.concat([fused, example.fixed])
     pairs = _pair_lists(full, example.geometry, splat_cfg)
     channels = splat(full, example.geometry, splat_cfg, pairs=pairs).channels
@@ -268,6 +271,8 @@ def train(params0: FusionParams, dataset: list[TrainExample], cfg: TrainConfig,
     params = params0.copy()
     opt = AdamW(params.as_dict(), weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x7E41]))
+    # the fusion inputs are constants, so each neighbour search is done once
+    neighbors = [scene_neighbors(ex.fusion_input, ex.received, fusion_cfg) for ex in dataset]
     curve = []
     for step in range(cfg.steps):
         take = min(cfg.batch, len(dataset))
@@ -275,7 +280,8 @@ def train(params0: FusionParams, dataset: list[TrainExample], cfg: TrainConfig,
         mean_grads = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
         ce = lov = tot = 0.0
         for i in idx:
-            report, grads = scene_loss_and_grads(dataset[i], fusion_cfg, splat_cfg, params)
+            report, grads = scene_loss_and_grads(dataset[i], fusion_cfg, splat_cfg, params,
+                                                 neighbors=neighbors[i])
             report.validate()
             ce += report.ce / take
             lov += report.lovasz / take

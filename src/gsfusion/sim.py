@@ -26,6 +26,7 @@ from gsfusion.core import (
 from gsfusion.comms import (
     GaussianMessage,
     PRECISION_FP16,
+    DecodeError,
     CommStats,
     cull_to_roi,
     deserialize_message,
@@ -500,7 +501,9 @@ def _receive_all(episode: EpisodeData, ego: int, precision: int,
                  message_sink: list | None = None):
     """Package every neighbor's observation for `ego`: cull, serialize,
     enforce the budget, account, then decode (so quantization is real).
-    Accepted wire messages are appended to message_sink when given."""
+    A message that fails to decode is dropped and counted as rejected on
+    its link; its bytes stay counted as sent. Accepted wire messages are
+    appended to message_sink when given."""
     spec = episode.spec
     roi = spec.agent_roi()
     t_world_ego = spec.agents[ego].inverse()
@@ -516,9 +519,13 @@ def _receive_all(episode: EpisodeData, ego: int, precision: int,
             stats.record_rejected()
             continue
         stats.record(msg, len(data))
+        try:
+            received.append(deserialize_message(data).gaussians)
+        except DecodeError:
+            stats.record_rejected((j, ego))
+            continue
         if message_sink is not None:
             message_sink.append((j, ego, data))
-        received.append(deserialize_message(data).gaussians)
     return received
 
 

@@ -131,6 +131,12 @@ def splat_backward(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatCon
     differentiates exactly the function `splat` evaluates (same truncation
     and floor masks). Returns arrays keyed
     means/scales/rotations/opacities/semantics.
+
+    `splat` is piecewise smooth: a contribution drops to zero where its
+    (Gaussian, voxel) pair crosses the truncation_sigma surface or its
+    value crosses min_contribution. This is the gradient of the smooth
+    piece the inputs lie on; the jumps between pieces are not in it, so a
+    finite difference whose step crosses one disagrees with it.
     """
     cfg = cfg or SplatConfig()
     n = len(gaussians)

@@ -116,6 +116,23 @@ def linear_scan_neighborhood(query_mean, means, rho, max_neighbors=None):
     return np.sort(idx)
 
 
+def neighbor_csr_oracle(ego_means, pool_means, rho, max_neighbors=None):
+    """Per-ego linear scans assembled into the (seg_egos, pair_j, starts,
+    counts) CSR of `fusion._build_pairs`: the egos with any neighbour, and
+    each one's neighbours nearest first, ties broken by lower index."""
+    seg, rows = [], []
+    for k, q in enumerate(np.asarray(ego_means)):
+        idx = linear_scan_neighborhood(q, pool_means, rho, max_neighbors)
+        if idx.size:
+            d = np.linalg.norm(pool_means[idx] - q, axis=1)
+            seg.append(k)
+            rows.append(idx[np.lexsort((idx, d))])
+    counts = np.array([r.size for r in rows], dtype=np.int64)
+    pair_j = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+    return (np.array(seg, dtype=np.int64), pair_j.astype(np.int64),
+            np.cumsum(counts) - counts, counts)
+
+
 def pairwise_feature_oracle(ego: SemanticGaussian, nbr: SemanticGaussian):
     """Element-by-element reassembly of the 45-dim pair feature."""
     f_ego = np.concatenate([ego.mean, ego.scale, ego.rotation,

@@ -6,6 +6,7 @@ import pytest
 
 from gsfusion.core import GaussianSet, SemanticGaussian
 from gsfusion.fusion import (
+    _build_pairs,
     FusionConfig,
     FusionParams,
     HashGrid,
@@ -23,6 +24,7 @@ from gsfusion.fusion import (
     propose,
     rel_features,
     save_params,
+    scene_neighbors,
     update_ego,
 )
 
@@ -32,6 +34,7 @@ from helpers import (
     fusion_oracle,
     golden_fusion_fixture,
     linear_scan_neighborhood,
+    neighbor_csr_oracle,
     oracle_gaps,
     pairwise_feature_oracle,
     platform_description,
@@ -81,6 +84,102 @@ class TestNeighborhood:
             got = np.sort(neighborhood_indices(q, pts, rho, max_neighbors=16))
             want = linear_scan_neighborhood(q, pts, rho, max_neighbors=16)
             assert np.array_equal(got, want)
+
+
+def _cloud(rng, centers, n, spread):
+    """n points around each of the given centers."""
+    return np.concatenate([c + rng.uniform(-spread, spread, size=(n, 3)) for c in centers])
+
+
+def _lattice(rho, k):
+    """Every point of a k x k x k lattice of spacing rho centred on the
+    origin: all on cell faces, neighbours exactly rho apart."""
+    axis = (np.arange(k) - k // 2) * rho
+    return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def _neighbor_cases():
+    rng = np.random.default_rng(4711)
+    far = [np.array(c) for c in ((-1e7, 0.0, 5e6), (1e7, -1e7, 0.0), (0.0, 1e7, -1e7))]
+    duplicated = rng.uniform(-1.0, 1.0, size=(40, 3))
+    lattice = _lattice(0.4, 5)
+    return {
+        "negative_coords": (rng.uniform(-3.0, 0.5, (150, 3)),
+                            rng.uniform(-3.0, 0.5, (400, 3)), 0.4),
+        "means_1e7_apart": (_cloud(rng, far, 30, 0.5), _cloud(rng, far, 60, 0.5), 0.4),
+        "lattice_rho_0.5": (_lattice(0.5, 5), _lattice(0.5, 5), 0.5),
+        "lattice_rho_0.4": (lattice, lattice + np.array([0.4, 0.0, -0.4]), 0.4),
+        # equidistant neighbours in different cells, listed out of cell order
+        "lattice_shuffled": (_lattice(0.5, 5), rng.permutation(_lattice(0.5, 5)), 0.5),
+        "duplicates": (duplicated[::2], np.concatenate([duplicated] * 3), 0.4),
+        "some_egos_alone": (np.concatenate([rng.uniform(-1, 1, (30, 3)),
+                                            rng.uniform(50, 60, (30, 3))]),
+                            rng.uniform(-1, 1, (200, 3)), 0.4),
+        "no_pairs": (rng.uniform(-1, 1, (20, 3)), rng.uniform(5, 6, (30, 3)), 0.4),
+    }
+
+
+_NEIGHBOR_CASES = _neighbor_cases()
+
+
+class TestBuildPairs:
+    @pytest.mark.parametrize("cap", [1, 3, 10**6])
+    @pytest.mark.parametrize("case", sorted(_NEIGHBOR_CASES))
+    def test_csr_matches_linear_scan(self, case, cap):
+        egos, pool_means, rho = _NEIGHBOR_CASES[case]
+        got = _build_pairs(egos, pool_means, rho, cap)
+        want = neighbor_csr_oracle(egos, pool_means, rho, cap)
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64
+            assert np.array_equal(g, w)
+
+    def test_cases_exercise_edges(self):
+        # the cases above really hold ties, cell-face points, exact-rho
+        # distances, lone egos, empty results and keys that would overflow
+        # int64 if cell coordinates were flattened without ranking
+        egos, pool_means, rho = _NEIGHBOR_CASES["duplicates"]
+        seg, pair_j, starts, counts = _build_pairs(egos, pool_means, rho, None)
+        d = np.linalg.norm(pool_means[pair_j] - egos[np.repeat(seg, counts)], axis=1)
+        assert np.any((d[1:] == d[:-1]) & (np.diff(np.repeat(seg, counts)) == 0))
+        egos, pool_means, rho = _NEIGHBOR_CASES["lattice_rho_0.5"]
+        seg, pair_j, _, counts = _build_pairs(egos, pool_means, rho, None)
+        d = np.linalg.norm(pool_means[pair_j] - egos[np.repeat(seg, counts)], axis=1)
+        assert np.sum(d == rho) > 0 and np.all(np.mod(pool_means, rho) == 0.0)
+        assert 0 < _build_pairs(*_NEIGHBOR_CASES["some_egos_alone"], None)[0].size < 60
+        assert _build_pairs(*_NEIGHBOR_CASES["no_pairs"], None)[1].size == 0
+        egos, pool_means, rho = _NEIGHBOR_CASES["means_1e7_apart"]
+        span = (np.ptp(np.floor(pool_means / rho), axis=0) + 1).prod()
+        assert span > np.iinfo(np.int64).max
+        assert _build_pairs(egos, pool_means, rho, None)[0].size == egos.shape[0]
+
+    def test_cap_larger_than_every_segment_is_no_cap(self):
+        egos, pool_means, rho = _NEIGHBOR_CASES["negative_coords"]
+        uncapped = _build_pairs(egos, pool_means, rho, None)
+        assert uncapped[3].max() < 10**6
+        for a, b in zip(uncapped, _build_pairs(egos, pool_means, rho, 10**6)):
+            assert np.array_equal(a, b)
+
+    def test_empty_inputs(self):
+        pts = np.zeros((4, 3))
+        for egos, pool_means in ((np.empty((0, 3)), pts), (pts, np.empty((0, 3)))):
+            for part in _build_pairs(egos, pool_means, 0.4, 8):
+                assert part.dtype == np.int64 and part.size == 0
+
+    def test_random_clouds_match_linear_scan(self):
+        rng = np.random.default_rng(5150)
+        for trial in range(40):
+            span = (0.3, 2.0, 1e4)[trial % 3]
+            egos = rng.uniform(-span, span, (int(rng.integers(0, 80)), 3))
+            pool_means = rng.uniform(-span, span, (int(rng.integers(1, 300)), 3))
+            cap = int(rng.integers(1, 70))
+            got = _build_pairs(egos, pool_means, 0.4, cap)
+            want = neighbor_csr_oracle(egos, pool_means, 0.4, cap)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+    def test_hash_grid_rejects_radius_above_cell(self):
+        with pytest.raises(ValueError, match="exceeds hash cell"):
+            HashGrid(np.zeros((3, 3)), 0.4).query(np.zeros(3), 0.5)
 
 
 class TestPairwiseFeatures:
@@ -344,6 +443,23 @@ class TestFuseScene:
             f"fused golden digest {digest} is not recorded for platform "
             f"{platform_description()}; if test_golden_fixture_matches_oracle "
             f"passes here, record it with tests/regen_goldens.py")
+
+    @pytest.mark.parametrize("pooling", ["attention", "mean"])
+    def test_precomputed_neighbors_bit_identical(self, pooling):
+        ego, rec, cfg, params = golden_fusion_fixture()
+        cfg = FusionConfig(radius_rho=cfg.radius_rho, pooling=pooling, max_neighbors=5)
+        neighbors = scene_neighbors(ego, rec, cfg)
+        assert np.sum(neighbors[3] == 5) > 0       # the cap is in force
+        assert fusion_digest(fuse_scene(ego, rec, cfg, params, neighbors=neighbors)) \
+            == fusion_digest(fuse_scene(ego, rec, cfg, params))
+        fused_a, tape_a = fuse_scene(ego, rec, cfg, params, record=True, neighbors=neighbors)
+        fused_b, tape_b = fuse_scene(ego, rec, cfg, params, record=True)
+        assert fusion_digest(fused_a) == fusion_digest(fused_b)
+        for name in ("seg_egos", "starts", "counts", "z", "h1", "h2", "raw", "w"):
+            assert np.array_equal(getattr(tape_a, name), getattr(tape_b, name))
+        # the given lists are the ones used: none given, nothing is fused
+        untouched = fuse_scene(ego, rec, cfg, params, neighbors=(np.empty(0, np.int64),) * 4)
+        assert fusion_digest(untouched) == fusion_digest(ego)
 
     def test_batch_matches_single_gaussian_ops(self):
         # one ego Gaussian with two neighbors: fuse_scene equals the

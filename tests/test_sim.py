@@ -326,6 +326,28 @@ class TestEpisode:
                                       single.channels[a].channels), mode
                 assert np.array_equal(res.labels[a].labels, single.labels[a].labels)
 
+    def test_undecodable_message_rejected_on_its_link(self):
+        # a valid scale of 1e-8 underflows to 0 in fp16, so agent 1's message
+        # to agent 0 fails to decode; the episode goes on without it
+        spec = self._spec()
+        model = self._model()
+        episode = prepare_episode(spec, model)
+        obs = episode.observations[1].copy()
+        moved = transform_set(obs, spec.agents[0].inverse().compose(spec.agents[1]))
+        obs.scales[int(np.argmax(spec.agent_roi().contains(moved.means)))] = 1e-8
+        obs.validate()
+        episode.observations[1] = obs
+        single = run_episode(spec, model, "single", episode=episode)
+        for mode, p in (("zero_shot", None), ("learned", FusionParams.init(seed=3))):
+            res = run_episode(spec, model, mode, params=p, episode=episode)
+            links = res.comm.per_link
+            assert res.comm.messages_rejected == 1
+            assert (links[(1, 0)].rejected, links[(0, 1)].rejected) == (1, 0)
+            assert res.comm.messages_sent == 2
+            assert res.comm.bytes_sent == links[(1, 0)].bytes + links[(0, 1)].bytes
+            assert links[(1, 0)].bytes > 0
+            assert np.array_equal(res.channels[0].channels, single.channels[0].channels)
+
     def test_learned_mode_runs_and_is_deterministic(self):
         spec = self._spec()
         model = self._model()
