@@ -221,7 +221,7 @@ def cmd_run(args) -> int:
             summary[mode]["gaussians"] += vol["gaussians"]
             for (snd, rcv), link in sorted(res.comm.per_link.items()):
                 comm_rows.append([si, mode, snd, rcv, link.messages, link.gaussians,
-                                  link.bytes])
+                                  link.bytes, link.rejected])
 
     with open(out / "report.csv", "w", newline="") as f:
         w = csv.writer(f)
@@ -231,7 +231,7 @@ def cmd_run(args) -> int:
     with open(out / "comm.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["scene", "mode", "sender", "receiver", "messages",
-                    "gaussians", "bytes"])
+                    "gaussians", "bytes", "rejected"])
         w.writerows(comm_rows)
     with open(out / "summary.csv", "w", newline="") as f:
         w = csv.writer(f)

@@ -219,7 +219,7 @@ def surface_mask(labels: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# visibility by lockstep integer DDA
+# visibility by integer DDA over the undecided rays
 # ---------------------------------------------------------------------------
 
 def raycast_visible(occ: np.ndarray, geom: GridGeometry, eye: np.ndarray,
@@ -229,10 +229,20 @@ def raycast_visible(occ: np.ndarray, geom: GridGeometry, eye: np.ndarray,
     any other occupied voxel.
 
     `occ` is the occupancy mask of the grid, `targets` an (M, 3) array of
-    integer voxel indices. The eye's own voxel never blocks, and a ray
-    that exhausts its segment without hitting a blocker counts as visible
-    (grazing contact). All rays advance one voxel boundary per iteration
-    (Amanatides-Woo stepping), vectorized across rays.
+    integer voxel indices. Each ray advances one voxel boundary per
+    iteration (Amanatides-Woo stepping), vectorized across the rays still
+    undecided. The contract:
+
+    - a boundary crossing tied between axes steps along the lowest axis;
+    - an eye outside the grid starts from the nearest voxel (its index
+      clipped into the grid);
+    - the eye's own voxel never blocks, and a target in it is visible;
+    - each step applies, in order: the segment exhausted (next crossing
+      past the end point) is visible (grazing contact); leaving the grid
+      is hidden; reaching the target voxel is visible; entering any
+      other occupied voxel is hidden;
+    - a target outside the grid is never reached, so its ray ends hidden
+      when it leaves the grid, or visible when its segment runs out first.
     """
     targets = np.asarray(targets, dtype=np.int64).reshape(-1, 3)
     m = targets.shape[0]
@@ -244,42 +254,48 @@ def raycast_visible(occ: np.ndarray, geom: GridGeometry, eye: np.ndarray,
             else np.asarray(end_points, dtype=np.float64))
     d = ends - eye[None, :]
 
-    cell = np.floor((eye - geom.origin) / h).astype(np.int64)
-    cell = np.clip(cell, 0, np.array(geom.dims) - 1)
-    cells = np.tile(cell, (m, 1))
-
+    dims = np.array(geom.dims)
+    cell = np.clip(np.floor((eye - geom.origin) / h).astype(np.int64), 0, dims - 1)
     step = np.sign(d).astype(np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        next_bound = geom.origin + (cells + (step > 0)) * h
+        next_bound = geom.origin + (cell + (step > 0)) * h
         tmax = np.where(step != 0, (next_bound - eye) / d, np.inf)
         tdelta = np.where(step != 0, h / np.abs(d), np.inf)
 
-    visible = np.zeros(m, dtype=bool)
-    alive = ~np.all(cells == targets, axis=1)
-    visible[~alive] = True                      # target shares the eye voxel
+    # flat cell indices into the occupancy grid padded by one occupied voxel
+    # on every side: a ray leaving the grid enters the padding and ends
+    # hidden. A target outside the grid gets -1, so no cell can match it.
+    stride = np.array([(dims[1] + 2) * (dims[2] + 2), dims[2] + 2, 1])
+    inside = np.all((targets >= 0) & (targets < dims), axis=1)
+    tflat = np.where(inside, (targets + 1) @ stride, -1)
+    occ_pad = np.pad(occ, 1, constant_values=True).ravel()
+    visible = np.all(targets == cell, axis=1)  # target shares the eye voxel
 
-    dims = np.array(geom.dims)
-    max_iter = int(dims.sum()) + 4
-    rows = np.arange(m)
-    for _ in range(max_iter):
-        if not alive.any():
+    # state of the undecided rays only: one 1-D array per axis
+    rays = np.flatnonzero(~visible)
+    tflat = tflat[rays]
+    flat = np.full(rays.size, (cell + 1) @ stride)
+    t = [tmax[rays, a] for a in range(3)]
+    dt = [tdelta[rays, a] for a in range(3)]
+    fstep = [step[rays, a] * stride[a] for a in range(3)]
+    for _ in range(int(dims.sum()) + 4):
+        if rays.size == 0:
             break
-        ax = np.argmin(tmax, axis=1)
-        tcur = tmax[rows, ax]
-        # segment exhausted without a blocker: grazing contact, count visible
-        done = alive & (tcur > 1.0)
-        visible[done] = True
-        alive &= ~done
-        cells[rows[alive], ax[alive]] += step[rows[alive], ax[alive]]
-        tmax[rows[alive], ax[alive]] += tdelta[rows[alive], ax[alive]]
-        alive &= ~np.any((cells < 0) | (cells >= dims), axis=1)
-        at_target = alive & np.all(cells == targets, axis=1)
-        visible[at_target] = True
-        alive &= ~at_target
-        blocked = alive & occ[cells[:, 0].clip(0, dims[0] - 1),
-                              cells[:, 1].clip(0, dims[1] - 1),
-                              cells[:, 2].clip(0, dims[2] - 1)]
-        alive &= ~blocked
+        # step along the axis of the nearest crossing, ties to the lowest axis
+        mx = (t[0] <= t[1]) & (t[0] <= t[2])
+        my = ~mx & (t[1] <= t[2])
+        mz = ~(mx | my)
+        grazing = np.minimum(np.minimum(t[0], t[1]), t[2]) > 1.0
+        visible[rays[grazing]] = True
+        live = ~grazing
+        for a, move in enumerate((mx & live, my & live, mz & live)):
+            np.add(t[a], dt[a], out=t[a], where=move)
+            np.add(flat, fstep[a], out=flat, where=move)
+        hit = live & (flat == tflat)
+        visible[rays[hit]] = True
+        keep = np.flatnonzero(live & ~hit & ~occ_pad[flat])
+        rays, tflat, flat = rays[keep], tflat[keep], flat[keep]
+        t, dt, fstep = ([v[keep] for v in vs] for vs in (t, dt, fstep))
     return visible
 
 

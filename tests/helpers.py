@@ -12,7 +12,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from gsfusion.core import GaussianSet, SemanticGaussian
+from gsfusion.comms import transform_set
+from gsfusion.core import GaussianSet, GridGeometry, SemanticGaussian
 from gsfusion.fusion import SCALE_FLOOR, FusionConfig, FusionParams
 from gsfusion.metrics import iou_3d
 from gsfusion.sim import ObservationModel, generate_scene, prepare_episode, run_episode
@@ -131,6 +132,67 @@ def neighbor_csr_oracle(ego_means, pool_means, rho, max_neighbors=None):
     pair_j = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
     return (np.array(seg, dtype=np.int64), pair_j.astype(np.int64),
             np.cumsum(counts) - counts, counts)
+
+
+def lockstep_raycast_oracle(occ: np.ndarray, geom: GridGeometry, eye: np.ndarray,
+                             targets: np.ndarray, end_points: np.ndarray | None = None) -> np.ndarray:
+    """March one ray per target voxel from `eye` toward `end_points`
+    (default: voxel centers) and report which targets are reached before
+    any other occupied voxel.
+
+    `occ` is the occupancy mask of the grid, `targets` an (M, 3) array of
+    integer voxel indices. The eye's own voxel never blocks, and a ray
+    that exhausts its segment without hitting a blocker counts as visible
+    (grazing contact). All rays advance one voxel boundary per iteration
+    (Amanatides-Woo stepping), vectorized across rays.
+    """
+    targets = np.asarray(targets, dtype=np.int64).reshape(-1, 3)
+    m = targets.shape[0]
+    if m == 0:
+        return np.zeros(0, dtype=bool)
+    h = geom.voxel_size
+    eye = np.asarray(eye, dtype=np.float64)
+    ends = (geom.origin + (targets + 0.5) * h if end_points is None
+            else np.asarray(end_points, dtype=np.float64))
+    d = ends - eye[None, :]
+
+    cell = np.floor((eye - geom.origin) / h).astype(np.int64)
+    cell = np.clip(cell, 0, np.array(geom.dims) - 1)
+    cells = np.tile(cell, (m, 1))
+
+    step = np.sign(d).astype(np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        next_bound = geom.origin + (cells + (step > 0)) * h
+        tmax = np.where(step != 0, (next_bound - eye) / d, np.inf)
+        tdelta = np.where(step != 0, h / np.abs(d), np.inf)
+
+    visible = np.zeros(m, dtype=bool)
+    alive = ~np.all(cells == targets, axis=1)
+    visible[~alive] = True                      # target shares the eye voxel
+
+    dims = np.array(geom.dims)
+    max_iter = int(dims.sum()) + 4
+    rows = np.arange(m)
+    for _ in range(max_iter):
+        if not alive.any():
+            break
+        ax = np.argmin(tmax, axis=1)
+        tcur = tmax[rows, ax]
+        # segment exhausted without a blocker: grazing contact, count visible
+        done = alive & (tcur > 1.0)
+        visible[done] = True
+        alive &= ~done
+        cells[rows[alive], ax[alive]] += step[rows[alive], ax[alive]]
+        tmax[rows[alive], ax[alive]] += tdelta[rows[alive], ax[alive]]
+        alive &= ~np.any((cells < 0) | (cells >= dims), axis=1)
+        at_target = alive & np.all(cells == targets, axis=1)
+        visible[at_target] = True
+        alive &= ~at_target
+        blocked = alive & occ[cells[:, 0].clip(0, dims[0] - 1),
+                              cells[:, 1].clip(0, dims[1] - 1),
+                              cells[:, 2].clip(0, dims[2] - 1)]
+        alive &= ~blocked
+    return visible
 
 
 def pairwise_feature_oracle(ego: SemanticGaussian, nbr: SemanticGaussian):
@@ -349,6 +411,19 @@ def episode42_metrics() -> dict:
         out[f"episode42_{mode}_iou"] = float(np.mean([s.iou for s in scores]))
     out["episode42_bytes_sent"] = res.comm.bytes_sent          # of the zero_shot run
     return out
+
+
+def prepare_with_undecodable_message(spec, model):
+    """`prepare_episode`, then give agent 1 a Gaussian inside agent 0's ROI
+    with scale 1e-8. The scale is valid but underflows to 0 in fp16, so
+    agent 1's message to agent 0 fails to decode."""
+    episode = prepare_episode(spec, model)
+    obs = episode.observations[1].copy()
+    moved = transform_set(obs, spec.agents[0].inverse().compose(spec.agents[1]))
+    obs.scales[int(np.argmax(spec.agent_roi().contains(moved.means)))] = 1e-8
+    obs.validate()
+    episode.observations[1] = obs
+    return episode
 
 
 def platform_description() -> dict[str, str]:

@@ -10,6 +10,8 @@ from gsfusion.fusion import FusionParams, load_params
 from gsfusion.learn import load_calibration
 from gsfusion.splat import load_voxg
 
+from helpers import prepare_with_undecodable_message
+
 
 def small_config(tmp_path, **overrides):
     cfg = {
@@ -71,7 +73,8 @@ class TestRun:
         out = Path(cfg["out"])
         assert (out / "report.csv").exists()
         assert (out / "summary.csv").exists()
-        assert (out / "comm.csv").exists()
+        with open(out / "comm.csv") as f:
+            assert [r["rejected"] for r in csv.DictReader(f)] == ["0", "0"]
         assert (out / "scene0_agent0_gt.voxg").exists()
         assert (out / "scene0_zero_shot_agent1_pred.voxg").exists()
         with open(out / "summary.csv") as f:
@@ -79,6 +82,17 @@ class TestRun:
         assert int(rows["single"]["bytes_sent"]) == 0
         assert int(rows["zero_shot"]["bytes_sent"]) > 0
         assert len(rows) == 2
+
+    def test_comm_csv_counts_rejections_per_link(self, tmp_path, monkeypatch):
+        # agent 1's message to agent 0 fails to decode
+        monkeypatch.setattr("gsfusion.cli.prepare_episode", prepare_with_undecodable_message)
+        p, cfg = small_config(tmp_path)
+        assert main(["run", "--config", str(p)]) == 0
+        with open(Path(cfg["out"]) / "comm.csv") as f:
+            rows = {(r["mode"], r["sender"], r["receiver"]): r for r in csv.DictReader(f)}
+        assert {k: r["rejected"] for k, r in rows.items()} == {
+            ("zero_shot", "0", "1"): "0", ("zero_shot", "1", "0"): "1"}
+        assert int(rows[("zero_shot", "1", "0")]["bytes"]) > 0
 
     def test_rerun_is_byte_identical(self, tmp_path):
         p, cfg = small_config(tmp_path)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gsfusion.core import EMPTY_CLASS, RigidTransform
+from gsfusion.core import EMPTY_CLASS, GridGeometry, RigidTransform
 from gsfusion.comms import transform_set
 from gsfusion.fusion import FusionParams
 from gsfusion.learn import Calibration
@@ -29,7 +29,10 @@ from gsfusion.sim import (
     scene_to_dict,
     surface_mask,
     visible_surface,
+    _exposed_face_targets,
 )
+
+from helpers import lockstep_raycast_oracle, prepare_with_undecodable_message
 
 
 def flat_scene(objects, agents=None, half=6.0, grid=(30, 30, 8)):
@@ -80,6 +83,44 @@ class TestRasterize:
         assert int(surf.sum()) == 125 - 27          # 5^3 shell minus 3^3 core
 
 
+def random_raycast_world(rng):
+    """A random occupancy grid, an eye and (M, 3) targets with optional end
+    points, drawn to reach the DDA's edge cases: exact diagonal ties (eyes
+    and end points on voxel centres and faces of a dyadic grid), eyes on
+    voxel corners or outside the grid, and targets in the eye's voxel or up
+    to 2 voxels outside the grid."""
+    dims = rng.integers(1, 12, size=3)
+    h = float(rng.choice([0.25, 0.5, 1.0, 0.1, 0.4]))
+    origin = rng.integers(-8, 9, size=3) * 0.25
+    geom = GridGeometry(origin, h, tuple(dims))
+    occ = rng.random(tuple(dims)) < rng.choice([0.0, 0.05, 0.2, 0.4])
+    kind = rng.integers(4)
+    if kind == 0:                               # voxel centre
+        u = rng.integers(0, dims) + 0.5
+    elif kind == 1:                             # voxel corner, on the border too
+        u = rng.integers(0, dims + 1).astype(np.float64)
+    elif kind == 2:                             # anywhere inside
+        u = rng.uniform(0.0, dims)
+    else:                                       # outside, on at least one axis
+        u = rng.uniform(-3.0, dims + 3.0)
+        a = rng.integers(3)
+        u[a] = rng.uniform(-3.0, -0.01) if rng.random() < 0.5 else dims[a] + rng.uniform(0.01, 3.0)
+    eye = origin + u * h
+    cell = np.clip(np.floor(u).astype(np.int64), 0, dims - 1)
+    near = cell + rng.integers(-1, 2, size=(6, 3))
+    targets = np.vstack([rng.integers(-2, dims + 2, size=(int(rng.integers(1, 60)), 3)),
+                         cell[None], near])
+    centres = origin + (targets + 0.5) * h
+    ends = None
+    if rng.random() < 0.5:                      # a face centre or a point in the voxel
+        face = np.zeros_like(centres)
+        face[np.arange(len(targets)), rng.integers(3, size=len(targets))] = 0.5 * h
+        face *= rng.choice([-1.0, 1.0], size=(len(targets), 1))
+        ends = np.where(rng.random((len(targets), 1)) < 0.5, centres + face,
+                        centres + rng.uniform(-0.5, 0.5, size=centres.shape) * h)
+    return occ, geom, eye, targets, ends
+
+
 class TestRaycast:
     def test_clear_line_of_sight(self):
         spec = flat_scene([SceneObject("vehicle", CLASS_VEHICLE, (3.0, 0.0, 0.0),
@@ -109,6 +150,27 @@ class TestRaycast:
         world = rasterize_world(spec)
         vis = visible_surface(spec, world, 0)
         assert np.any(vis)
+
+    def test_equals_lockstep_oracle_on_random_worlds(self):
+        rng = np.random.default_rng(2024)
+        for world in range(240):
+            occ, geom, eye, targets, ends = random_raycast_world(rng)
+            got = raycast_visible(occ, geom, eye, targets, end_points=ends)
+            want = lockstep_raycast_oracle(occ, geom, eye, targets, end_points=ends)
+            assert np.array_equal(got, want), f"world {world}"
+
+    def test_equals_lockstep_oracle_on_generated_scene(self):
+        spec = generate_scene(42, world_half_xy=12.0, grid_dims=(60, 60, 8))
+        world = rasterize_world(spec)
+        occ = world.labels != EMPTY_CLASS
+        idx = np.argwhere(surface_mask(world.labels))
+        for agent in spec.agents:
+            ends = _exposed_face_targets(occ, idx, world.geometry, agent.translation)
+            got = raycast_visible(occ, world.geometry, agent.translation, idx, end_points=ends)
+            want = lockstep_raycast_oracle(occ, world.geometry, agent.translation, idx,
+                                           end_points=ends)
+            assert np.array_equal(got, want)
+            assert 0 < got.sum() < len(idx)
 
     def test_raycast_direct_api(self):
         spec = flat_scene([])
@@ -327,16 +389,11 @@ class TestEpisode:
                 assert np.array_equal(res.labels[a].labels, single.labels[a].labels)
 
     def test_undecodable_message_rejected_on_its_link(self):
-        # a valid scale of 1e-8 underflows to 0 in fp16, so agent 1's message
-        # to agent 0 fails to decode; the episode goes on without it
+        # agent 1's message to agent 0 fails to decode; the episode goes on
+        # without it
         spec = self._spec()
         model = self._model()
-        episode = prepare_episode(spec, model)
-        obs = episode.observations[1].copy()
-        moved = transform_set(obs, spec.agents[0].inverse().compose(spec.agents[1]))
-        obs.scales[int(np.argmax(spec.agent_roi().contains(moved.means)))] = 1e-8
-        obs.validate()
-        episode.observations[1] = obs
+        episode = prepare_with_undecodable_message(spec, model)
         single = run_episode(spec, model, "single", episode=episode)
         for mode, p in (("zero_shot", None), ("learned", FusionParams.init(seed=3))):
             res = run_episode(spec, model, mode, params=p, episode=episode)
