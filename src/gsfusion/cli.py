@@ -17,7 +17,6 @@ import numpy as np
 import yaml
 
 from gsfusion.comms import PRECISION_FP16, PRECISION_FP32, communication_volume
-from gsfusion.core import GaussianSet
 from gsfusion.fusion import FusionConfig, FusionParams, load_params, save_params
 from gsfusion.learn import (
     Calibration,
@@ -40,7 +39,7 @@ from gsfusion.sim import (
     run_episode,
     scene_from_dict,
 )
-from gsfusion.splat import SplatConfig, load_voxg, save_voxg, splat
+from gsfusion.splat import SplatConfig, load_voxg, save_voxg, splat, splat_sparse
 
 
 class ConfigError(ValueError):
@@ -286,8 +285,8 @@ def cmd_train(args) -> int:
         examples = []
         for s in train_scenes:
             ex = make_training_example(s, model, ego=0, precision=precision)
-            full = GaussianSet.concat([ex.fusion_input, ex.fixed])
-            channels = splat(full, ex.geometry, splat_cfg).channels
+            fixed = splat_sparse(ex.fixed, ex.geometry, splat_cfg)
+            channels = fixed.add_to(splat(ex.fusion_input, ex.geometry, splat_cfg).channels)
             examples.append((channels, ex.gt_labels))
         cal0 = Calibration.identity(13)
         trained, curve = train_calibration(cal0, examples, train_cfg)

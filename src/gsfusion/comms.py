@@ -21,11 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from gsfusion.core import (
+    DegenerateGaussianError,
     GaussianSet,
     RigidTransform,
     Roi,
     SemanticGaussian,
     _canonical_sign,
+    _check_conditioning,
     canonicalize_quaternion,
     quat_multiply,
     quat_normalize,
@@ -148,7 +150,9 @@ def deserialize_message(data: bytes, num_classes: int = 13) -> GaussianMessage:
 
     Quaternions are renormalized and re-canonicalized and opacities clipped
     into [0, 1] so the decoded Gaussians satisfy the core invariants despite
-    quantization. Malformed inputs raise a DecodeError subclass.
+    quantization. Malformed inputs raise a DecodeError subclass; so does a
+    covariance whose condition number the quantized scales push above
+    1e12 (CorruptFieldError), since the splat cannot take it.
 
     The header holds no class count, so `num_classes` is trusted: a wrong
     one is caught only by the length check, as a TruncatedPayloadError,
@@ -178,6 +182,10 @@ def deserialize_message(data: bytes, num_classes: int = 13) -> GaussianMessage:
     scales = flat[:, 3:6]
     if np.any(scales <= 0.0):
         raise CorruptFieldError("non-positive scale in payload")
+    try:
+        _check_conditioning(scales)
+    except DegenerateGaussianError as exc:
+        raise CorruptFieldError(f"decoded {exc}") from exc
     rot_raw = flat[:, 6:10]
     norms = np.linalg.norm(rot_raw, axis=1)
     if np.any(norms == 0.0):

@@ -248,7 +248,9 @@ class GaussianSet:
         return self.semantics.shape[1]
 
     def validate(self) -> None:
-        """Raise ValueError unless every row satisfies the type invariants."""
+        """Raise ValueError unless every row satisfies the type invariants,
+        including the splat's: a covariance condition number above 1e12
+        raises DegenerateGaussianError."""
         if not np.all(self.scales > 0.0):
             raise ValueError("scale components must be strictly positive")
         norms = np.linalg.norm(self.rotations, axis=1)
@@ -261,6 +263,7 @@ class GaussianSet:
         for a in (self.means, self.scales, self.rotations, self.opacities, self.semantics):
             if not np.all(np.isfinite(a)):
                 raise ValueError("non-finite value in GaussianSet")
+        _check_conditioning(self.scales)
 
     def canonicalized(self) -> "GaussianSet":
         """Copy with all rotation quaternions normalized to canonical sign."""

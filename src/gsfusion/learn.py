@@ -26,7 +26,14 @@ from gsfusion.fusion import (
     fusion_backward,
     scene_neighbors,
 )
-from gsfusion.splat import SplatConfig, _pair_lists, splat, splat_backward
+from gsfusion.splat import (
+    SparseChannels,
+    SplatConfig,
+    _pair_lists,
+    splat,
+    splat_backward,
+    splat_sparse,
+)
 
 
 class DivergenceError(RuntimeError):
@@ -222,6 +229,12 @@ class TrainExample:
     received set, mirroring the learned episode path); received: the
     neighbor pool; fixed: constant Gaussians splatted alongside (the
     empty-space prior), exempt from fusion and gradients.
+
+    `fixed` is rendered once, apart from the fused set, and its render is
+    added to the fused set's channels. For the one-row prior this is bit
+    for bit the splat of the fused set with `fixed` appended; a `fixed`
+    of several rows agrees with that only up to summation order (see the
+    `gsfusion.splat` module docstring).
     """
 
     fusion_input: GaussianSet
@@ -233,25 +246,26 @@ class TrainExample:
 
 def scene_loss_and_grads(example: TrainExample, fusion_cfg: FusionConfig,
                          splat_cfg: SplatConfig, params: FusionParams,
-                         want_grads: bool = True, neighbors=None):
+                         want_grads: bool = True, neighbors=None,
+                         fixed_render: SparseChannels | None = None):
     """Forward pass of one scene and, optionally, parameter gradients.
-    `neighbors` is the example's `scene_neighbors`, searched for when not
-    given."""
+    `neighbors` is the example's `scene_neighbors` and `fixed_render` its
+    `splat_sparse` of `example.fixed`; each is computed when not given."""
     fused, tape = fuse_scene(example.fusion_input, example.received,
                              fusion_cfg, params, record=True, neighbors=neighbors)
-    full = GaussianSet.concat([fused, example.fixed])
-    pairs = _pair_lists(full, example.geometry, splat_cfg)
-    channels = splat(full, example.geometry, splat_cfg, pairs=pairs).channels
+    if fixed_render is None:
+        fixed_render = splat_sparse(example.fixed, example.geometry, splat_cfg)
+    pairs = _pair_lists(fused, example.geometry, splat_cfg)
+    channels = fixed_render.add_to(
+        splat(fused, example.geometry, splat_cfg, pairs=pairs).channels)
     report, grad_ch = total_loss(channels, example.gt_labels)
     if not want_grads:
         return report, None
     if tape is None:
         grads = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
         return report, grads
-    field_grads = splat_backward(full, example.geometry, splat_cfg, grad_ch, pairs=pairs)
-    n = len(fused)
-    sliced = {k: v[:n] for k, v in field_grads.items()}
-    return report, backward_fusion(tape, sliced)
+    field_grads = splat_backward(fused, example.geometry, splat_cfg, grad_ch, pairs=pairs)
+    return report, backward_fusion(tape, field_grads)
 
 
 def train(params0: FusionParams, dataset: list[TrainExample], cfg: TrainConfig,
@@ -271,8 +285,10 @@ def train(params0: FusionParams, dataset: list[TrainExample], cfg: TrainConfig,
     params = params0.copy()
     opt = AdamW(params.as_dict(), weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x7E41]))
-    # the fusion inputs are constants, so each neighbour search is done once
+    # the fusion inputs and fixed sets are constants, so each example's
+    # neighbour search and fixed render are done once
     neighbors = [scene_neighbors(ex.fusion_input, ex.received, fusion_cfg) for ex in dataset]
+    fixed_renders = [splat_sparse(ex.fixed, ex.geometry, splat_cfg) for ex in dataset]
     curve = []
     for step in range(cfg.steps):
         take = min(cfg.batch, len(dataset))
@@ -281,7 +297,8 @@ def train(params0: FusionParams, dataset: list[TrainExample], cfg: TrainConfig,
         ce = lov = tot = 0.0
         for i in idx:
             report, grads = scene_loss_and_grads(dataset[i], fusion_cfg, splat_cfg, params,
-                                                 neighbors=neighbors[i])
+                                                 neighbors=neighbors[i],
+                                                 fixed_render=fixed_renders[i])
             report.validate()
             ce += report.ce / take
             lov += report.lovasz / take

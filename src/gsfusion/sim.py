@@ -36,7 +36,7 @@ from gsfusion.comms import (
 )
 from gsfusion.fusion import FusionConfig, FusionParams, fuse_scene
 from gsfusion.learn import Calibration
-from gsfusion.splat import SplatConfig, labels_from_channels, splat
+from gsfusion.splat import SplatConfig, labels_from_channels, splat, splat_sparse
 
 CLASS_NAMES = (
     "building", "fence", "terrain", "pole", "road", "sidewalk",
@@ -356,20 +356,22 @@ class GroundTruth:
     collaborative: list[VoxelGrid]       # per agent, union of all agents' visibility
 
 
-def _resample_agent_grid(spec: SceneSpec, world: VoxelGrid, mask: np.ndarray,
-                         pose: RigidTransform) -> VoxelGrid:
-    geom = spec.agent_geometry()
-    centers = geom.voxel_centers().reshape(-1, 3)
-    pts = pose.apply(centers)
+def _resample_agent_grids(world: VoxelGrid, masks: list[np.ndarray], geom: GridGeometry,
+                          centers: np.ndarray, pose: RigidTransform) -> list[VoxelGrid]:
+    """The world labels under each of `masks` (empty elsewhere), resampled
+    into the agent grid `geom`, whose voxel `centers` are placed by `pose`;
+    the centers are transformed and looked up once for all masks."""
     wgeom = world.geometry
-    idx = wgeom.point_to_index(pts)
+    idx = wgeom.point_to_index(pose.apply(centers))
     inside = wgeom.index_inside(idx)
-    labels = np.full(centers.shape[0], EMPTY_CLASS, dtype=np.uint8)
-    ii = idx[inside]
-    lab = world.labels[ii[:, 0], ii[:, 1], ii[:, 2]]
-    vis = mask[ii[:, 0], ii[:, 1], ii[:, 2]]
-    labels[inside] = np.where(vis, lab, EMPTY_CLASS)
-    return VoxelGrid(geom, labels=labels.reshape(geom.dims))
+    ii = tuple(idx[inside].T)
+    lab = world.labels[ii]
+    grids = []
+    for mask in masks:
+        labels = np.full(centers.shape[0], EMPTY_CLASS, dtype=np.uint8)
+        labels[inside] = np.where(mask[ii], lab, EMPTY_CLASS)
+        grids.append(VoxelGrid(geom, labels=labels.reshape(geom.dims)))
+    return grids
 
 
 def build_ground_truth(spec: SceneSpec, model: ObservationModel | None = None) -> GroundTruth:
@@ -386,11 +388,14 @@ def build_ground_truth(spec: SceneSpec, model: ObservationModel | None = None) -
     union = np.zeros_like(masks[0]) if masks else None
     for msk in masks:
         union |= msk
+    geom = spec.agent_geometry()
+    centers = geom.voxel_centers().reshape(-1, 3)
     ego_grids = []
     collab_grids = []
     for a, pose in enumerate(spec.agents):
-        ego_grids.append(_resample_agent_grid(spec, world, masks[a], pose))
-        collab_grids.append(_resample_agent_grid(spec, world, union, pose))
+        ego, collab = _resample_agent_grids(world, [masks[a], union], geom, centers, pose)
+        ego_grids.append(ego)
+        collab_grids.append(collab)
     return GroundTruth(world, masks, ego_grids, collab_grids)
 
 
@@ -569,28 +574,26 @@ def run_episode(spec: SceneSpec, model: ObservationModel, mode: str,
     episode = episode or prepare_episode(spec, model)
     splat_cfg = splat_cfg or SplatConfig()
     fusion_cfg = fusion_cfg or FusionConfig()
-    fixed = empty_space_gaussian(model)
+    # every agent shares one grid, so the constant prior is rendered once
+    # and added to each agent's splat (exact; see the gsfusion.splat docstring)
+    geometry = spec.agent_geometry()
+    prior = splat_sparse(empty_space_gaussian(model), geometry, splat_cfg)
     stats = CommStats()
     labels_out, channels_out = [], []
     for ego in range(spec.num_agents):
         own = episode.observations[ego]
         if mode == "single" or spec.num_agents == 1:
-            final = GaussianSet.concat([own, fixed])
-            grid = splat(final, spec.agent_geometry(), splat_cfg)
+            final = own
         else:
             received = _receive_all(episode, ego, precision, budget_bytes, stats,
                                     message_sink)
-            if mode in ("zero_shot", "naive"):
-                stacked = stack(own, received)
-                grid = splat(GaussianSet.concat([stacked, fixed]),
-                             spec.agent_geometry(), splat_cfg)
-                if mode == "naive" and isinstance(params, Calibration):
-                    grid = VoxelGrid(grid.geometry, channels=params.apply(grid.channels))
-            else:
-                stacked = stack(own, received)
-                fused = fuse_scene(stacked, received, fusion_cfg, params)
-                grid = splat(GaussianSet.concat([fused, fixed]),
-                             spec.agent_geometry(), splat_cfg)
+            final = stack(own, received)
+            if mode == "learned":
+                final = fuse_scene(final, received, fusion_cfg, params)
+        grid = splat(final, geometry, splat_cfg)
+        prior.add_to(grid.channels)
+        if mode == "naive" and spec.num_agents > 1 and isinstance(params, Calibration):
+            grid = VoxelGrid(geometry, channels=params.apply(grid.channels))
         channels_out.append(grid)
         labels_out.append(labels_from_channels(grid, splat_cfg.min_contribution))
     return EpisodeResult(mode, labels_out, channels_out, stats)

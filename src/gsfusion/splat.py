@@ -7,12 +7,23 @@ at every voxel center within its truncation ellipsoid. The (gaussian,
 voxel) pairs are enumerated and accumulated in canonical order, ascending
 gaussian index then ascending flat voxel index, so the output is bit-exact
 for fixed inputs on a fixed platform.
+
+Splatting is additive, and that is exact in one case. Each voxel's
+channels are one `np.bincount`, which sums a bin's weights in input
+order, starting from 0. So for a set X and a single Gaussian f placed
+last, `splat(concat([X, f]))` equals `splat(X) + splat(f)` bit for bit:
+f's contribution is the last term of each sum either way, and its zero
+channels add +0.0 to sums that are never negative. A constant f (the
+empty-space prior) can therefore be rendered once, kept with
+`splat_sparse`, and added to each render of a changing X. With more
+than one constant row the two agree only up to summation order.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,15 +60,43 @@ class SplatConfig:
             raise ValueError("min_contribution must be non-negative")
 
 
-def _pair_lists(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfig):
-    """All (gaussian, voxel) pairs inside the truncation ellipsoids.
+class Pairs(NamedTuple):
+    """The (gaussian, voxel) pairs of a splat, with what its backward reuses.
 
-    Returns flat arrays (pair_gauss, pair_voxel, e) where e is the
-    Gaussian exponential at the voxel center, ordered by (gaussian, flat
-    voxel index). Candidates are the voxels whose centers lie in each
-    ellipsoid's axis-aligned bounding box, of half-extent t * sqrt(Sigma_ii)
-    on axis i, widened by 1e-9 voxel against rounding and clipped to the
-    grid; the Mahalanobis test q <= t**2 alone decides membership.
+    gauss, voxel: (P,) Gaussian index and flat voxel index of each pair;
+    e: (P,) the Gaussian exponential at the voxel center;
+    delta: (P, 3) voxel center minus mean; local: (P, 3) R^T delta.
+    """
+
+    gauss: np.ndarray
+    voxel: np.ndarray
+    e: np.ndarray
+    delta: np.ndarray
+    local: np.ndarray
+
+
+class SparseChannels(NamedTuple):
+    """A channel grid kept as its nonzero entries: ascending flat indices
+    into `channels.reshape(-1)` and their values."""
+
+    index: np.ndarray
+    value: np.ndarray
+
+    def add_to(self, channels: np.ndarray) -> np.ndarray:
+        """Add into the C-contiguous `channels` in place and return it."""
+        flat = channels.reshape(-1)
+        flat[self.index] += self.value
+        return channels
+
+
+def _pair_lists(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfig) -> Pairs:
+    """All (gaussian, voxel) pairs inside the truncation ellipsoids,
+    ordered by (gaussian, flat voxel index).
+
+    Candidates are the voxels whose centers lie in each ellipsoid's
+    axis-aligned bounding box, of half-extent t * sqrt(Sigma_ii) on axis
+    i, widened by 1e-9 voxel against rounding and clipped to the grid; the
+    Mahalanobis test q <= t**2 alone decides membership.
     """
     dims = np.array(geometry.dims)
     h = geometry.voxel_size
@@ -87,14 +126,15 @@ def _pair_lists(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfig
     # that every pair's e is bit-identical to the brute force in the tests
     local = np.einsum("pk,pkj->pj", delta, per_candidate(rots))
     q = sum((local[:, j] / per_candidate(gaussians.scales[:, j])) ** 2 for j in range(3))
-    keep = q <= t**2
+    kept = np.flatnonzero(q <= t**2)
     _, ny, nz = geometry.dims
-    flat = (vox[0][keep] * ny + vox[1][keep]) * nz + vox[2][keep]
-    return g[keep], flat, np.exp(-0.5 * q[keep])
+    flat = (vox[0].take(kept) * ny + vox[1].take(kept)) * nz + vox[2].take(kept)
+    return Pairs(g.take(kept), flat, np.exp(-0.5 * q.take(kept)),
+                 delta.take(kept, axis=0), local.take(kept, axis=0))
 
 
 def splat(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfig | None = None,
-          pairs=None) -> VoxelGrid:
+          pairs: Pairs | None = None) -> VoxelGrid:
     """Additively render `gaussians` into a channel grid.
 
     Contributions are evaluated at voxel centers and restricted to centers
@@ -105,32 +145,59 @@ def splat(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfig | Non
     """
     cfg = cfg or SplatConfig()
     num_classes = geometry.num_classes
-    out_flat = np.zeros((geometry.num_voxels, num_classes))
     if len(gaussians) == 0:
-        return VoxelGrid(geometry, channels=out_flat.reshape(geometry.dims + (num_classes,)))
+        return VoxelGrid.zeros_channels(geometry)
     if gaussians.num_classes != num_classes:
         raise ValueError("gaussian semantics width does not match grid classes")
     _check_conditioning(gaussians.scales)
-    pg, pv, e = pairs if pairs is not None else _pair_lists(gaussians, geometry, cfg)
-    w = gaussians.opacities[pg] * e
-    sem = gaussians.semantics[pg]                                # (P, C)
-    nvox = geometry.num_voxels
-    for ch in range(num_classes):
-        weights = w * sem[:, ch]
-        if cfg.min_contribution > 0.0:
-            weights = np.where(weights >= cfg.min_contribution, weights, 0.0)
-        out_flat[:, ch] = np.bincount(pv, weights=weights, minlength=nvox)
-    return VoxelGrid(geometry, channels=out_flat.reshape(geometry.dims + (num_classes,)))
+    # allocated before the pair temporaries and filled by a copy: a caller
+    # that keeps the grid keeps it below them in the heap, not above the
+    # hole they leave (returning bincount's own array raised the peak RSS
+    # of a benchmark run that keeps its episodes' grids by 40 MB)
+    out = np.empty((geometry.num_voxels, num_classes))
+    pairs = pairs if pairs is not None else _pair_lists(gaussians, geometry, cfg)
+    weights = (gaussians.opacities[pairs.gauss] * pairs.e)[:, None] \
+        * gaussians.semantics[pairs.gauss]                       # (P, C)
+    if cfg.min_contribution > 0.0:
+        weights = np.where(weights >= cfg.min_contribution, weights, 0.0)
+    # one bincount over the pair-major index voxel * C + c: each bin still
+    # sums its pairs in pair order, as a bincount per channel would
+    flat = (pairs.voxel[:, None] * num_classes + np.arange(num_classes)).reshape(-1)
+    out[...] = np.bincount(flat, weights=weights.reshape(-1),
+                           minlength=out.size).reshape(out.shape)
+    return VoxelGrid(geometry, channels=out.reshape(geometry.dims + (num_classes,)))
+
+
+def splat_sparse(gaussians: GaussianSet, geometry: GridGeometry,
+                 cfg: SplatConfig | None = None) -> SparseChannels:
+    """`splat` kept as its nonzero entries, for a constant set rendered once
+    and added to many renders (see the module docstring). Only the classes
+    some Gaussian carries are splatted: every other channel is zero, and
+    each splatted channel is accumulated exactly as in the full grid."""
+    if gaussians.num_classes != geometry.num_classes:
+        raise ValueError("gaussian semantics width does not match grid classes")
+    cols = np.flatnonzero(np.any(gaussians.semantics != 0.0, axis=0))
+    if cols.size == 0:
+        return SparseChannels(np.zeros(0, dtype=np.int64), np.zeros(0))
+    carried = GaussianSet(gaussians.means, gaussians.scales, gaussians.rotations,
+                          gaussians.opacities, gaussians.semantics[:, cols])
+    channels = splat(carried, replace(geometry, num_classes=cols.size), cfg).channels
+    channels = channels.reshape(geometry.num_voxels, cols.size)
+    voxel, col = np.nonzero(channels)
+    return SparseChannels(voxel * geometry.num_classes + cols[col], channels[voxel, col])
 
 
 def splat_backward(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfig,
-                   grad_channels: np.ndarray, pairs=None) -> dict[str, np.ndarray]:
+                   grad_channels: np.ndarray, pairs: Pairs | None = None) -> dict[str, np.ndarray]:
     """Gradients of sum(grad_channels * splat(...)) w.r.t. every Gaussian field.
 
     Reuses (or recomputes) the forward pair enumeration, so it
     differentiates exactly the function `splat` evaluates (same truncation
     and floor masks). Returns arrays keyed
-    means/scales/rotations/opacities/semantics.
+    means/scales/rotations/opacities/semantics, one row per Gaussian of
+    `gaussians`: the rows it is given pairs for. A row's gradient sums
+    only that row's pairs, so a constant set rendered apart (and added to
+    the channels) needs no rows here and changes no other row's bits.
 
     `splat` is piecewise smooth: a contribution drops to zero where its
     (Gaussian, voxel) pair crosses the truncation_sigma surface or its
@@ -152,7 +219,7 @@ def splat_backward(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatCon
         return grads
     from gsfusion.core import quat_to_rotmat_jacobian
 
-    pg, pv, e = pairs if pairs is not None else _pair_lists(gaussians, geometry, cfg)
+    pg, pv, e, delta, local = pairs if pairs is not None else _pair_lists(gaussians, geometry, cfg)
     if pg.size == 0:
         return grads
     grad_flat = grad_channels.reshape(-1, num_classes)
@@ -168,16 +235,8 @@ def splat_backward(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatCon
     gsum = np.sum(up * sem, axis=1)                               # dL/dw per pair
     grads["opacities"] = np.bincount(pg, weights=gsum * e, minlength=n)
 
-    # geometry terms, recomputed pairwise then reduced per gaussian
-    h = geometry.voxel_size
-    _, ny, nz = geometry.dims
-    vz = pv % nz
-    vy = (pv // nz) % ny
-    vx = pv // (ny * nz)
-    centers = geometry.origin + (np.stack([vx, vy, vz], axis=1) + 0.5) * h
-    delta = centers - gaussians.means[pg]
+    # geometry terms, from the forward's pairwise delta and local
     rots_all = _quat_to_rotmat_unchecked(gaussians.rotations)     # (N, 3, 3)
-    local = np.einsum("pk,pkj->pj", delta, rots_all[pg])
     ys = local / gaussians.scales[pg] ** 2
     dq = -0.5 * w * gsum
 

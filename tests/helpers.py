@@ -1,7 +1,10 @@
 """Independent oracles and fixture builders shared by the test modules.
 
 Everything here is deliberately written from scratch against the math,
-not by calling the library paths it checks.
+not by calling the library paths it checks. The exceptions are
+references that keep an earlier composition of library kernels, which a
+rewrite of that composition must reproduce bit for bit
+(`concat_scene_loss_and_grads`, `per_channel_splat`).
 """
 
 import hashlib
@@ -13,10 +16,12 @@ from types import SimpleNamespace
 import numpy as np
 
 from gsfusion.comms import transform_set
-from gsfusion.core import GaussianSet, GridGeometry, SemanticGaussian
-from gsfusion.fusion import SCALE_FLOOR, FusionConfig, FusionParams
+from gsfusion.core import EMPTY_CLASS, GaussianSet, GridGeometry, SemanticGaussian
+from gsfusion.fusion import SCALE_FLOOR, FusionConfig, FusionParams, fuse_scene, fusion_backward
+from gsfusion.learn import total_loss
 from gsfusion.metrics import iou_3d
 from gsfusion.sim import ObservationModel, generate_scene, prepare_episode, run_episode
+from gsfusion.splat import _pair_lists, splat, splat_backward
 
 
 def inv3x3(m):
@@ -394,6 +399,59 @@ def oracle_gaps(fused: GaussianSet, oracle: GaussianSet) -> dict[str, float]:
             for name in FUSED_FIELDS}
 
 
+def concat_scene_loss_and_grads(example, fusion_cfg, splat_cfg, params, want_grads=True,
+                                neighbors=None):
+    """Reference for `scene_loss_and_grads`: splat the fused set with the
+    fixed set appended, differentiate the whole concatenation, and slice
+    the fixed rows' gradients off."""
+    fused, tape = fuse_scene(example.fusion_input, example.received,
+                             fusion_cfg, params, record=True, neighbors=neighbors)
+    full = GaussianSet.concat([fused, example.fixed])
+    pairs = _pair_lists(full, example.geometry, splat_cfg)
+    channels = splat(full, example.geometry, splat_cfg, pairs=pairs).channels
+    report, grad_ch = total_loss(channels, example.gt_labels)
+    if not want_grads:
+        return report, None
+    field_grads = splat_backward(full, example.geometry, splat_cfg, grad_ch, pairs=pairs)
+    n = len(fused)
+    return report, fusion_backward(tape, {k: v[:n] for k, v in field_grads.items()})
+
+
+def pair_geometry_oracle(gaussians: GaussianSet, geometry, pair_gauss, pair_voxel, rots):
+    """(delta, local) of each pair recomputed from its flat voxel index:
+    voxel center minus mean, then R^T delta with the given (N, 3, 3)
+    rotation matrices `rots`, in the splat's arithmetic."""
+    _, ny, nz = geometry.dims
+    ijk = np.stack([pair_voxel // (ny * nz), (pair_voxel // nz) % ny, pair_voxel % nz], axis=1)
+    delta = geometry.origin + (ijk + 0.5) * geometry.voxel_size - gaussians.means[pair_gauss]
+    return delta, np.einsum("pk,pkj->pj", delta, rots[pair_gauss])
+
+
+def per_channel_splat(gaussians: GaussianSet, geometry, cfg, pairs):
+    """Splat channels accumulated one class channel at a time from `pairs`."""
+    out = np.zeros((geometry.num_voxels, geometry.num_classes))
+    w = gaussians.opacities[pairs.gauss] * pairs.e
+    for ch in range(geometry.num_classes):
+        weights = w * gaussians.semantics[pairs.gauss, ch]
+        if cfg.min_contribution > 0.0:
+            weights = np.where(weights >= cfg.min_contribution, weights, 0.0)
+        out[:, ch] = np.bincount(pairs.voxel, weights=weights, minlength=geometry.num_voxels)
+    return out.reshape(geometry.dims + (geometry.num_classes,))
+
+
+def resample_agent_grid_oracle(spec, world, mask, pose):
+    """The world labels under `mask` (empty elsewhere) at the voxel centers
+    of the agent grid placed by `pose`, one mask per call."""
+    geom = spec.agent_geometry()
+    centers = geom.voxel_centers().reshape(-1, 3)
+    idx = world.geometry.point_to_index(pose.apply(centers))
+    labels = np.full(centers.shape[0], EMPTY_CLASS, dtype=np.uint8)
+    for v, (i, j, k) in enumerate(idx):
+        if all(0 <= a < n for a, n in zip((i, j, k), world.geometry.dims)) and mask[i, j, k]:
+            labels[v] = world.labels[i, j, k]
+    return labels.reshape(geom.dims)
+
+
 def episode42_metrics() -> dict:
     """The `episode42_*` goldens of tests/goldens/manifest.json: for the
     single and zero_shot episodes of the seed-42 scene (3 agents, 50x50x8,
@@ -413,14 +471,15 @@ def episode42_metrics() -> dict:
     return out
 
 
-def prepare_with_undecodable_message(spec, model):
+def prepare_with_undecodable_message(spec, model, scales=1e-8):
     """`prepare_episode`, then give agent 1 a Gaussian inside agent 0's ROI
-    with scale 1e-8. The scale is valid but underflows to 0 in fp16, so
-    agent 1's message to agent 0 fails to decode."""
+    with the given `scales`, valid as they are. The default 1e-8
+    underflows to 0 in fp16, so agent 1's message to agent 0 fails to
+    decode."""
     episode = prepare_episode(spec, model)
     obs = episode.observations[1].copy()
     moved = transform_set(obs, spec.agents[0].inverse().compose(spec.agents[1]))
-    obs.scales[int(np.argmax(spec.agent_roi().contains(moved.means)))] = 1e-8
+    obs.scales[int(np.argmax(spec.agent_roi().contains(moved.means)))] = scales
     obs.validate()
     episode.observations[1] = obs
     return episode

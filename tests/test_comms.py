@@ -226,6 +226,18 @@ class TestWireFormat:
         with pytest.raises(CorruptFieldError):
             deserialize_message(bytes(bad))
 
+    def test_quantization_past_the_condition_limit_is_corrupt(self):
+        # condition 0.99e12 in fp64; fp16 rounds 3.01e-7 to 2.98e-7 and 0.3
+        # to 0.29999, which gives 1.01e12, past what the splat can take
+        gs = random_gaussian_set(RNG, 3)
+        gs.scales[1] = [0.3, 3.01e-7, 0.3]
+        gs.validate()
+        back = deserialize_message(serialize_message(GaussianMessage(0, 1, 0, gs,
+                                                                     PRECISION_FP32)))
+        back.gaussians.validate()
+        with pytest.raises(CorruptFieldError, match="condition number 1.01.e\\+12 exceeds"):
+            deserialize_message(serialize_message(GaussianMessage(0, 1, 0, gs)))
+
 
 class TestBudgetAndStats:
     def test_budget_accepts_under(self):

@@ -253,3 +253,13 @@ class TestTypes:
         bad.opacities[1] = 2.0
         with pytest.raises(ValueError):
             bad.validate()
+
+    def test_gaussian_set_validate_enforces_the_splat_conditioning(self):
+        # a set that passes validate() must splat: condition number <= 1e12
+        gs = GaussianSet.from_gaussians([random_gaussian(RNG) for _ in range(3)])
+        gs.scales[1] = [2e-7, 1.0, 1.0]                             # condition 2.5e13
+        with pytest.raises(DegenerateGaussianError,
+                           match=r"^covariance condition number 2\.500e\+13 exceeds 1e12$"):
+            gs.validate()
+        gs.scales[1] = [1.001e-6, 1.0, 1.0]                         # condition 0.998e12
+        gs.validate()

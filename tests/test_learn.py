@@ -24,9 +24,10 @@ from gsfusion.learn import (
     train,
     train_calibration,
 )
-from gsfusion.splat import SplatConfig, splat
+from gsfusion.sim import ObservationModel, generate_scene, make_training_example
+from gsfusion.splat import SplatConfig, splat, splat_sparse
 
-from helpers import jaccard_by_counting, random_gaussian_set
+from helpers import concat_scene_loss_and_grads, jaccard_by_counting, random_gaussian_set
 
 RNG = np.random.default_rng(60601)
 C = 13
@@ -214,6 +215,42 @@ def toy_example(rng, noise=0.15, n=6, grid=(8, 8, 2)):
     received = [noisy_copy()]
     stacked = GaussianSet.concat([ego] + received)
     return TrainExample(stacked, received, fixed, gt, geom)
+
+
+class TestFixedRenderedApart:
+    """`scene_loss_and_grads` renders the fixed set on its own and runs the
+    splat backward over the fused rows only; it must equal the splat of
+    the concatenation, differentiated whole and sliced, bit for bit."""
+
+    def _case(self, source):
+        if source == "toy":
+            return (toy_example(np.random.default_rng(4242)),
+                    FusionConfig(radius_rho=0.6, pooling="attention"), SplatConfig())
+        spec = generate_scene(seed=11, num_agents=2, world_half_xy=10.0, grid_dims=(40, 40, 8))
+        example = make_training_example(spec, ObservationModel(gaussians_per_agent=200))
+        return example, FusionConfig(), SplatConfig()
+
+    @pytest.mark.parametrize("source", ["toy", "generated"])
+    def test_bit_equal_to_concat_reference(self, source):
+        example, fusion_cfg, splat_cfg = self._case(source)
+        assert len(example.fixed) == 1
+        params = FusionParams.init(seed=77)
+        want_report, want_grads = concat_scene_loss_and_grads(example, fusion_cfg, splat_cfg,
+                                                              params)
+        render = splat_sparse(example.fixed, example.geometry, splat_cfg)
+        for fixed_render in (None, render):
+            report, grads = scene_loss_and_grads(example, fusion_cfg, splat_cfg, params,
+                                                 fixed_render=fixed_render)
+            assert (report.ce, report.lovasz, report.total) == \
+                (want_report.ce, want_report.lovasz, want_report.total)
+            assert np.array_equal(report.per_class_lovasz, want_report.per_class_lovasz)
+            assert grads.keys() == want_grads.keys()
+            for k in want_grads:
+                assert np.array_equal(grads[k], want_grads[k]), k
+            assert any(np.any(g != 0.0) for g in grads.values())
+        report, grads = scene_loss_and_grads(example, fusion_cfg, splat_cfg, params,
+                                             want_grads=False)
+        assert grads is None and report.total == want_report.total
 
 
 class TestBackwardFusionWrapper:

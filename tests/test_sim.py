@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from gsfusion.core import EMPTY_CLASS, GridGeometry, RigidTransform
-from gsfusion.comms import transform_set
-from gsfusion.fusion import FusionParams
+from gsfusion.core import EMPTY_CLASS, GaussianSet, GridGeometry, RigidTransform
+from gsfusion.comms import deserialize_message, stack, transform_set
+from gsfusion.fusion import FusionConfig, FusionParams, fuse_scene
 from gsfusion.learn import Calibration
 from gsfusion.sim import (
     CLASS_ROAD,
@@ -31,8 +31,13 @@ from gsfusion.sim import (
     visible_surface,
     _exposed_face_targets,
 )
+from gsfusion.splat import SplatConfig, splat
 
-from helpers import lockstep_raycast_oracle, prepare_with_undecodable_message
+from helpers import (
+    lockstep_raycast_oracle,
+    prepare_with_undecodable_message,
+    resample_agent_grid_oracle,
+)
 
 
 def flat_scene(objects, agents=None, half=6.0, grid=(30, 30, 8)):
@@ -292,6 +297,19 @@ class TestGroundTruth:
         both = int(union_mask.sum())
         assert both > int(gt.visible_masks[0].sum())
 
+    def test_agent_grids_equal_per_mask_resampling(self):
+        spec = generate_scene(seed=42, num_agents=3, world_half_xy=10.0, grid_dims=(30, 30, 8))
+        gt = build_ground_truth(spec)
+        union = np.logical_or.reduce(gt.visible_masks)
+        gained = []
+        for a, pose in enumerate(spec.agents):
+            ego = resample_agent_grid_oracle(spec, gt.world, gt.visible_masks[a], pose)
+            collab = resample_agent_grid_oracle(spec, gt.world, union, pose)
+            assert np.array_equal(gt.ego_visible[a].labels, ego)
+            assert np.array_equal(gt.collaborative[a].labels, collab)
+            gained.append(np.sum(collab != EMPTY_CLASS) - np.sum(ego != EMPTY_CLASS))
+        assert min(gained) >= 0 and max(gained) > 0
+
     def test_generated_scene_golden_hash(self):
         import hashlib
 
@@ -404,6 +422,46 @@ class TestEpisode:
             assert res.comm.bytes_sent == links[(1, 0)].bytes + links[(0, 1)].bytes
             assert links[(1, 0)].bytes > 0
             assert np.array_equal(res.channels[0].channels, single.channels[0].channels)
+
+    def test_quantized_ill_conditioned_message_rejected_on_its_link(self):
+        # condition 0.99e12 in agent 1's frame, 1.01e12 once fp16 has rounded
+        # the scales: the decoder drops the message instead of the splat raising
+        spec = self._spec()
+        model = self._model()
+        episode = prepare_with_undecodable_message(spec, model, scales=(3.01e-7, 0.3, 0.3))
+        episode.observations[1].validate()
+        single = run_episode(spec, model, "single", episode=episode)
+        for mode, p in (("zero_shot", None), ("learned", FusionParams.init(seed=3))):
+            res = run_episode(spec, model, mode, params=p, episode=episode)
+            links = res.comm.per_link
+            assert (links[(1, 0)].rejected, links[(0, 1)].rejected) == (1, 0)
+            assert np.array_equal(res.channels[0].channels, single.channels[0].channels)
+
+    @pytest.mark.parametrize("mode", ["single", "zero_shot", "naive", "learned"])
+    def test_channels_equal_splat_of_concatenation_with_prior(self, mode):
+        # the prior is rendered once per episode and added to each agent's
+        # splat; that must be bit for bit the splat with the prior appended
+        spec = self._spec()
+        model = self._model()
+        episode = prepare_episode(spec, model)
+        params = {"naive": Calibration(np.random.default_rng(3).normal(0.0, 0.3, 13)),
+                  "learned": FusionParams.init(seed=3)}.get(mode)
+        sink = []
+        res = run_episode(spec, model, mode, params=params, episode=episode, message_sink=sink)
+        fixed = empty_space_gaussian(model)
+        for ego in range(spec.num_agents):
+            final = episode.observations[ego]
+            if mode != "single":
+                received = [deserialize_message(d).gaussians for _, to, d in sink if to == ego]
+                assert len(received) == spec.num_agents - 1
+                final = stack(final, received)
+            if mode == "learned":
+                final = fuse_scene(final, received, FusionConfig(), params)
+            want = splat(GaussianSet.concat([final, fixed]), spec.agent_geometry(),
+                         SplatConfig()).channels
+            if mode == "naive":
+                want = params.apply(want)
+            assert np.array_equal(res.channels[ego].channels, want), ego
 
     def test_learned_mode_runs_and_is_deterministic(self):
         spec = self._spec()

@@ -20,10 +20,16 @@ from gsfusion.splat import (
     save_voxg,
     splat,
     splat_backward,
+    splat_sparse,
     write_voxg,
 )
 
-from helpers import dense_splat_oracle, splat_pairs_oracle
+from helpers import (
+    dense_splat_oracle,
+    pair_geometry_oracle,
+    per_channel_splat,
+    splat_pairs_oracle,
+)
 
 RNG = np.random.default_rng(777)
 
@@ -175,7 +181,8 @@ class TestPairLists:
         geom = GridGeometry(np.array([-1.5, -1.2, -0.6]), 0.3, (12, 10, 6), num_classes=C)
         gs = pair_test_set(geom)
         gs.validate()
-        pg, pv, e = _pair_lists(gs, geom, SplatConfig(truncation_sigma=sigma))
+        pairs = _pair_lists(gs, geom, SplatConfig(truncation_sigma=sigma))
+        pg, pv, e = pairs.gauss, pairs.voxel, pairs.e
         og, ov, oe = splat_pairs_oracle(gs, geom, sigma,
                                         _quat_to_rotmat_unchecked(gs.rotations))
         assert np.array_equal(pg, og)
@@ -211,6 +218,90 @@ class TestPairLists:
         gs.scales[2] = [0.3, 0.0, 0.3]
         with pytest.raises(DegenerateGaussianError, match="condition number inf exceeds"):
             splat(gs, geom)
+
+
+def zero_pair_set(geom):
+    """Valid Gaussians whose truncation boxes all miss the grid."""
+    far = geom.origin + np.array(geom.dims) * geom.voxel_size + 5.0
+    n = 3
+    return GaussianSet(np.tile(far, (n, 1)) + np.arange(n)[:, None], np.full((n, 3), 0.3),
+                       np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)), np.ones(n), np.ones((n, C)))
+
+
+PAIR_GEOM = GridGeometry(np.array([-1.5, -1.2, -0.6]), 0.3, (12, 10, 6), num_classes=C)
+ACCUMULATION_SETS = {
+    "pair_test_set": lambda: pair_test_set(PAIR_GEOM),
+    "tight": lambda: tight_set(np.random.default_rng(31), 12, PAIR_GEOM),
+    "empty": lambda: GaussianSet.empty(C),
+    "zero_pairs": lambda: zero_pair_set(PAIR_GEOM),
+}
+
+
+class TestPairTape:
+    @pytest.mark.parametrize("case", sorted(ACCUMULATION_SETS))
+    def test_delta_and_local_equal_recomputation(self, case):
+        gs = ACCUMULATION_SETS[case]()
+        pairs = _pair_lists(gs, PAIR_GEOM, SplatConfig())
+        delta, local = pair_geometry_oracle(gs, PAIR_GEOM, pairs.gauss, pairs.voxel,
+                                            _quat_to_rotmat_unchecked(gs.rotations))
+        assert pairs.delta.shape == pairs.local.shape == (pairs.gauss.size, 3)
+        assert np.array_equal(pairs.delta, delta)
+        assert np.array_equal(pairs.local, local)
+        assert pairs.voxel.size == pairs.e.size == pairs.gauss.size
+        assert (pairs.gauss.size == 0) == (case in ("empty", "zero_pairs"))
+
+    @pytest.mark.parametrize("floor", [0.0, 1e-4])
+    @pytest.mark.parametrize("case", sorted(ACCUMULATION_SETS))
+    def test_flat_bincount_equals_per_channel_loop(self, case, floor):
+        gs = ACCUMULATION_SETS[case]()
+        cfg = SplatConfig(min_contribution=floor)
+        pairs = _pair_lists(gs, PAIR_GEOM, cfg)
+        grid = splat(gs, PAIR_GEOM, cfg)
+        assert np.array_equal(grid.channels, per_channel_splat(gs, PAIR_GEOM, cfg, pairs))
+
+
+class TestFixedRender:
+    @pytest.mark.parametrize("case", sorted(ACCUMULATION_SETS))
+    def test_trailing_fixed_gaussian_adds_bit_for_bit(self, case):
+        gs = ACCUMULATION_SETS[case]()
+        fixed = empty_space_gaussian()
+        cfg = SplatConfig()
+        want = splat(GaussianSet.concat([gs, fixed]), PAIR_GEOM, cfg).channels
+        render = splat_sparse(fixed, PAIR_GEOM, cfg)
+        got = render.add_to(splat(gs, PAIR_GEOM, cfg).channels)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("case", ["prior", "two_classes", "no_class", "empty"])
+    def test_sparse_render_holds_the_nonzero_entries(self, case):
+        geom = small_geom()
+        fixed = empty_space_gaussian()
+        fixed.means[:] = [2.5, 2.0, 0.0]            # off-centre: the far voxels are truncated
+        fixed.scales[:] = 1.0
+        if case == "two_classes":                   # classes 2 and 7; one Gaussian lacks 7
+            fixed = tight_set(np.random.default_rng(12), 4, geom)
+            keep = np.zeros(C)
+            keep[[2, 7]] = 1.0
+            fixed.semantics *= keep
+            fixed.semantics[1, 7] = 0.0
+        elif case == "no_class":
+            fixed.semantics[:] = 0.0
+        elif case == "empty":
+            fixed = GaussianSet.empty(C)
+        dense = splat(fixed, geom).channels
+        render = splat_sparse(fixed, geom)
+        assert np.all(np.diff(render.index) > 0)
+        assert np.all(render.value != 0.0)
+        assert np.array_equal(render.add_to(np.zeros_like(dense)), dense)
+        assert render.index.size == np.count_nonzero(dense)
+        if case == "prior":
+            assert 0 < render.index.size < geom.num_voxels
+            assert np.all(render.index % C == C - 1)     # only the empty channel is nonzero
+        if case == "two_classes":
+            assert set(np.unique(render.index % C)) == {2, 7}
+
+    def test_sparse_render_rejects_a_class_count_mismatch(self):
+        with pytest.raises(ValueError, match="width"):
+            splat_sparse(empty_space_gaussian(num_classes=5), small_geom())
 
 
 class TestLabels:
