@@ -172,7 +172,9 @@ class SemanticGaussian:
     semantics (C,) non-negative class weights, last channel = empty class
 
     The constructor canonicalizes the quaternion sign and absorbs norm
-    drift up to 1e-6; gross invariant violations raise ValueError.
+    drift up to 1e-6; gross invariant violations raise ValueError, and a
+    covariance the splat rejects (condition number above 1e12) raises
+    DegenerateGaussianError, as `GaussianSet.validate` does.
     """
 
     mean: np.ndarray
@@ -203,6 +205,7 @@ class SemanticGaussian:
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(scale))
                 and np.all(np.isfinite(rotation)) and np.all(np.isfinite(semantics))):
             raise ValueError("non-finite field in SemanticGaussian")
+        _check_conditioning(scale)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "rotation", _frozen(canonicalize_quaternion(rotation)))
@@ -516,21 +519,3 @@ def density(g: SemanticGaussian, x: np.ndarray) -> np.ndarray:
     y = np.linalg.solve(chol, delta)
     q = float(y @ y)
     return g.opacity * np.exp(-0.5 * q) * g.semantics
-
-
-def mahalanobis_sq(means: np.ndarray, scales: np.ndarray, rotations: np.ndarray,
-                   points: np.ndarray) -> np.ndarray:
-    """Squared Mahalanobis distance of (M,3) points under (N,...) Gaussians.
-
-    Broadcast form used by the splatting inner loop: returns (N, M) when
-    given batch Gaussians, (M,) for a single one.
-    """
-    single = rotations.ndim == 1
-    means = np.atleast_2d(means)
-    scales = np.atleast_2d(scales)
-    rots = _quat_to_rotmat_unchecked(np.atleast_2d(rotations))
-    pts = np.atleast_2d(points)
-    delta = pts[None, :, :] - means[:, None, :]          # (N, M, 3)
-    local = np.einsum("nmk,nkj->nmj", delta, rots)       # R^T delta per gaussian
-    q = np.sum((local / scales[:, None, :]) ** 2, axis=-1)
-    return q[0] if single else q

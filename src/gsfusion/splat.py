@@ -8,22 +8,43 @@ voxel) pairs are enumerated and accumulated in canonical order, ascending
 gaussian index then ascending flat voxel index, so the output is bit-exact
 for fixed inputs on a fixed platform.
 
-Splatting is additive, and that is exact in one case. Each voxel's
-channels are one `np.bincount`, which sums a bin's weights in input
-order, starting from 0. So for a set X and a single Gaussian f placed
-last, `splat(concat([X, f]))` equals `splat(X) + splat(f)` bit for bit:
-f's contribution is the last term of each sum either way, and its zero
-channels add +0.0 to sums that are never negative. A constant f (the
-empty-space prior) can therefore be rendered once, kept with
-`splat_sparse`, and added to each render of a changing X. With more
-than one constant row the two agree only up to summation order.
+Bounded blocks. The forward enumerates candidate voxels over runs of
+whole Gaussians whose bounding boxes hold at most `_BLOCK` cells
+together (a Gaussian whose box holds more is a block on its own), so its
+temporaries are bounded by the block, not by the set, apart from such a
+Gaussian (the empty-space prior's box is the whole grid). A precomputed
+pair tape is accumulated in slices of at most `_BLOCK` pairs.
+
+Nonzero accumulation. Each block's per-channel weights go straight into
+the zeroed grid with `np.add.at`, keeping only the entries at or above
+min_contribution (the nonzero ones, for a floor of 0). An observed
+Gaussian carries one-hot semantics, so most (pair, channel) entries are
+zero and never reach the grid.
+
+Why this is exact. `np.add.at(out, idx, w)` does `out[idx[i]] += w[i]`
+in input order, so with `out` zeroed each bin is the left-to-right sum
+that `np.bincount` of all entries forms. A dropped entry is +0.0:
+opacity, the exponential and semantics are non-negative. A sum of
+non-negative terms started at +0.0 is never -0.0, so adding +0.0 changes
+no bit. Blocks keep the canonical order, and every per-candidate
+operation is row-wise, so each pair's e, delta and local are the same
+bits wherever a block edge falls.
+
+Splatting is additive, and that is exact in one case. For a set X and a
+single Gaussian f placed last, `splat(concat([X, f]))` equals
+`splat(X) + splat(f)` bit for bit: f's contribution is the last term of
+each sum either way, and its zero channels add +0.0 to sums that are
+never negative. A constant f (the empty-space prior) can therefore be
+rendered once, kept with `splat_sparse`, and added to each render of a
+changing X. With more than one constant row the two agree only up to
+summation order.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -42,6 +63,10 @@ PAYLOAD_LABELS = 1
 
 # magic, version, X, Y, Z, C, origin xyz, voxel_size, payload kind
 _HEADER = struct.Struct("<4sIIIII3ffB")
+
+# the most candidate cells one block of the splat forward enumerates,
+# unless a single Gaussian's box holds more
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -89,14 +114,17 @@ class SparseChannels(NamedTuple):
         return channels
 
 
-def _pair_lists(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfig) -> Pairs:
-    """All (gaussian, voxel) pairs inside the truncation ellipsoids,
-    ordered by (gaussian, flat voxel index).
+def _pair_blocks(gaussians: GaussianSet, geometry: GridGeometry,
+                 cfg: SplatConfig) -> Iterator[Pairs]:
+    """The pairs of `_pair_lists`, one block of whole Gaussians at a time,
+    in the same order.
 
     Candidates are the voxels whose centers lie in each ellipsoid's
     axis-aligned bounding box, of half-extent t * sqrt(Sigma_ii) on axis
     i, widened by 1e-9 voxel against rounding and clipped to the grid; the
-    Mahalanobis test q <= t**2 alone decides membership.
+    Mahalanobis test q <= t**2 alone decides membership. A block is a run
+    of Gaussians whose boxes hold at most _BLOCK cells together, or one
+    Gaussian whose box holds more.
     """
     dims = np.array(geometry.dims)
     h = geometry.voxel_size
@@ -107,6 +135,23 @@ def _pair_lists(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfig
     hi = np.floor((gaussians.means + half - geometry.origin) / h - 0.5 + 1e-9)
     lo = np.clip(lo, 0, dims).astype(np.int64)
     ext = np.maximum(np.clip(hi, -1, dims - 1).astype(np.int64) - lo + 1, 0)
+    ends = np.cumsum(np.prod(ext, axis=1))
+    start = 0
+    while start < len(gaussians):
+        before = ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(ends, before + _BLOCK, "right")), start + 1)
+        b = slice(start, stop)
+        pairs = _box_pairs(gaussians.take(b), geometry, t, rots[b], lo[b], ext[b])
+        yield pairs._replace(gauss=pairs.gauss + start)
+        start = stop
+
+
+def _box_pairs(gaussians: GaussianSet, geometry: GridGeometry, t: float,
+               rots: np.ndarray, lo: np.ndarray, ext: np.ndarray) -> Pairs:
+    """The pairs among the candidates of the boxes with lowest corner `lo`
+    and extent `ext`, one box per Gaussian of `gaussians` (indexed from 0)."""
+    h = geometry.voxel_size
+    _, ny, nz = geometry.dims
     vol = np.prod(ext, axis=1)
 
     def per_candidate(a):
@@ -127,10 +172,38 @@ def _pair_lists(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfig
     local = np.einsum("pk,pkj->pj", delta, per_candidate(rots))
     q = sum((local[:, j] / per_candidate(gaussians.scales[:, j])) ** 2 for j in range(3))
     kept = np.flatnonzero(q <= t**2)
-    _, ny, nz = geometry.dims
     flat = (vox[0].take(kept) * ny + vox[1].take(kept)) * nz + vox[2].take(kept)
     return Pairs(g.take(kept), flat, np.exp(-0.5 * q.take(kept)),
                  delta.take(kept, axis=0), local.take(kept, axis=0))
+
+
+def _pair_lists(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfig) -> Pairs:
+    """All (gaussian, voxel) pairs inside the truncation ellipsoids,
+    ordered by (gaussian, flat voxel index): the blocks of `_pair_blocks`
+    concatenated."""
+    blocks = list(_pair_blocks(gaussians, geometry, cfg))
+    if not blocks:
+        return Pairs(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0),
+                     np.zeros((0, 3)), np.zeros((0, 3)))
+    return Pairs(*(np.concatenate(field) for field in zip(*blocks)))
+
+
+def _accumulate(flat: np.ndarray, gaussians: GaussianSet, pairs: Pairs,
+                min_contribution: float) -> None:
+    """Add the pairs' per-channel weights that reach `min_contribution`
+    (that are nonzero, for a floor of 0) into the flat (V * C,) grid, in
+    pair order, then channel order."""
+    num_classes = gaussians.num_classes
+    weights = gaussians.semantics.take(pairs.gauss, axis=0)      # (P, C)
+    weights *= (gaussians.opacities.take(pairs.gauss) * pairs.e)[:, None]
+    weights = weights.reshape(-1)
+    entry = np.flatnonzero(weights >= min_contribution if min_contribution > 0.0
+                           else weights != 0.0)
+    # entry = pair * C + channel lands in voxel[pair] * C + channel
+    shift = (pairs.voxel - np.arange(pairs.voxel.size)) * num_classes
+    index = shift.take(entry // num_classes)
+    index += entry
+    np.add.at(flat, index, weights.take(entry))
 
 
 def splat(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfig | None = None,
@@ -140,8 +213,9 @@ def splat(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfig | Non
     Contributions are evaluated at voxel centers and restricted to centers
     with Mahalanobis distance <= truncation_sigma; per-channel values below
     min_contribution are dropped. Accumulation is vectorized over
-    (gaussian, voxel) pairs and deterministic for fixed inputs. `pairs`
-    accepts a precomputed _pair_lists result for the same arguments.
+    (gaussian, voxel) pairs, block by block, and deterministic for fixed
+    inputs. `pairs` accepts a precomputed _pair_lists result for the same
+    arguments.
     """
     cfg = cfg or SplatConfig()
     num_classes = geometry.num_classes
@@ -150,21 +224,16 @@ def splat(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfig | Non
     if gaussians.num_classes != num_classes:
         raise ValueError("gaussian semantics width does not match grid classes")
     _check_conditioning(gaussians.scales)
-    # allocated before the pair temporaries and filled by a copy: a caller
-    # that keeps the grid keeps it below them in the heap, not above the
-    # hole they leave (returning bincount's own array raised the peak RSS
-    # of a benchmark run that keeps its episodes' grids by 40 MB)
-    out = np.empty((geometry.num_voxels, num_classes))
-    pairs = pairs if pairs is not None else _pair_lists(gaussians, geometry, cfg)
-    weights = (gaussians.opacities[pairs.gauss] * pairs.e)[:, None] \
-        * gaussians.semantics[pairs.gauss]                       # (P, C)
-    if cfg.min_contribution > 0.0:
-        weights = np.where(weights >= cfg.min_contribution, weights, 0.0)
-    # one bincount over the pair-major index voxel * C + c: each bin still
-    # sums its pairs in pair order, as a bincount per channel would
-    flat = (pairs.voxel[:, None] * num_classes + np.arange(num_classes)).reshape(-1)
-    out[...] = np.bincount(flat, weights=weights.reshape(-1),
-                           minlength=out.size).reshape(out.shape)
+    # allocated before the pair temporaries: a caller that keeps the grid
+    # keeps it below them in the heap, not above the hole they leave
+    out = np.zeros(geometry.num_voxels * num_classes)
+    if pairs is None:
+        blocks = _pair_blocks(gaussians, geometry, cfg)
+    else:                           # a tape, in slices of at most _BLOCK pairs
+        blocks = (Pairs(*(field[i:i + _BLOCK] for field in pairs))
+                  for i in range(0, pairs.gauss.size, _BLOCK))
+    for block in blocks:
+        _accumulate(out, gaussians, block, cfg.min_contribution)
     return VoxelGrid(geometry, channels=out.reshape(geometry.dims + (num_classes,)))
 
 

@@ -4,7 +4,8 @@ Everything here is deliberately written from scratch against the math,
 not by calling the library paths it checks. The exceptions are
 references that keep an earlier composition of library kernels, which a
 rewrite of that composition must reproduce bit for bit
-(`concat_scene_loss_and_grads`, `per_channel_splat`).
+(`concat_scene_loss_and_grads`, `per_channel_splat`, `repeat_pair_lists`,
+`bincount_splat`).
 """
 
 import hashlib
@@ -16,12 +17,20 @@ from types import SimpleNamespace
 import numpy as np
 
 from gsfusion.comms import transform_set
-from gsfusion.core import EMPTY_CLASS, GaussianSet, GridGeometry, SemanticGaussian
+from gsfusion.core import (
+    EMPTY_CLASS,
+    GaussianSet,
+    GridGeometry,
+    SemanticGaussian,
+    VoxelGrid,
+    _check_conditioning,
+    _quat_to_rotmat_unchecked,
+)
 from gsfusion.fusion import SCALE_FLOOR, FusionConfig, FusionParams, fuse_scene, fusion_backward
 from gsfusion.learn import total_loss
 from gsfusion.metrics import iou_3d
 from gsfusion.sim import ObservationModel, generate_scene, prepare_episode, run_episode
-from gsfusion.splat import _pair_lists, splat, splat_backward
+from gsfusion.splat import Pairs, _pair_lists, splat, splat_backward
 
 
 def inv3x3(m):
@@ -437,6 +446,60 @@ def per_channel_splat(gaussians: GaussianSet, geometry, cfg, pairs):
             weights = np.where(weights >= cfg.min_contribution, weights, 0.0)
         out[:, ch] = np.bincount(pairs.voxel, weights=weights, minlength=geometry.num_voxels)
     return out.reshape(geometry.dims + (geometry.num_classes,))
+
+
+def repeat_pair_lists(gaussians: GaussianSet, geometry, cfg) -> Pairs:
+    """Reference for the splat's pair tape: every candidate cell of the
+    whole set expanded at once with `np.repeat`, in (gaussian, flat voxel)
+    order."""
+    dims = np.array(geometry.dims)
+    h = geometry.voxel_size
+    t = cfg.truncation_sigma
+    rots = _quat_to_rotmat_unchecked(gaussians.rotations)
+    half = t * np.sqrt(np.einsum("nij,nj->ni", rots**2, gaussians.scales**2))
+    lo = np.ceil((gaussians.means - half - geometry.origin) / h - 0.5 - 1e-9)
+    hi = np.floor((gaussians.means + half - geometry.origin) / h - 0.5 + 1e-9)
+    lo = np.clip(lo, 0, dims).astype(np.int64)
+    ext = np.maximum(np.clip(hi, -1, dims - 1).astype(np.int64) - lo + 1, 0)
+    vol = np.prod(ext, axis=1)
+
+    def per_candidate(a):
+        return np.repeat(a, vol, axis=0)
+
+    g = per_candidate(np.arange(len(gaussians)))
+    k = np.arange(g.size) - per_candidate(np.cumsum(vol) - vol)
+    kxy, iz = np.divmod(k, per_candidate(ext[:, 2]))
+    ix, iy = np.divmod(kxy, per_candidate(ext[:, 1]))
+    vox = [i + per_candidate(lo[:, a]) for a, i in enumerate((ix, iy, iz))]
+    delta = np.empty((g.size, 3))
+    for a in range(3):
+        delta[:, a] = (geometry.origin[a] + (vox[a] + 0.5) * h
+                       - per_candidate(gaussians.means[:, a]))
+    local = np.einsum("pk,pkj->pj", delta, per_candidate(rots))
+    q = sum((local[:, j] / per_candidate(gaussians.scales[:, j])) ** 2 for j in range(3))
+    kept = np.flatnonzero(q <= t**2)
+    _, ny, nz = geometry.dims
+    flat = (vox[0].take(kept) * ny + vox[1].take(kept)) * nz + vox[2].take(kept)
+    return Pairs(g.take(kept), flat, np.exp(-0.5 * q.take(kept)),
+                 delta.take(kept, axis=0), local.take(kept, axis=0))
+
+
+def bincount_splat(gaussians: GaussianSet, geometry, cfg) -> VoxelGrid:
+    """Reference for `splat`: the (P, C) weights of every pair, floored,
+    summed by one `np.bincount` over the flat index voxel * C + c."""
+    num_classes = geometry.num_classes
+    if len(gaussians) == 0:
+        return VoxelGrid.zeros_channels(geometry)
+    _check_conditioning(gaussians.scales)
+    pairs = repeat_pair_lists(gaussians, geometry, cfg)
+    weights = (gaussians.opacities[pairs.gauss] * pairs.e)[:, None] \
+        * gaussians.semantics[pairs.gauss]
+    if cfg.min_contribution > 0.0:
+        weights = np.where(weights >= cfg.min_contribution, weights, 0.0)
+    flat = (pairs.voxel[:, None] * num_classes + np.arange(num_classes)).reshape(-1)
+    out = np.bincount(flat, weights=weights.reshape(-1),
+                      minlength=geometry.num_voxels * num_classes)
+    return VoxelGrid(geometry, channels=out.reshape(geometry.dims + (num_classes,)))
 
 
 def resample_agent_grid_oracle(spec, world, mask, pose):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,10 @@ from gsfusion.core import (
 )
 from gsfusion.sim import empty_space_gaussian
 from gsfusion.splat import (
+    _BLOCK,
+    Pairs,
     SplatConfig,
+    _pair_blocks,
     _pair_lists,
     labels_from_channels,
     load_voxg,
@@ -25,9 +30,11 @@ from gsfusion.splat import (
 )
 
 from helpers import (
+    bincount_splat,
     dense_splat_oracle,
     pair_geometry_oracle,
     per_channel_splat,
+    repeat_pair_lists,
     splat_pairs_oracle,
 )
 
@@ -258,6 +265,120 @@ class TestPairTape:
         pairs = _pair_lists(gs, PAIR_GEOM, cfg)
         grid = splat(gs, PAIR_GEOM, cfg)
         assert np.array_equal(grid.channels, per_channel_splat(gs, PAIR_GEOM, cfg, pairs))
+
+
+def mixed_set(rng, n, geom, scale_lo, scale_hi):
+    """Random Gaussians over the grid whose semantic rows are one-hot,
+    dense or all zero in turn, then two at voxel centers (e = 1) with
+    opacity 1 whose weights are exactly the default floor 1e-4 and the
+    largest double below it."""
+    lo = geom.origin
+    hi = geom.origin + np.array(geom.dims) * geom.voxel_size
+    sem = np.zeros((n, C))
+    one_hot = np.arange(0, n, 3)
+    sem[one_hot, rng.integers(0, C, one_hot.size)] = rng.uniform(0.5, 4.0, one_hot.size)
+    sem[1::3] = rng.uniform(0, 1, (len(sem[1::3]), C))
+    gs = GaussianSet(rng.uniform(lo, hi, (n, 3)), rng.uniform(scale_lo, scale_hi, (n, 3)),
+                     np.array([random_unit_quaternion(rng) for _ in range(n)]),
+                     rng.uniform(0.1, 1.0, n), sem)
+    at_floor = np.zeros((2, C))
+    at_floor[0, 4] = 1e-4
+    at_floor[1, 4] = np.nextafter(1e-4, 0.0)
+    centers = geom.origin + (np.array([[1, 2, 1], [9, 8, 4]]) + 0.5) * geom.voxel_size
+    floor = GaussianSet(centers, np.full((2, 3), geom.voxel_size),
+                        np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)), np.ones(2), at_floor)
+    return GaussianSet.concat([gs, floor])
+
+
+BIG_GEOM = GridGeometry(np.array([-8.0, -8.0, -1.6]), 0.4, (40, 40, 8), num_classes=C)
+PRIOR_GEOM = GridGeometry(np.array([-20.0, -20.0, -1.6]), 0.4, (100, 100, 8), num_classes=C)
+BLOCK_SETS = {
+    "mixed": lambda: mixed_set(np.random.default_rng(5), 40, PAIR_GEOM, 0.1, 0.8),
+    "many_blocks": lambda: mixed_set(np.random.default_rng(6), 300, BIG_GEOM, 0.4, 1.2),
+    "prior": lambda: empty_space_gaussian(),
+    "empty": lambda: GaussianSet.empty(C),
+    "zero_pairs": lambda: zero_pair_set(PAIR_GEOM),
+}
+BLOCK_GEOMS = {"many_blocks": BIG_GEOM, "prior": PRIOR_GEOM}
+
+
+class TestBlocks:
+    """The blocked pair enumeration and the nonzero-only accumulation equal
+    the whole-set `np.repeat` enumeration and one `np.bincount` byte for
+    byte (`repeat_pair_lists`, `bincount_splat`)."""
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_SETS))
+    def test_pair_lists_equal_whole_set_expansion(self, case):
+        gs, geom = BLOCK_SETS[case](), BLOCK_GEOMS.get(case, PAIR_GEOM)
+        got = _pair_lists(gs, geom, SplatConfig())
+        want = repeat_pair_lists(gs, geom, SplatConfig())
+        for field in Pairs._fields:
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.shape == b.shape, field
+            assert a.tobytes() == b.tobytes(), field
+
+    @pytest.mark.parametrize("tape", [False, True])
+    @pytest.mark.parametrize("floor", [0.0, 1e-4])
+    @pytest.mark.parametrize("case", sorted(BLOCK_SETS))
+    def test_splat_equals_bincount(self, case, floor, tape):
+        gs, geom = BLOCK_SETS[case](), BLOCK_GEOMS.get(case, PAIR_GEOM)
+        cfg = SplatConfig(min_contribution=floor)
+        pairs = _pair_lists(gs, geom, cfg) if tape else None
+        got = splat(gs, geom, cfg, pairs=pairs).channels
+        want = bincount_splat(gs, geom, cfg).channels
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if case == "mixed":             # the row at the floor is kept, the one below it is not
+            alone = splat(gs.take(slice(-2, None)), geom, cfg).channels
+            assert alone[1, 2, 1, 4] == 1e-4
+            assert alone[9, 8, 4, 4] == (np.nextafter(1e-4, 0.0) if floor == 0.0 else 0.0)
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_SETS))
+    def test_blocks_hold_whole_gaussians(self, case):
+        gs, geom = BLOCK_SETS[case](), BLOCK_GEOMS.get(case, PAIR_GEOM)
+        blocks = [b.gauss for b in _pair_blocks(gs, geom, SplatConfig())]
+        blocks = [g for g in blocks if g.size]
+        for before, after in zip(blocks, blocks[1:]):
+            assert before[-1] < after[0]
+        if case == "many_blocks":
+            assert len(blocks) >= 9
+            assert sum(g.size for g in blocks) > 2 * _BLOCK     # its tape splats in slices
+        if case == "prior":             # its 80 000-cell box is one block
+            assert len(blocks) == 1 and blocks[0].size == geom.num_voxels > _BLOCK
+
+    def test_splat_peak_memory_is_bounded(self):
+        gs, geom = BLOCK_SETS["many_blocks"](), BIG_GEOM
+        cfg = SplatConfig()
+
+        def traced_peak(fn):
+            tracemalloc.start()
+            try:
+                fn(gs, geom, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(splat) < 0.5 * traced_peak(bincount_splat)
+
+
+def test_add_at_sums_each_bin_in_input_order():
+    # bin 0 holds 2**53 among terms below 4: before it they add exactly,
+    # after it each is rounded to a multiple of 2, so the sum depends on order
+    rng = np.random.default_rng(9)
+    vals = np.concatenate([rng.uniform(0.5, 2.0, 40), [2.0**53, 3.0, 2.0**-30, 1.0, 1.0]])
+    vals = rng.permutation(vals)
+    idx = rng.integers(0, 3, vals.size)
+    idx[np.argmax(vals)] = 0
+    want = np.zeros(3)
+    for i, v in zip(idx, vals):
+        want[i] += v
+    got = np.zeros(3)
+    np.add.at(got, idx, vals)
+    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == np.bincount(idx, weights=vals, minlength=3).tobytes()
+    ascending = np.zeros(3)
+    order = np.argsort(vals, kind="stable")
+    np.add.at(ascending, idx[order], vals[order])
+    assert ascending[0] != got[0]           # the order is what the test pins
 
 
 class TestFixedRender:
