@@ -19,7 +19,6 @@ from gsfusion.core import GaussianSet, GridGeometry
 from gsfusion.fusion import (
     FusionConfig,
     FusionParams,
-    FusionTape,
     _pack_tensors,
     _unpack_tensors,
     fuse_scene,
@@ -92,14 +91,52 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray):
 
 
 def _lovasz_grad_sorted(fg_sorted: np.ndarray) -> np.ndarray:
-    """Gradient of the Jaccard-loss Lovasz extension along sorted errors."""
-    gts = fg_sorted.sum()
-    intersection = gts - np.cumsum(fg_sorted)
-    union = gts + np.cumsum(1.0 - fg_sorted)
-    jaccard = 1.0 - intersection / union
-    out = jaccard.copy()
-    out[1:] = jaccard[1:] - jaccard[:-1]
-    return out
+    """Gradient of the Jaccard-loss Lovasz extension along sorted errors.
+
+    `fg_sorted` is the foreground indicator (bool or 0/1) in error order.
+    Every count here is a small integer, exact in float64, so `gts + i + 1
+    - cumsum(fg)` equals `gts + cumsum(1 - fg)` bit for bit."""
+    fg_count = np.add.accumulate(fg_sorted, dtype=np.float64)
+    gts = fg_count[-1]
+    union = np.arange(gts + 1.0, gts + 1.0 + fg_count.size) - fg_count
+    jaccard = 1.0 - (gts - fg_count) / union
+    jaccard[1:] -= jaccard[:-1]         # ufuncs buffer overlapping operands
+    return jaccard
+
+
+def _stable_descending_order(x: np.ndarray) -> np.ndarray:
+    """`np.argsort(-x, kind="stable")`, from an unstable sort and a repair
+    of its tie runs.
+
+    The unstable sort puts equal keys next to each other, in some order.
+    Numbering those runs of equal keys (NaNs, which sort last, form one
+    run) and sorting the unique int64 keys `run * n + index` keeps the
+    runs where they are and puts each run in ascending index order, which
+    is the stable sort's order."""
+    key = -x
+    order = np.argsort(key)
+    sorted_key = key[order]
+    new_run = sorted_key[1:] != sorted_key[:-1]
+    new_run[np.searchsorted(sorted_key, np.nan):] = False    # NaN != NaN
+    run_base = np.add.accumulate(new_run, dtype=np.int64)    # runs of positions 1..n-1
+    run_base *= order.size
+    order[1:] += run_base
+    order.sort()
+    order[1:] -= run_base
+    return order
+
+
+def _lovasz_class(row: np.ndarray, fg: np.ndarray) -> float:
+    """Lovasz loss of one present class; overwrites `row`, that class's
+    probabilities, with the loss gradient w.r.t. them."""
+    err = fg - row
+    np.abs(err, out=err)
+    order = _stable_descending_order(err)
+    g = _lovasz_grad_sorted(fg[order])
+    loss = float(err[order] @ g)
+    row[order] = g
+    np.negative(row, out=row, where=fg)         # d|fg - p|/dp = -1 on fg
+    return loss
 
 
 def lovasz_softmax(probs: np.ndarray, labels: np.ndarray):
@@ -107,28 +144,35 @@ def lovasz_softmax(probs: np.ndarray, labels: np.ndarray):
     classes present in `labels`.
 
     Returns (loss, gradient w.r.t. probs, per-class vector); the vector
-    holds zeros for classes absent from the labels. Sort ties are broken
-    by voxel index.
+    holds zeros for classes absent from the labels. The gradient is a
+    C-contiguous float64 array of `probs.shape`.
+
+    Each class sorts its errors in descending order with ties broken by
+    ascending voxel index: the order of `np.argsort(-err, kind="stable")`.
+    It comes from a faster unstable sort whose runs of equal errors are
+    then put in index order by sorting the int64 keys `run * n + index`
+    (see `_stable_descending_order`). Every such key is unique, so that
+    sort has one result whichever algorithm makes it, and it is the
+    stable order. The errors, the Jaccard counts and the sign flip round
+    as a per-class loop over a stable sort does, so loss and gradient are
+    bit-identical to it. The work runs class-major on one copy of `probs`,
+    whose rows become the gradient rows.
     """
     num_classes = probs.shape[-1]
-    flat_p = probs.reshape(-1, num_classes)
     flat_l = np.asarray(labels).reshape(-1)
     if flat_l.size == 0:
         raise ValueError("lovasz_softmax needs at least one voxel")
-    grad = np.zeros_like(flat_p)
+    rows = np.array(probs.reshape(-1, num_classes).T, dtype=np.float64, order="C")
     per_class = np.zeros(num_classes)
     present = np.unique(flat_l)
+    absent = np.ones(num_classes, dtype=bool)
+    absent[present] = False
+    rows[absent] = 0.0
     for c in present:
-        fg = (flat_l == c).astype(np.float64)
-        err = np.abs(fg - flat_p[:, c])
-        order = np.argsort(-err, kind="stable")
-        g = _lovasz_grad_sorted(fg[order])
-        per_class[c] = float(err[order] @ g)
-        back = np.zeros_like(err)
-        back[order] = g
-        grad[:, c] = back * (1.0 - 2.0 * fg)
+        per_class[c] = _lovasz_class(rows[c], flat_l == c)
     loss = float(per_class[present].mean())
-    grad /= present.size
+    grad = np.empty(rows.shape[::-1])
+    np.divide(rows.T, present.size, out=grad)
     return loss, grad.reshape(probs.shape), per_class
 
 
@@ -143,14 +187,6 @@ def total_loss(channels: np.ndarray, labels: np.ndarray):
     grad = grad_ce + softmax_vjp(probs, grad_lov_p)
     report = LossReport(ce=ce, lovasz=lov, total=ce + lov, per_class_lovasz=per_class)
     return report, grad
-
-
-def backward_fusion(tape: FusionTape | None,
-                    grad_fused: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Parameter gradients from a recorded fusion forward pass."""
-    if tape is None:
-        raise RuntimeError("fusion forward pass was not recorded")
-    return fusion_backward(tape, grad_fused)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +301,7 @@ def scene_loss_and_grads(example: TrainExample, fusion_cfg: FusionConfig,
         grads = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
         return report, grads
     field_grads = splat_backward(fused, example.geometry, splat_cfg, grad_ch, pairs=pairs)
-    return report, backward_fusion(tape, field_grads)
+    return report, fusion_backward(tape, field_grads)
 
 
 def train(params0: FusionParams, dataset: list[TrainExample], cfg: TrainConfig,

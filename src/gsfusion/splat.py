@@ -203,7 +203,10 @@ def _accumulate(flat: np.ndarray, gaussians: GaussianSet, pairs: Pairs,
     shift = (pairs.voxel - np.arange(pairs.voxel.size)) * num_classes
     index = shift.take(entry // num_classes)
     index += entry
-    np.add.at(flat, index, weights.take(entry))
+    # add.at leaves its fast path (about 10x slower) for a float64 dtype
+    # equal to, but not the same object as, the canonical one, as an
+    # unpickled set's arrays carry; the view hands it the canonical one
+    np.add.at(flat, index, weights.take(entry).view(np.float64))
 
 
 def splat(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfig | None = None,

@@ -5,7 +5,7 @@ not by calling the library paths it checks. The exceptions are
 references that keep an earlier composition of library kernels, which a
 rewrite of that composition must reproduce bit for bit
 (`concat_scene_loss_and_grads`, `per_channel_splat`, `repeat_pair_lists`,
-`bincount_splat`).
+`bincount_splat`, `lovasz_softmax_oracle`).
 """
 
 import hashlib
@@ -226,6 +226,42 @@ def jaccard_by_counting(pred_mask, gt_mask):
     if union == 0:
         return None
     return 1.0 - inter / union
+
+
+def _lovasz_grad_sorted_oracle(fg_sorted):
+    gts = fg_sorted.sum()
+    intersection = gts - np.cumsum(fg_sorted)
+    union = gts + np.cumsum(1.0 - fg_sorted)
+    jaccard = 1.0 - intersection / union
+    out = jaccard.copy()
+    out[1:] = jaccard[1:] - jaccard[:-1]
+    return out
+
+
+def lovasz_softmax_oracle(probs, labels):
+    """The earlier `lovasz_softmax`: a per-class loop over a voxel-major
+    gradient, each class ordered by a stable argsort. The library must
+    reproduce it bit for bit."""
+    num_classes = probs.shape[-1]
+    flat_p = probs.reshape(-1, num_classes)
+    flat_l = np.asarray(labels).reshape(-1)
+    if flat_l.size == 0:
+        raise ValueError("lovasz_softmax needs at least one voxel")
+    grad = np.zeros_like(flat_p)
+    per_class = np.zeros(num_classes)
+    present = np.unique(flat_l)
+    for c in present:
+        fg = (flat_l == c).astype(np.float64)
+        err = np.abs(fg - flat_p[:, c])
+        order = np.argsort(-err, kind="stable")
+        g = _lovasz_grad_sorted_oracle(fg[order])
+        per_class[c] = float(err[order] @ g)
+        back = np.zeros_like(err)
+        back[order] = g
+        grad[:, c] = back * (1.0 - 2.0 * fg)
+    loss = float(per_class[present].mean())
+    grad /= present.size
+    return loss, grad.reshape(probs.shape), per_class
 
 
 def central_difference(f, x0, eps=1e-6):

@@ -36,6 +36,7 @@ from gsfusion.fusion import (
     load_params,
     pool,
     propose,
+    scene_neighbors,
 )
 from gsfusion.learn import (
     Calibration,
@@ -55,7 +56,7 @@ from gsfusion.sim import (
     run_episode,
     visible_surface,
 )
-from gsfusion.splat import SplatConfig, splat
+from gsfusion.splat import SplatConfig, splat, splat_sparse
 
 from helpers import (
     inv3x3,
@@ -267,12 +268,18 @@ def test_criterion_4_gradient_correctness():
     # every FusionParams coordinate against central differences
     example, fusion_cfg, splat_cfg = _grad_fixture()
     params = FusionParams.init(seed=9)
-    _, grads = scene_loss_and_grads(example, fusion_cfg, splat_cfg, params)
+    # the fusion inputs and the fixed set never change, so the neighbour
+    # search and the fixed render are done once, as `train` does
+    cached = dict(neighbors=scene_neighbors(example.fusion_input, example.received, fusion_cfg),
+                  fixed_render=splat_sparse(example.fixed, example.geometry, splat_cfg))
+    _, grads = scene_loss_and_grads(example, fusion_cfg, splat_cfg, params, **cached)
 
-    def objective():
+    def objective(cache=cached):
         rep, _ = scene_loss_and_grads(example, fusion_cfg, splat_cfg, params,
-                                      want_grads=False)
+                                      want_grads=False, **cache)
         return rep.total
+
+    assert objective() == objective({})
 
     t0 = time.time()
     checked = 0

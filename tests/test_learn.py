@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from gsfusion.learn import (
     DivergenceError,
     TrainConfig,
     TrainExample,
-    backward_fusion,
+    _stable_descending_order,
     cross_entropy,
     load_calibration,
     lovasz_softmax,
@@ -24,10 +25,16 @@ from gsfusion.learn import (
     train,
     train_calibration,
 )
-from gsfusion.sim import ObservationModel, generate_scene, make_training_example
+from gsfusion.fusion import fuse_scene
+from gsfusion.sim import ObservationModel, derive_scene_seed, generate_scene, make_training_example
 from gsfusion.splat import SplatConfig, splat, splat_sparse
 
-from helpers import concat_scene_loss_and_grads, jaccard_by_counting, random_gaussian_set
+from helpers import (
+    concat_scene_loss_and_grads,
+    jaccard_by_counting,
+    lovasz_softmax_oracle,
+    random_gaussian_set,
+)
 
 RNG = np.random.default_rng(60601)
 C = 13
@@ -153,6 +160,77 @@ class TestLovasz:
             assert abs(got - num) <= 1e-4 * max(abs(got), abs(num), 1e-2)
 
 
+def _assert_lovasz_matches_oracle(probs, labels):
+    loss, grad, per_class = lovasz_softmax(probs, labels)
+    want_loss, want_grad, want_per_class = lovasz_softmax_oracle(probs, labels)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert np.array_equal(per_class, want_per_class)
+    assert np.array_equal(np.signbit(per_class), np.signbit(want_per_class))
+    assert grad.shape == probs.shape and grad.dtype == np.float64
+    assert grad.flags.c_contiguous
+    assert np.array_equal(grad, want_grad)
+    assert np.array_equal(np.signbit(grad), np.signbit(want_grad))
+
+
+def _paper_training_example():
+    """Ego 0's training example of the seed-42 paper layout (3 agents,
+    100x100x8 at 0.4 m, 3 200 Gaussians/agent), its scene seed derived
+    from seed 42."""
+    spec = generate_scene(42, num_agents=3, world_half_xy=20.0, grid_dims=(100, 100, 8))
+    spec = replace(spec, seed=derive_scene_seed(42, 0))
+    return make_training_example(spec, ObservationModel(gaussians_per_agent=3200), ego=0)
+
+
+ORDER_RNG = np.random.default_rng(8080)
+
+
+class TestLovaszExactOrder:
+    """`lovasz_softmax` orders each class by an unstable sort plus a repair
+    of its tie runs; it must reproduce the stable-sort loop of
+    `lovasz_softmax_oracle` bit for bit."""
+
+    @pytest.mark.parametrize("x", [
+        np.round(ORDER_RNG.normal(size=5000) * 3) / 4,       # long tie runs
+        ORDER_RNG.integers(0, 3, size=4000) * 0.5,
+        np.full(257, 0.25),
+        np.array([0.7]),
+        np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 0.0, np.nan, -0.0, 1.0, -np.nan,
+                  np.inf, -np.inf, 0.5, 0.0, np.nan]),
+        ORDER_RNG.permutation(np.concatenate([np.full(40, np.nan), np.full(30, -0.0),
+                                              np.zeros(30), np.full(20, np.inf),
+                                              np.ones(20)])),
+    ], ids=["quantized", "three-values", "all-equal", "n1", "signed-zero-nan-inf",
+            "nan-run"])
+    def test_order_equals_stable_argsort(self, x):
+        assert np.array_equal(_stable_descending_order(x), np.argsort(-x, kind="stable"))
+
+    @pytest.mark.parametrize("shape", [(18, 13), (4, 2), (300, 13), (6, 5, 4, 13), (1, 3)])
+    @pytest.mark.parametrize("kind", ["smooth", "quantized", "saturated", "uniform"])
+    def test_equals_oracle(self, shape, kind):
+        rng = np.random.default_rng([len(shape), shape[-1], len(kind)])
+        num_classes = shape[-1]
+        ch = rng.normal(size=shape) * (60.0 if kind == "saturated" else 2.0)
+        if kind == "uniform":
+            ch[:] = 1.0
+        probs = softmax_probs(ch)
+        if kind == "quantized":
+            probs = np.round(probs * 4) / 4
+        # some classes absent, so their zeroed gradient columns are checked
+        labels = rng.integers(0, max(num_classes - 1, 1), size=shape[:-1])
+        _assert_lovasz_matches_oracle(probs, labels)
+        _assert_lovasz_matches_oracle(probs, np.full(shape[:-1], num_classes - 1))
+
+    def test_equals_oracle_on_paper_training_example(self):
+        example = _paper_training_example()
+        fused = fuse_scene(example.fusion_input, example.received, FusionConfig(),
+                           FusionParams.init(seed=0), record=False)
+        channels = splat_sparse(example.fixed, example.geometry, SplatConfig()).add_to(
+            splat(fused, example.geometry, SplatConfig()).channels)
+        probs = softmax_probs(channels)
+        assert probs.shape == (100, 100, 8, C)
+        _assert_lovasz_matches_oracle(probs, example.gt_labels)
+
+
 class TestTotalLoss:
     def test_composition_exact(self):
         labels = RNG.integers(0, C, size=(3, 3, 1))
@@ -253,11 +331,7 @@ class TestFixedRenderedApart:
         assert grads is None and report.total == want_report.total
 
 
-class TestBackwardFusionWrapper:
-    def test_state_error_without_tape(self):
-        with pytest.raises(RuntimeError, match="recorded"):
-            backward_fusion(None, {})
-
+class TestPipelineGradient:
     def test_pipeline_gradient_matches_fd(self):
         rng = np.random.default_rng(4242)
         example = toy_example(rng)

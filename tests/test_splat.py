@@ -1,4 +1,6 @@
+import pickle
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from gsfusion.core import (
     _quat_to_rotmat_unchecked,
     random_unit_quaternion,
 )
+from gsfusion import splat as splat_module
 from gsfusion.sim import empty_space_gaussian
 from gsfusion.splat import (
     _BLOCK,
@@ -379,6 +382,32 @@ def test_add_at_sums_each_bin_in_input_order():
     order = np.argsort(vals, kind="stable")
     np.add.at(ascending, idx[order], vals[order])
     assert ascending[0] != got[0]           # the order is what the test pins
+
+
+def test_unpickled_set_reaches_add_at_with_canonical_dtype(monkeypatch):
+    # an unpickled float64 array carries a dtype descriptor equal to
+    # np.float64 but not the same object, which costs np.add.at its fast path
+    gs = BLOCK_SETS["mixed"]()
+    loaded = pickle.loads(pickle.dumps(gs))
+    assert loaded.semantics.dtype == np.float64
+    assert loaded.semantics.dtype is not np.dtype(np.float64)
+    value_dtypes = []
+
+    def add_at(a, index, values):
+        value_dtypes.append(values.dtype)
+        np.add.at(a, index, values)
+
+    class RecordingNumpy:
+        add = SimpleNamespace(at=add_at)
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    want = splat(gs, PAIR_GEOM).channels
+    monkeypatch.setattr(splat_module, "np", RecordingNumpy())
+    got = splat(loaded, PAIR_GEOM).channels
+    assert got.tobytes() == want.tobytes()
+    assert value_dtypes and all(d is np.dtype(np.float64) for d in value_dtypes)
 
 
 class TestFixedRender:
