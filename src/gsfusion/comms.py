@@ -26,11 +26,9 @@ from gsfusion.core import (
     RigidTransform,
     Roi,
     SemanticGaussian,
-    _canonical_sign,
     _check_conditioning,
     canonicalize_quaternion,
     quat_multiply,
-    quat_normalize,
 )
 
 GMSG_MAGIC = b"GMSG"
@@ -73,9 +71,7 @@ def transform_gaussian(g: SemanticGaussian, t: RigidTransform) -> SemanticGaussi
     scale, opacity and semantics are carried over unchanged, so the
     ellipsoid rotates without changing its axis lengths.
     """
-    mean = t.apply(g.mean)
-    rot = canonicalize_quaternion(quat_multiply(t.rotation_q, g.rotation))
-    return SemanticGaussian(mean, g.scale.copy(), rot, g.opacity, g.semantics.copy())
+    return transform_set(GaussianSet.from_gaussians([g]), t).to_gaussians()[0]
 
 
 def transform_set(gs: GaussianSet, t: RigidTransform) -> GaussianSet:
@@ -83,8 +79,7 @@ def transform_set(gs: GaussianSet, t: RigidTransform) -> GaussianSet:
     if len(gs) == 0:
         return gs.copy()
     means = t.apply(gs.means)
-    rot = quat_normalize(quat_multiply(t.rotation_q[None, :], gs.rotations))
-    rot = rot * _canonical_sign(rot)
+    rot = canonicalize_quaternion(quat_multiply(t.rotation_q[None, :], gs.rotations))
     return GaussianSet(means, gs.scales.copy(), rot, gs.opacities.copy(), gs.semantics.copy())
 
 
@@ -187,11 +182,9 @@ def deserialize_message(data: bytes, num_classes: int = 13) -> GaussianMessage:
     except DegenerateGaussianError as exc:
         raise CorruptFieldError(f"decoded {exc}") from exc
     rot_raw = flat[:, 6:10]
-    norms = np.linalg.norm(rot_raw, axis=1)
-    if np.any(norms == 0.0):
+    if np.any(np.linalg.norm(rot_raw, axis=1) == 0.0):
         raise CorruptFieldError("zero quaternion in payload")
-    rot = rot_raw / norms[:, None]
-    rot = rot * _canonical_sign(rot)
+    rot = canonicalize_quaternion(rot_raw)
     sem = flat[:, 11:]
     if np.any(sem < 0.0):
         raise CorruptFieldError("negative semantic weight in payload")
@@ -242,23 +235,6 @@ class CommStats:
         self.messages_rejected += 1
         if link is not None:
             self.per_link.setdefault(link, LinkStats()).rejected += 1
-
-    def merge(self, other: "CommStats") -> "CommStats":
-        out = CommStats(
-            self.messages_sent + other.messages_sent,
-            self.gaussians_sent + other.gaussians_sent,
-            self.bytes_sent + other.bytes_sent,
-            self.messages_rejected + other.messages_rejected,
-            {k: LinkStats(v.messages, v.gaussians, v.bytes, v.rejected)
-             for k, v in self.per_link.items()},
-        )
-        for k, v in other.per_link.items():
-            link = out.per_link.setdefault(k, LinkStats())
-            link.messages += v.messages
-            link.gaussians += v.gaussians
-            link.bytes += v.bytes
-            link.rejected += v.rejected
-        return out
 
 
 def communication_volume(stats: CommStats) -> dict:

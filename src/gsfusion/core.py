@@ -13,7 +13,7 @@ All types are immutable values; every operation is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -270,9 +270,8 @@ class GaussianSet:
 
     def canonicalized(self) -> "GaussianSet":
         """Copy with all rotation quaternions normalized to canonical sign."""
-        rot = quat_normalize(self.rotations)
-        rot = rot * _canonical_sign(rot)
-        return GaussianSet(self.means.copy(), self.scales.copy(), rot,
+        return GaussianSet(self.means.copy(), self.scales.copy(),
+                           canonicalize_quaternion(self.rotations),
                            self.opacities.copy(), self.semantics.copy())
 
     def take(self, idx) -> "GaussianSet":
@@ -465,12 +464,6 @@ class VoxelGrid:
     def zeros_channels(geometry: GridGeometry) -> "VoxelGrid":
         x, y, z = geometry.dims
         return VoxelGrid(geometry, channels=np.zeros((x, y, z, geometry.num_classes)))
-
-    @staticmethod
-    def empty_labels(geometry: GridGeometry) -> "VoxelGrid":
-        x, y, z = geometry.dims
-        lbl = np.full((x, y, z), geometry.num_classes - 1, dtype=np.uint8)
-        return VoxelGrid(geometry, labels=lbl)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,12 @@ pooled update; semantics are blended with a confidence weight so a
 confidently labeled ego Gaussian resists being overwritten. Gaussians
 with no neighbors pass through bit-for-bit unchanged.
 
+Each stage exists once, as a batched function over all (ego, neighbor)
+pairs of a scene, and `fuse_scene` is the one path that chains them.
+`HashGrid`, `propose`, `pool` and `confidence` are per-item adapters
+over those stages (one query point, one pair feature, one
+neighborhood, one class vector) with no arithmetic of their own.
+
 The forward pass can record a tape from which `fusion_backward` produces
 analytic parameter gradients; `learn` drives that during training.
 """
@@ -15,16 +21,11 @@ analytic parameter gradients; `learn` drives that during training.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from gsfusion.core import (
-    NUM_CLASSES,
-    GaussianSet,
-    SemanticGaussian,
-    _canonical_sign,
-)
+from gsfusion.core import NUM_CLASSES, GaussianSet, _canonical_sign
 
 FPRM_MAGIC = b"FPRM"
 FPRM_VERSION = 1
@@ -268,19 +269,6 @@ class HashGrid:
                             self.points, radius, cap)[1]
 
 
-def neighborhood(ego: SemanticGaussian, received: GaussianSet, rho: float,
-                 max_neighbors: int | None = None) -> GaussianSet:
-    """Received Gaussians within the closed radius-rho ball of the ego mean,
-    truncated to the nearest `max_neighbors` when the ball holds more."""
-    return received.take(np.sort(neighborhood_indices(ego.mean, received.means, rho,
-                                                      max_neighbors)))
-
-
-def neighborhood_indices(ego_mean: np.ndarray, received_means: np.ndarray, rho: float,
-                         max_neighbors: int | None = None) -> np.ndarray:
-    return HashGrid(received_means, rho).query(ego_mean, rho, max_neighbors)
-
-
 # ---------------------------------------------------------------------------
 # features
 # ---------------------------------------------------------------------------
@@ -302,17 +290,6 @@ def rel_features(ego: GaussianSet, ego_idx: np.ndarray, nbr: GaussianSet,
         [dm, ds, cos[:, None], nbr.opacities[nbr_idx][:, None], nbr.semantics[nbr_idx]],
         axis=1,
     )
-
-
-def pairwise_features(ego: SemanticGaussian, nbr: SemanticGaussian) -> np.ndarray:
-    """The 45-dim pair feature (for the default class count): ego block
-    followed by the relative block. The quaternion enters the relative
-    block as a sign-invariant cosine."""
-    e = GaussianSet.from_gaussians([ego])
-    n = GaussianSet.from_gaussians([nbr])
-    z = np.concatenate([ego_features(e), rel_features(e, np.array([0]), n, np.array([0]))],
-                       axis=1)
-    return z[0]
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +329,12 @@ def propose(z: np.ndarray, params: FusionParams) -> Proposal:
     if not np.all(np.isfinite(z)):
         raise ValueError("non-finite pair feature")
     params.validate()
-    raw = _mlp_forward(z[None, :], params)[0]
-    num_classes = params.num_classes
-    dm, s, r, a, c, _ = _activate(raw, num_classes)
+    dm, s, r, a, c, _ = _activate(_mlp_forward(z[None, :], params)[0], params.num_classes)
     return Proposal(dm[0], s[0], r[0], float(a[0]), c[0])
 
 
 # ---------------------------------------------------------------------------
-# pooling and update
+# pooling and confidence
 # ---------------------------------------------------------------------------
 
 def _segment_softmax(logits: np.ndarray, starts: np.ndarray, counts: np.ndarray):
@@ -385,33 +360,45 @@ def _pool_segments(w, dm, s, r, a, c, starts, counts):
     return pooled_dm, pooled_s, pooled_a, pooled_c, rbar_raw, rbar_norm, rbar, sigma
 
 
+def _pool_weights(pooling: str, e_feats: np.ndarray, f_rel: np.ndarray,
+                  starts: np.ndarray, counts: np.ndarray, params: FusionParams):
+    """Per-pair pooling weights: uniform within each segment ("mean"), or
+    the segment softmax of the scaled dot products of the q_proj-projected
+    segment ego feature and the k_proj-projected pair relative feature
+    ("attention")."""
+    if pooling == "mean":
+        return np.repeat(1.0 / counts, counts)
+    if pooling != "attention":
+        raise ValueError("weights_mode must be 'mean' or 'attention'")
+    qe = e_feats @ params.q_proj.T                     # (S, d)
+    kf = f_rel @ params.k_proj.T                       # (P, d)
+    logits = np.sum(np.repeat(qe, counts, axis=0) * kf, axis=1)
+    logits = logits / np.sqrt(params.q_proj.shape[0])
+    return _segment_softmax(logits, starts, counts)
+
+
+def _confidence(v: np.ndarray, epsilon: float) -> np.ndarray:
+    """Row-wise peak of the (epsilon-guarded) normalized class weights."""
+    return np.max(v, axis=-1) / (np.sum(v, axis=-1) + epsilon)
+
+
 def pool(proposals: list[Proposal], weights_mode: str, ego_feat: np.ndarray,
          rel_feats: list[np.ndarray], params: FusionParams) -> Proposal:
-    """Average proposals across one neighborhood.
-
-    Mean mode uses uniform weights; attention mode uses a softmax over
-    projected ego/relative features. Raises ValueError on an empty list
-    (the caller keeps the ego Gaussian unchanged in that case).
+    """Pool the proposals of one neighborhood as `fuse_scene` pools each
+    segment: uniform weights in mean mode, a softmax over projected
+    ego/relative features in attention mode. Raises ValueError on an empty
+    list (the caller keeps the ego Gaussian unchanged in that case).
     """
     if not proposals:
         raise ValueError("empty proposal list: empty neighborhood")
-    n = len(proposals)
     dm = np.stack([p.delta_mean for p in proposals])
     s = np.stack([p.scale_star for p in proposals])
     r = np.stack([p.rot_star for p in proposals])
     a = np.array([p.opacity_star for p in proposals])
     c = np.stack([p.sem_star for p in proposals])
-    starts = np.array([0])
-    counts = np.array([n])
-    if weights_mode == "mean":
-        w = np.full(n, 1.0 / n)
-    elif weights_mode == "attention":
-        f = np.stack(rel_feats)
-        logits = (f @ params.k_proj.T) @ (params.q_proj @ np.asarray(ego_feat))
-        logits = logits / np.sqrt(params.q_proj.shape[0])
-        w = _segment_softmax(logits, starts, counts)
-    else:
-        raise ValueError("weights_mode must be 'mean' or 'attention'")
+    starts, counts = np.array([0]), np.array([len(proposals)])
+    w = _pool_weights(weights_mode, np.asarray(ego_feat, dtype=np.float64)[None, :],
+                      np.asarray(rel_feats, dtype=np.float64), starts, counts, params)
     pooled_dm, pooled_s, pooled_a, pooled_c, _, _, rbar, _ = _pool_segments(
         w, dm, s, r, a, c, starts, counts)
     return Proposal(pooled_dm[0], pooled_s[0], rbar[0], float(pooled_a[0]), pooled_c[0])
@@ -419,26 +406,7 @@ def pool(proposals: list[Proposal], weights_mode: str, ego_feat: np.ndarray,
 
 def confidence(v: np.ndarray, epsilon: float = 1e-8) -> float:
     """Peak of the (epsilon-guarded) normalized class weights."""
-    v = np.asarray(v, dtype=np.float64)
-    return float(np.max(v) / (np.sum(v) + epsilon))
-
-
-def update_ego(ego: SemanticGaussian, pooled: Proposal,
-               epsilon: float = 1e-8) -> SemanticGaussian:
-    """Apply a pooled proposal: residual mean shift, scale/rotation/opacity
-    replacement, and a confidence-weighted semantic blend."""
-    from gsfusion.core import canonicalize_quaternion
-
-    alpha = confidence(ego.semantics, epsilon) / (
-        confidence(ego.semantics, epsilon) + confidence(pooled.sem_star, epsilon))
-    sem = alpha * ego.semantics + (1.0 - alpha) * pooled.sem_star
-    return SemanticGaussian(
-        mean=ego.mean + pooled.delta_mean,
-        scale=pooled.scale_star,
-        rotation=canonicalize_quaternion(pooled.rot_star),
-        opacity=float(pooled.opacity_star),
-        semantics=sem,
-    )
+    return float(_confidence(np.asarray(v, dtype=np.float64), epsilon))
 
 
 # ---------------------------------------------------------------------------
@@ -523,15 +491,8 @@ def fuse_scene(ego_set: GaussianSet, received_sets: list[GaussianSet],
     raw, h1, h2 = _mlp_forward(z, params)
     dm, s, r, a, c, (rraw, rnorm) = _activate(raw, num_classes)
 
-    if cfg.pooling == "mean":
-        w = np.repeat(1.0 / counts, counts)
-    else:
-        e_feats = e_all[seg_egos]
-        qe = e_feats @ params.q_proj.T                     # (S, d)
-        kf = f_rel @ params.k_proj.T                       # (P, d)
-        logits = np.sum(np.repeat(qe, counts, axis=0) * kf, axis=1)
-        logits = logits / np.sqrt(params.q_proj.shape[0])
-        w = _segment_softmax(logits, starts, counts)
+    e_feats = e_all[seg_egos]
+    w = _pool_weights(cfg.pooling, e_feats, f_rel, starts, counts, params)
 
     pooled_dm, pooled_s, pooled_a, pooled_c, rbar_raw, rbar_norm, rbar, sigma = \
         _pool_segments(w, dm, s, r, a, c, starts, counts)
@@ -541,8 +502,8 @@ def fuse_scene(ego_set: GaussianSet, received_sets: list[GaussianSet],
 
     ego_sem = ego_set.semantics[seg_egos]
     eps = cfg.epsilon
-    conf_ego = np.max(ego_sem, axis=1) / (np.sum(ego_sem, axis=1) + eps)
-    conf_pool = np.max(pooled_c, axis=1) / (np.sum(pooled_c, axis=1) + eps)
+    conf_ego = _confidence(ego_sem, eps)
+    conf_pool = _confidence(pooled_c, eps)
     alpha = conf_ego / (conf_ego + conf_pool)
     sem_hat = alpha[:, None] * ego_sem + (1.0 - alpha)[:, None] * pooled_c
 
@@ -559,7 +520,7 @@ def fuse_scene(ego_set: GaussianSet, received_sets: list[GaussianSet],
         num_classes=num_classes, seg_egos=seg_egos, starts=starts, counts=counts,
         z=z, h1=h1, h2=h2, raw=raw,
         dm=dm, s=s, r=r, a=a, c=c, rraw=rraw, rnorm=rnorm, w=w, sigma=sigma,
-        e_feats=e_all[seg_egos], f_rel=f_rel,
+        e_feats=e_feats, f_rel=f_rel,
         pooled_c=pooled_c, rbar_raw=rbar_raw, rbar_norm=rbar_norm, rbar=rbar,
         canon_sign=canon_sign, alpha=alpha, conf_ego=conf_ego, conf_pool=conf_pool,
         ego_sem=ego_sem,

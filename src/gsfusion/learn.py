@@ -162,6 +162,8 @@ def lovasz_softmax(probs: np.ndarray, labels: np.ndarray):
     flat_l = np.asarray(labels).reshape(-1)
     if flat_l.size == 0:
         raise ValueError("lovasz_softmax needs at least one voxel")
+    if np.any((flat_l < 0) | (flat_l >= num_classes)):
+        raise ValueError("label out of range")
     rows = np.array(probs.reshape(-1, num_classes).T, dtype=np.float64, order="C")
     per_class = np.zeros(num_classes)
     present = np.unique(flat_l)

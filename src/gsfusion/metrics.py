@@ -18,9 +18,6 @@ class EvalReport:
     per_class_iou: np.ndarray            # NaN where a class is absent from both
     bev_iou: dict[str, float]
 
-    def present_classes(self) -> np.ndarray:
-        return np.nonzero(~np.isnan(self.per_class_iou))[0]
-
 
 DEFAULT_BEV_CATEGORIES = {
     "vehicle": (CLASS_VEHICLE,),

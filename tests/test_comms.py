@@ -277,17 +277,3 @@ class TestBudgetAndStats:
         small = GaussianMessage(0, 1, 0, random_gaussian_set(RNG, 6400)).byte_length()
         assert abs(small / big - 0.25) < 0.001
 
-    def test_merge_associative(self):
-        def mk(seed):
-            stats = CommStats()
-            rng = np.random.default_rng(seed)
-            gs = random_gaussian_set(rng, int(rng.integers(1, 6)))
-            msg = GaussianMessage(int(rng.integers(0, 3)), 1, 0, gs)
-            stats.record(msg, msg.byte_length())
-            return stats
-
-        a, b, c = mk(1), mk(2), mk(3)
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        assert left.bytes_sent == right.bytes_sent
-        assert left.per_link.keys() == right.per_link.keys()

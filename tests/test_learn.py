@@ -142,6 +142,13 @@ class TestLovasz:
         assert loss == pytest.approx(per_class[0])
         assert np.all(per_class[1:] == 0.0)
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_label_out_of_range(self, bad):
+        # a label of -1 must not be read as the last class, nor C as an index
+        probs = np.full((4, 3), 1.0 / 3.0)
+        with pytest.raises(ValueError, match="label out of range"):
+            lovasz_softmax(probs, np.array([0, bad, 2, 0]))
+
     def test_gradient_matches_fd_away_from_ties(self):
         labels = RNG.integers(0, 3, size=6)
         probs = RNG.uniform(0.05, 0.95, size=(6, C))

@@ -130,4 +130,4 @@ class TestBev:
         assert isinstance(rep, EvalReport)
         assert rep.bev_iou["road"] == 1.0
         assert set(rep.bev_iou) == {"vehicle", "road", "others"}
-        assert rep.present_classes().tolist() == [CLASS_ROAD]
+        assert np.nonzero(~np.isnan(rep.per_class_iou))[0].tolist() == [CLASS_ROAD]
