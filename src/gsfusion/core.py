@@ -144,13 +144,6 @@ def quat_to_rotmat_jacobian(q: np.ndarray) -> np.ndarray:
     return np.stack([dw, dx, dy, dz], axis=-3)
 
 
-def random_unit_quaternion(rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=4)
-    while np.linalg.norm(v) < 1e-12:
-        v = rng.normal(size=4)
-    return canonicalize_quaternion(v)
-
-
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------

@@ -16,6 +16,22 @@ neighborhood, one class vector) with no arithmetic of their own.
 
 The forward pass can record a tape from which `fusion_backward` produces
 analytic parameter gradients; `learn` drives that during training.
+
+Bounded blocks. A segment is one ego's neighbour list. `fuse_scene` runs
+every stage over blocks of whole segments holding at most `_FUSE_BLOCK`
+pairs together (a longer segment is a block of its own), writes a
+block's fused rows, and without a tape drops the block's per-pair
+arrays before the next block starts, so its memory no longer grows with
+the pair count. The fused output is bit-identical to one whole-scene
+pass: segments are never split, so the softmax, pooling and blend see
+the same numbers in the same order, and every other stage is computed
+row by row. The gemms are row by row too once a block's products run
+over as many rows as the scene's, up to `_GEMM_MIN_ROWS` (`_project`
+pads a short block), because BLAS rounds a product of a few rows
+differently from a product of many. The tape keeps one record per
+block, and `fusion_backward` sums the blocks' parameter gradients in
+block order; that sum is the one place where the summation order
+differs from a single-block backward.
 """
 
 from __future__ import annotations
@@ -33,6 +49,8 @@ FPRM_VERSION = 1
 HIDDEN_DIM = 128
 PROJ_DIM = 32
 SCALE_FLOOR = 1e-4
+_FUSE_BLOCK = 1 << 12                  # pairs per block of whole segments
+_GEMM_MIN_ROWS = 256                   # a block's products run over at least this many rows
 
 
 @dataclass(frozen=True)
@@ -296,18 +314,37 @@ def rel_features(ego: GaussianSet, ego_idx: np.ndarray, nbr: GaussianSet,
 # proposal network
 # ---------------------------------------------------------------------------
 
-def _hidden(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _project(x: np.ndarray, w: np.ndarray, min_rows: int = 0) -> np.ndarray:
+    """x @ w.T, computed by a gemm of at least `min_rows` rows (zero rows
+    pad a shorter x).
+
+    BLAS rounds a product of a few rows differently from a product of
+    many (OpenBLAS on Haswell: gemv for one row, another kernel for up
+    to 50 rows of a 24-wide output), while an output row does not depend
+    on the other rows of a product of a given shape. So a block padded to
+    min(scene rows, _GEMM_MIN_ROWS) rows gives every row the bits of the
+    whole scene's product."""
+    n = x.shape[0]
+    if n >= min_rows:
+        return x @ w.T
+    padded = np.zeros((min_rows, x.shape[1]))
+    padded[:n] = x
+    return (padded @ w.T)[:n]
+
+
+def _hidden(x: np.ndarray, w: np.ndarray, b: np.ndarray, min_rows: int = 0) -> np.ndarray:
     """relu(x @ w.T + b), computed in one buffer."""
-    h = x @ w.T
+    h = _project(x, w, min_rows)
     h += b
     return np.maximum(h, 0.0, out=h)
 
 
-def _mlp_forward(z: np.ndarray, params: FusionParams):
-    """Raw outputs and the two hidden layers' post-ReLU activations."""
-    h1 = _hidden(z, params.w1, params.b1)
-    h2 = _hidden(h1, params.w2, params.b2)
-    return h2 @ params.w3.T + params.b3, h1, h2
+def _mlp_forward(z: np.ndarray, params: FusionParams, min_rows: int = 0):
+    """Raw outputs and the two hidden layers' post-ReLU activations, each
+    product over at least `min_rows` rows (see `_project`)."""
+    h1 = _hidden(z, params.w1, params.b1, min_rows)
+    h2 = _hidden(h1, params.w2, params.b2, min_rows)
+    return _project(h2, params.w3, min_rows) + params.b3, h1, h2
 
 
 def _activate(raw: np.ndarray, num_classes: int):
@@ -320,7 +357,7 @@ def _activate(raw: np.ndarray, num_classes: int):
     r = rraw / rnorm[:, None]
     a = _sigmoid(raw[:, 10])
     c = _softplus(raw[:, 11:11 + num_classes])
-    return dm, s, r, a, c, (rraw, rnorm)
+    return dm, s, r, a, c, rnorm
 
 
 def propose(z: np.ndarray, params: FusionParams) -> Proposal:
@@ -357,21 +394,23 @@ def _pool_segments(w, dm, s, r, a, c, starts, counts):
     rbar_raw = np.add.reduceat((w * sigma)[:, None] * r, starts)
     rbar_norm = np.linalg.norm(rbar_raw, axis=1)
     rbar = rbar_raw / rbar_norm[:, None]
-    return pooled_dm, pooled_s, pooled_a, pooled_c, rbar_raw, rbar_norm, rbar, sigma
+    return pooled_dm, pooled_s, pooled_a, pooled_c, rbar_norm, rbar, sigma
 
 
 def _pool_weights(pooling: str, e_feats: np.ndarray, f_rel: np.ndarray,
-                  starts: np.ndarray, counts: np.ndarray, params: FusionParams):
+                  starts: np.ndarray, counts: np.ndarray, params: FusionParams,
+                  min_rows: tuple[int, int] = (0, 0)):
     """Per-pair pooling weights: uniform within each segment ("mean"), or
     the segment softmax of the scaled dot products of the q_proj-projected
     segment ego feature and the k_proj-projected pair relative feature
-    ("attention")."""
+    ("attention"). `min_rows` holds the least row counts of the segment and
+    of the pair products (see `_project`)."""
     if pooling == "mean":
         return np.repeat(1.0 / counts, counts)
     if pooling != "attention":
         raise ValueError("weights_mode must be 'mean' or 'attention'")
-    qe = e_feats @ params.q_proj.T                     # (S, d)
-    kf = f_rel @ params.k_proj.T                       # (P, d)
+    qe = _project(e_feats, params.q_proj, min_rows[0])     # (S, d)
+    kf = _project(f_rel, params.k_proj, min_rows[1])       # (P, d)
     logits = np.sum(np.repeat(qe, counts, axis=0) * kf, axis=1)
     logits = logits / np.sqrt(params.q_proj.shape[0])
     return _segment_softmax(logits, starts, counts)
@@ -399,7 +438,7 @@ def pool(proposals: list[Proposal], weights_mode: str, ego_feat: np.ndarray,
     starts, counts = np.array([0]), np.array([len(proposals)])
     w = _pool_weights(weights_mode, np.asarray(ego_feat, dtype=np.float64)[None, :],
                       np.asarray(rel_feats, dtype=np.float64), starts, counts, params)
-    pooled_dm, pooled_s, pooled_a, pooled_c, _, _, rbar, _ = _pool_segments(
+    pooled_dm, pooled_s, pooled_a, pooled_c, _, rbar, _ = _pool_segments(
         w, dm, s, r, a, c, starts, counts)
     return Proposal(pooled_dm[0], pooled_s[0], rbar[0], float(pooled_a[0]), pooled_c[0])
 
@@ -414,15 +453,11 @@ def confidence(v: np.ndarray, epsilon: float = 1e-8) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class FusionTape:
-    """Everything the analytic backward needs from one forward pass."""
+class FusionBlock:
+    """What the analytic backward needs from one block of whole segments;
+    `starts` index the block's own pairs."""
 
-    params: FusionParams
-    pooling: str
-    epsilon: float
-    n_ego: int
-    num_classes: int
-    seg_egos: np.ndarray        # ego rows that had non-empty neighborhoods
+    seg_egos: np.ndarray        # ego rows of the block's segments
     starts: np.ndarray
     counts: np.ndarray
     z: np.ndarray
@@ -434,14 +469,12 @@ class FusionTape:
     r: np.ndarray
     a: np.ndarray
     c: np.ndarray
-    rraw: np.ndarray
     rnorm: np.ndarray
     w: np.ndarray
     sigma: np.ndarray
     e_feats: np.ndarray         # per-segment ego features
     f_rel: np.ndarray           # per-pair relative features
     pooled_c: np.ndarray
-    rbar_raw: np.ndarray
     rbar_norm: np.ndarray
     rbar: np.ndarray
     canon_sign: np.ndarray
@@ -451,12 +484,38 @@ class FusionTape:
     ego_sem: np.ndarray
 
 
+@dataclass
+class FusionTape:
+    """Everything the analytic backward needs from one forward pass: the
+    whole-scene segments and one record per block, in order."""
+
+    params: FusionParams
+    pooling: str
+    epsilon: float
+    seg_egos: np.ndarray        # ego rows that had non-empty neighborhoods
+    counts: np.ndarray
+    blocks: list[FusionBlock]
+
+
 def scene_neighbors(ego_set: GaussianSet, received_sets: list[GaussianSet],
                     cfg: FusionConfig):
     """The neighbour CSR of `_build_pairs` that `fuse_scene` uses: ego means
     against the concatenated received sets."""
     pool_means = GaussianSet.concat([s for s in received_sets if len(s)]).means
     return _build_pairs(ego_set.means, pool_means, cfg.radius_rho, cfg.max_neighbors)
+
+
+def _segment_blocks(counts: np.ndarray):
+    """(first segment, end segment, first pair, end pair) of each block: a
+    run of whole segments holding at most _FUSE_BLOCK pairs together, or
+    one segment holding more."""
+    ends = np.cumsum(counts)
+    start = 0
+    while start < counts.size:
+        before = int(ends[start - 1]) if start else 0
+        stop = max(int(np.searchsorted(ends, before + _FUSE_BLOCK, "right")), start + 1)
+        yield start, stop, before, int(ends[stop - 1])
+        start = stop
 
 
 def fuse_scene(ego_set: GaussianSet, received_sets: list[GaussianSet],
@@ -481,29 +540,47 @@ def fuse_scene(ego_set: GaussianSet, received_sets: list[GaussianSet],
     seg_egos, pair_j, starts, counts = neighbors
     if seg_egos.size == 0:
         return (fused, None) if record else fused
-    pair_e = np.repeat(seg_egos, counts)
 
-    num_classes = ego_set.num_classes
     e_all = ego_features(ego_set)
+    min_rows = (min(seg_egos.size, _GEMM_MIN_ROWS), min(pair_j.size, _GEMM_MIN_ROWS))
+    blocks = []
+    for a, b, p0, p1 in _segment_blocks(counts):
+        block = _fuse_block(fused, ego_set, e_all, pool_set, seg_egos[a:b], pair_j[p0:p1],
+                            starts[a:b] - p0, counts[a:b], cfg, params, min_rows)
+        if record:
+            blocks.append(block)
+        del block                   # a dropped block is freed before the next one runs
+    if not record:
+        return fused
+    return fused, FusionTape(params=params, pooling=cfg.pooling, epsilon=cfg.epsilon,
+                             seg_egos=seg_egos, counts=counts, blocks=blocks)
+
+
+def _fuse_block(fused: GaussianSet, ego_set: GaussianSet, e_all: np.ndarray,
+                pool_set: GaussianSet, seg_egos: np.ndarray, pair_j: np.ndarray,
+                starts: np.ndarray, counts: np.ndarray, cfg: FusionConfig,
+                params: FusionParams, min_rows: tuple[int, int]) -> FusionBlock:
+    """Fuse one block of whole segments into the rows `seg_egos` of `fused`;
+    `min_rows` are the least row counts of its segment and pair products."""
+    pair_e = np.repeat(seg_egos, counts)
     f_rel = rel_features(ego_set, pair_e, pool_set, pair_j)
     z = np.concatenate([e_all[pair_e], f_rel], axis=1)
 
-    raw, h1, h2 = _mlp_forward(z, params)
-    dm, s, r, a, c, (rraw, rnorm) = _activate(raw, num_classes)
+    raw, h1, h2 = _mlp_forward(z, params, min_rows[1])
+    dm, s, r, a, c, rnorm = _activate(raw, ego_set.num_classes)
 
     e_feats = e_all[seg_egos]
-    w = _pool_weights(cfg.pooling, e_feats, f_rel, starts, counts, params)
+    w = _pool_weights(cfg.pooling, e_feats, f_rel, starts, counts, params, min_rows)
 
-    pooled_dm, pooled_s, pooled_a, pooled_c, rbar_raw, rbar_norm, rbar, sigma = \
+    pooled_dm, pooled_s, pooled_a, pooled_c, rbar_norm, rbar, sigma = \
         _pool_segments(w, dm, s, r, a, c, starts, counts)
 
     canon_sign = _canonical_sign(rbar)[:, 0]
     rhat = rbar * canon_sign[:, None]
 
     ego_sem = ego_set.semantics[seg_egos]
-    eps = cfg.epsilon
-    conf_ego = _confidence(ego_sem, eps)
-    conf_pool = _confidence(pooled_c, eps)
+    conf_ego = _confidence(ego_sem, cfg.epsilon)
+    conf_pool = _confidence(pooled_c, cfg.epsilon)
     alpha = conf_ego / (conf_ego + conf_pool)
     sem_hat = alpha[:, None] * ego_sem + (1.0 - alpha)[:, None] * pooled_c
 
@@ -513,52 +590,51 @@ def fuse_scene(ego_set: GaussianSet, received_sets: list[GaussianSet],
     fused.opacities[seg_egos] = pooled_a
     fused.semantics[seg_egos] = sem_hat
 
-    if not record:
-        return fused
-    tape = FusionTape(
-        params=params, pooling=cfg.pooling, epsilon=eps, n_ego=len(ego_set),
-        num_classes=num_classes, seg_egos=seg_egos, starts=starts, counts=counts,
-        z=z, h1=h1, h2=h2, raw=raw,
-        dm=dm, s=s, r=r, a=a, c=c, rraw=rraw, rnorm=rnorm, w=w, sigma=sigma,
-        e_feats=e_feats, f_rel=f_rel,
-        pooled_c=pooled_c, rbar_raw=rbar_raw, rbar_norm=rbar_norm, rbar=rbar,
+    return FusionBlock(
+        seg_egos=seg_egos, starts=starts, counts=counts, z=z, h1=h1, h2=h2, raw=raw,
+        dm=dm, s=s, r=r, a=a, c=c, rnorm=rnorm, w=w, sigma=sigma,
+        e_feats=e_feats, f_rel=f_rel, pooled_c=pooled_c, rbar_norm=rbar_norm, rbar=rbar,
         canon_sign=canon_sign, alpha=alpha, conf_ego=conf_ego, conf_pool=conf_pool,
         ego_sem=ego_sem,
     )
-    return fused, tape
 
 
 def fusion_backward(tape: FusionTape, grad_fused: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Map loss gradients w.r.t. the fused Gaussian fields back onto the
-    FusionParams tensors. Input Gaussians are treated as constants."""
+    FusionParams tensors, one tape block at a time, summing the blocks'
+    parameter gradients in block order. Input Gaussians are treated as
+    constants."""
     p = tape.params
     grads = {k: np.zeros_like(v) for k, v in p.as_dict().items()}
-    d_raw = _raw_output_grads(tape, grad_fused, grads)
+    for block in tape.blocks:
+        d_raw = _raw_output_grads(tape, block, grad_fused, grads)
 
-    # MLP backward; the ReLU masks are h > 0 (h = max(pre-activation, 0)),
-    # and each (pairs, hidden) temporary is freed or overwritten once spent
-    grads["w3"] = d_raw.T @ tape.h2
-    grads["b3"] = d_raw.sum(axis=0)
-    d_h2 = d_raw @ p.w3
-    d_h2 *= tape.h2 > 0.0
-    grads["w2"] = d_h2.T @ tape.h1
-    grads["b2"] = d_h2.sum(axis=0)
-    d_h1 = d_h2 @ p.w2
-    del d_h2
-    d_h1 *= tape.h1 > 0.0
-    grads["w1"] = d_h1.T @ tape.z
-    grads["b1"] = d_h1.sum(axis=0)
+        # MLP backward; the ReLU masks are h > 0 (h = max(pre-activation, 0)),
+        # and each (pairs, hidden) temporary is freed or overwritten once spent
+        grads["w3"] += d_raw.T @ block.h2
+        grads["b3"] += d_raw.sum(axis=0)
+        d_h2 = d_raw @ p.w3
+        del d_raw
+        d_h2 *= block.h2 > 0.0
+        grads["w2"] += d_h2.T @ block.h1
+        grads["b2"] += d_h2.sum(axis=0)
+        d_h1 = d_h2 @ p.w2
+        del d_h2
+        d_h1 *= block.h1 > 0.0
+        grads["w1"] += d_h1.T @ block.z
+        grads["b1"] += d_h1.sum(axis=0)
+        del d_h1
     return grads
 
 
-def _raw_output_grads(tape: FusionTape, grad_fused: dict[str, np.ndarray],
+def _raw_output_grads(tape: FusionTape, blk: FusionBlock, grad_fused: dict[str, np.ndarray],
                       grads: dict[str, np.ndarray]) -> np.ndarray:
-    """Gradient w.r.t. the raw MLP outputs, back through the update, the
-    pooling and the activations; fills the attention projection gradients
-    in `grads` on the way."""
+    """Gradient w.r.t. one block's raw MLP outputs, back through the update,
+    the pooling and the activations; adds the block's attention projection
+    gradients into `grads` on the way."""
     p = tape.params
-    seg = tape.seg_egos
-    starts, counts = tape.starts, tape.counts
+    seg = blk.seg_egos
+    starts, counts = blk.starts, blk.counts
     rep = lambda x: np.repeat(x, counts, axis=0)
 
     d_pooled_dm = grad_fused["means"][seg]
@@ -568,54 +644,54 @@ def _raw_output_grads(tape: FusionTape, grad_fused: dict[str, np.ndarray],
     d_sem_hat = grad_fused["semantics"][seg]
 
     # semantic blend: sem_hat = alpha * ego + (1 - alpha) * pooled_c
-    d_alpha = np.sum(d_sem_hat * (tape.ego_sem - tape.pooled_c), axis=1)
-    d_pooled_c = (1.0 - tape.alpha)[:, None] * d_sem_hat
-    denom = tape.conf_ego + tape.conf_pool
-    d_conf_pool = d_alpha * (-tape.conf_ego / denom**2)
-    ssum = np.sum(tape.pooled_c, axis=1) + tape.epsilon
-    kstar = np.argmax(tape.pooled_c, axis=1)
-    d_pooled_c += d_conf_pool[:, None] * (-np.max(tape.pooled_c, axis=1) / ssum**2)[:, None]
+    d_alpha = np.sum(d_sem_hat * (blk.ego_sem - blk.pooled_c), axis=1)
+    d_pooled_c = (1.0 - blk.alpha)[:, None] * d_sem_hat
+    denom = blk.conf_ego + blk.conf_pool
+    d_conf_pool = d_alpha * (-blk.conf_ego / denom**2)
+    ssum = np.sum(blk.pooled_c, axis=1) + tape.epsilon
+    kstar = np.argmax(blk.pooled_c, axis=1)
+    d_pooled_c += d_conf_pool[:, None] * (-np.max(blk.pooled_c, axis=1) / ssum**2)[:, None]
     d_pooled_c[np.arange(seg.size), kstar] += d_conf_pool / ssum
 
     # canonical sign then the pooled-quaternion normalization
-    d_rbar = d_rhat * tape.canon_sign[:, None]
-    dot = np.sum(tape.rbar * d_rbar, axis=1)
-    d_rbar_raw = (d_rbar - tape.rbar * dot[:, None]) / tape.rbar_norm[:, None]
+    d_rbar = d_rhat * blk.canon_sign[:, None]
+    dot = np.sum(blk.rbar * d_rbar, axis=1)
+    d_rbar_raw = (d_rbar - blk.rbar * dot[:, None]) / blk.rbar_norm[:, None]
 
     # per-pair shares of the pooled sums
-    d_w = np.sum(rep(d_pooled_dm) * tape.dm, axis=1)
-    d_dm = rep(d_pooled_dm) * tape.w[:, None]
-    d_w += np.sum(rep(d_pooled_s) * tape.s, axis=1)
-    d_s = rep(d_pooled_s) * tape.w[:, None]
-    d_w += rep(d_pooled_a) * tape.a
-    d_a = rep(d_pooled_a) * tape.w
-    d_w += np.sum(rep(d_pooled_c) * tape.c, axis=1)
-    d_c = rep(d_pooled_c) * tape.w[:, None]
-    d_w += tape.sigma * np.sum(rep(d_rbar_raw) * tape.r, axis=1)
-    d_r = (tape.w * tape.sigma)[:, None] * rep(d_rbar_raw)
+    d_w = np.sum(rep(d_pooled_dm) * blk.dm, axis=1)
+    d_dm = rep(d_pooled_dm) * blk.w[:, None]
+    d_w += np.sum(rep(d_pooled_s) * blk.s, axis=1)
+    d_s = rep(d_pooled_s) * blk.w[:, None]
+    d_w += rep(d_pooled_a) * blk.a
+    d_a = rep(d_pooled_a) * blk.w
+    d_w += np.sum(rep(d_pooled_c) * blk.c, axis=1)
+    d_c = rep(d_pooled_c) * blk.w[:, None]
+    d_w += blk.sigma * np.sum(rep(d_rbar_raw) * blk.r, axis=1)
+    d_r = (blk.w * blk.sigma)[:, None] * rep(d_rbar_raw)
 
     # attention softmax and projection gradients
     if tape.pooling == "attention":
-        wdw = tape.w * d_w
+        wdw = blk.w * d_w
         seg_wdw = np.add.reduceat(wdw, starts)
-        d_logits = wdw - tape.w * rep(seg_wdw)
+        d_logits = wdw - blk.w * rep(seg_wdw)
         scale = 1.0 / np.sqrt(p.q_proj.shape[0])
         d_logits = d_logits * scale
-        qe = tape.e_feats @ p.q_proj.T
-        kf = tape.f_rel @ p.k_proj.T
+        qe = blk.e_feats @ p.q_proj.T
+        kf = blk.f_rel @ p.k_proj.T
         d_qe = np.add.reduceat(d_logits[:, None] * kf, starts)
         d_kf = d_logits[:, None] * rep(qe)
-        grads["q_proj"] = d_qe.T @ tape.e_feats
-        grads["k_proj"] = d_kf.T @ tape.f_rel
+        grads["q_proj"] += d_qe.T @ blk.e_feats
+        grads["k_proj"] += d_kf.T @ blk.f_rel
 
     # activation maps back to raw MLP outputs
-    d_raw = np.zeros_like(tape.raw)
+    d_raw = np.zeros_like(blk.raw)
     d_raw[:, 0:3] = d_dm
-    d_raw[:, 3:6] = d_s * _sigmoid(tape.raw[:, 3:6])
-    rdot = np.sum(tape.r * d_r, axis=1)
-    d_raw[:, 6:10] = (d_r - tape.r * rdot[:, None]) / tape.rnorm[:, None]
-    d_raw[:, 10] = d_a * tape.a * (1.0 - tape.a)
-    d_raw[:, 11:] = d_c * _sigmoid(tape.raw[:, 11:])
+    d_raw[:, 3:6] = d_s * _sigmoid(blk.raw[:, 3:6])
+    rdot = np.sum(blk.r * d_r, axis=1)
+    d_raw[:, 6:10] = (d_r - blk.r * rdot[:, None]) / blk.rnorm[:, None]
+    d_raw[:, 10] = d_a * blk.a * (1.0 - blk.a)
+    d_raw[:, 11:] = d_c * _sigmoid(blk.raw[:, 11:])
     return d_raw
 
 

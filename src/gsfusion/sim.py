@@ -168,13 +168,6 @@ class ObservationModel:
             raise ValueError("occlusion must be 'raycast' or 'none'")
 
 
-def noiseless_model(**kw) -> ObservationModel:
-    base = dict(position_sigma=0.0, scale_jitter=0.0, label_flip_prob=0.0,
-                opacity_falloff=0.0)
-    base.update(kw)
-    return ObservationModel(**base)
-
-
 # ---------------------------------------------------------------------------
 # rasterization
 # ---------------------------------------------------------------------------
@@ -755,24 +748,6 @@ def generate_scene(seed: int, num_agents: int = 3,
 # ---------------------------------------------------------------------------
 # config serialization (used by the CLI)
 # ---------------------------------------------------------------------------
-
-def scene_to_dict(spec: SceneSpec) -> dict:
-    return {
-        "seed": int(spec.seed),
-        "world": {"lo": spec.world_lo.tolist(), "hi": spec.world_hi.tolist()},
-        "voxel_size": spec.voxel_size,
-        "grid_dims": list(spec.grid_dims),
-        "objects": [
-            {"kind": o.kind, "class_id": int(o.class_id),
-             "center": o.center.tolist(), "size": o.size.tolist()}
-            for o in spec.objects
-        ],
-        "agents": [
-            {"rotation": p.rotation_q.tolist(), "translation": p.translation.tolist()}
-            for p in spec.agents
-        ],
-    }
-
 
 def scene_from_dict(data: dict) -> SceneSpec:
     try:

@@ -21,10 +21,12 @@ from gsfusion.core import (
     EMPTY_CLASS,
     GaussianSet,
     GridGeometry,
+    RigidTransform,
     SemanticGaussian,
     VoxelGrid,
     _check_conditioning,
     _quat_to_rotmat_unchecked,
+    canonicalize_quaternion,
 )
 from gsfusion.fusion import SCALE_FLOOR, FusionConfig, FusionParams, fuse_scene, fusion_backward
 from gsfusion.learn import total_loss
@@ -288,9 +290,14 @@ def rel_err(a, b, floor=1e-10):
     return np.max(np.abs(a - b) / scale)
 
 
-def random_gaussian(rng, num_classes=13, center_span=4.0, scale_lo=0.2, scale_hi=1.5):
-    from gsfusion.core import random_unit_quaternion
+def random_unit_quaternion(rng):
+    v = rng.normal(size=4)
+    while np.linalg.norm(v) < 1e-12:
+        v = rng.normal(size=4)
+    return canonicalize_quaternion(v)
 
+
+def random_gaussian(rng, num_classes=13, center_span=4.0, scale_lo=0.2, scale_hi=1.5):
     return SemanticGaussian(
         mean=rng.uniform(-center_span, center_span, size=3),
         scale=rng.uniform(scale_lo, scale_hi, size=3),
@@ -301,8 +308,6 @@ def random_gaussian(rng, num_classes=13, center_span=4.0, scale_lo=0.2, scale_hi
 
 
 def random_gaussian_set(rng, n, num_classes=13, center_span=4.0, scale_lo=0.2, scale_hi=1.5):
-    from gsfusion.core import canonicalize_quaternion
-
     rot = rng.normal(size=(n, 4))
     rot = canonicalize_quaternion(rot) if n else rot
     return GaussianSet(
@@ -315,9 +320,34 @@ def random_gaussian_set(rng, n, num_classes=13, center_span=4.0, scale_lo=0.2, s
 
 
 def random_rigid_transform(rng, span=5.0):
-    from gsfusion.core import RigidTransform, random_unit_quaternion
-
     return RigidTransform(random_unit_quaternion(rng), rng.uniform(-span, span, size=3))
+
+
+def noiseless_model(**kw) -> ObservationModel:
+    """An observation model with no position, scale, label or opacity noise."""
+    base = dict(position_sigma=0.0, scale_jitter=0.0, label_flip_prob=0.0,
+                opacity_falloff=0.0)
+    base.update(kw)
+    return ObservationModel(**base)
+
+
+def scene_to_dict(spec) -> dict:
+    """The scene dict that `sim.scene_from_dict` reads back into `spec`."""
+    return {
+        "seed": int(spec.seed),
+        "world": {"lo": spec.world_lo.tolist(), "hi": spec.world_hi.tolist()},
+        "voxel_size": spec.voxel_size,
+        "grid_dims": list(spec.grid_dims),
+        "objects": [
+            {"kind": o.kind, "class_id": int(o.class_id),
+             "center": o.center.tolist(), "size": o.size.tolist()}
+            for o in spec.objects
+        ],
+        "agents": [
+            {"rotation": p.rotation_q.tolist(), "translation": p.translation.tolist()}
+            for p in spec.agents
+        ],
+    }
 
 
 def _fsum_rows(m):

@@ -14,10 +14,9 @@ from gsfusion.core import (
     quat_multiply,
     quat_to_rotmat,
     quat_to_rotmat_jacobian,
-    random_unit_quaternion,
 )
 
-from helpers import density_oracle, random_gaussian, rotmat_from_quat
+from helpers import density_oracle, random_gaussian, random_unit_quaternion, rotmat_from_quat
 
 RNG = np.random.default_rng(20240511)
 

@@ -1,10 +1,12 @@
 import json
 import pathlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gsfusion import fusion
 from gsfusion.core import GaussianSet, SemanticGaussian
 from gsfusion.fusion import (
     _build_pairs,
@@ -41,6 +43,11 @@ from helpers import (
 
 RNG = np.random.default_rng(90210)
 C = 13
+
+
+def golden_digests() -> dict:
+    return json.loads((pathlib.Path(__file__).parent / "goldens" /
+                       "manifest.json").read_text())["fusion_digests"]
 
 
 def one_hot(k, n=C):
@@ -406,9 +413,7 @@ class TestFuseScene:
         # thread count, so the manifest accepts one digest per platform seen
         ego, rec, cfg, params = golden_fusion_fixture()
         digest = fusion_digest(fuse_scene(ego, rec, cfg, params))
-        manifest = json.loads((pathlib.Path(__file__).parent / "goldens" /
-                               "manifest.json").read_text())
-        assert digest in manifest["fusion_digests"], (
+        assert digest in golden_digests(), (
             f"fused golden digest {digest} is not recorded for platform "
             f"{platform_description()}; if test_golden_fixture_matches_oracle "
             f"passes here, record it with tests/regen_goldens.py")
@@ -424,8 +429,12 @@ class TestFuseScene:
         fused_a, tape_a = fuse_scene(ego, rec, cfg, params, record=True, neighbors=neighbors)
         fused_b, tape_b = fuse_scene(ego, rec, cfg, params, record=True)
         assert fusion_digest(fused_a) == fusion_digest(fused_b)
-        for name in ("seg_egos", "starts", "counts", "z", "h1", "h2", "raw", "w"):
+        for name in ("seg_egos", "counts"):
             assert np.array_equal(getattr(tape_a, name), getattr(tape_b, name))
+        assert len(tape_a.blocks) == len(tape_b.blocks)
+        for block_a, block_b in zip(tape_a.blocks, tape_b.blocks):
+            for name in ("seg_egos", "starts", "counts", "z", "h1", "h2", "raw", "w"):
+                assert np.array_equal(getattr(block_a, name), getattr(block_b, name))
         # the given lists are the ones used: none given, nothing is fused
         untouched = fuse_scene(ego, rec, cfg, params, neighbors=(np.empty(0, np.int64),) * 4)
         assert fusion_digest(untouched) == fusion_digest(ego)
@@ -499,6 +508,102 @@ class TestFusionBackward:
         assert np.all(grads["q_proj"] == 0.0)
         assert np.all(grads["k_proj"] == 0.0)
         assert np.any(grads["w1"] != 0.0)
+
+
+def _block_runs():
+    """The golden fixture in both pooling modes and with a binding cap, and
+    a scene of fewer pairs than `fusion._GEMM_MIN_ROWS`."""
+    ego, rec, cfg, params = golden_fusion_fixture()
+    rng = np.random.default_rng(606)
+    tiny = (random_gaussian_set(rng, 6, center_span=0.5),
+            [random_gaussian_set(rng, 8, center_span=0.5)], FusionConfig(radius_rho=1.2),
+            FusionParams.init(seed=21))
+    return {"golden": (ego, rec, cfg, params),
+            "mean": (ego, rec, replace(cfg, pooling="mean"), params),
+            "cap5": (ego, rec, replace(cfg, max_neighbors=5), params),
+            "tiny": tiny}
+
+
+def _bound(name, counts):
+    """A patched block bound: a number, "below_longest" (one less than the
+    longest segment, so that segment is a block of its own) or "above_all"
+    (more than every pair, so the scene is one block)."""
+    if name == "below_longest":
+        return int(counts.max()) - 1
+    if name == "above_all":
+        return int(counts.sum()) + 1
+    return name
+
+
+class TestFusionBlocks:
+    """fuse_scene and fusion_backward over bounded blocks of whole segments."""
+
+    @pytest.mark.parametrize("bound", [1, 7, "below_longest"])
+    @pytest.mark.parametrize("run", ["golden", "mean", "cap5", "tiny"])
+    def test_blocks_change_no_forward_bit(self, run, bound, monkeypatch):
+        ego, rec, cfg, params = _block_runs()[run]
+        want_fused, want_tape = fuse_scene(ego, rec, cfg, params, record=True)
+        assert len(want_tape.blocks) == 1
+        want = fusion_digest(want_fused)
+        monkeypatch.setattr(fusion, "_FUSE_BLOCK", _bound(bound, want_tape.counts))
+        fused, tape = fuse_scene(ego, rec, cfg, params, record=True)
+        assert len(tape.blocks) > 1
+        if bound == "below_longest":
+            assert max(b.counts.sum() for b in tape.blocks) > fusion._FUSE_BLOCK
+        assert fusion_digest(fused) == want
+        assert fusion_digest(fuse_scene(ego, rec, cfg, params)) == want
+        if run == "golden":
+            assert want in golden_digests()
+        assert np.array_equal(tape.seg_egos, want_tape.seg_egos)
+        assert np.array_equal(tape.counts, want_tape.counts)
+        assert np.array_equal(np.concatenate([b.seg_egos for b in tape.blocks]), tape.seg_egos)
+
+    @pytest.mark.parametrize("bound", [1, 7, "below_longest", "above_all"])
+    @pytest.mark.parametrize("run", ["golden", "mean", "cap5", "tiny"])
+    def test_blocked_backward_matches_one_block(self, run, bound, monkeypatch):
+        ego, rec, cfg, params = _block_runs()[run]
+        rng = np.random.default_rng(31337)
+        upstream = {name: rng.normal(size=getattr(ego, name).shape)
+                    for name in ("means", "scales", "rotations", "opacities", "semantics")}
+        _, one_tape = fuse_scene(ego, rec, cfg, params, record=True)
+        assert len(one_tape.blocks) == 1
+        want = fusion_backward(one_tape, upstream)
+        monkeypatch.setattr(fusion, "_FUSE_BLOCK", _bound(bound, one_tape.counts))
+        _, tape = fuse_scene(ego, rec, cfg, params, record=True)
+        assert (len(tape.blocks) == 1) == (bound == "above_all")
+        got = fusion_backward(tape, upstream)
+        for name, g in want.items():
+            scale = np.max(np.abs(g))
+            if cfg.pooling == "mean" and name in ("q_proj", "k_proj"):
+                assert scale == 0.0 and np.all(got[name] == 0.0)
+                continue
+            assert np.max(np.abs(got[name] - g)) <= 1e-12 * scale, name
+
+    def test_memory_bounded_by_block(self, monkeypatch):
+        # 256 egos with 16 neighbours each span 16 blocks of 256 pairs, 16
+        # egos fill one; the fused rows and features of the egos themselves
+        # are small next to one block's per-pair arrays
+        monkeypatch.setattr(fusion, "_FUSE_BLOCK", 256)
+        rng = np.random.default_rng(8128)
+        rec = random_gaussian_set(rng, 64, center_span=0.5)
+        cfg = FusionConfig(radius_rho=2.0, max_neighbors=16)
+        params = FusionParams.init(seed=5)
+
+        def peak_and_blocks(n_ego):
+            ego = random_gaussian_set(rng, n_ego, center_span=0.5)
+            neighbors = scene_neighbors(ego, [rec], cfg)
+            assert np.all(neighbors[3] == 16)
+            tracemalloc.start()
+            fuse_scene(ego, [rec], cfg, params, neighbors=neighbors)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            _, tape = fuse_scene(ego, [rec], cfg, params, record=True, neighbors=neighbors)
+            return peak, len(tape.blocks)
+
+        one_peak, one_blocks = peak_and_blocks(16)
+        many_peak, many_blocks = peak_and_blocks(256)
+        assert (one_blocks, many_blocks) == (1, 16)
+        assert many_peak <= 1.5 * one_peak, (many_peak, one_peak)
 
 
 class TestParamsIO:

@@ -18,7 +18,6 @@ from gsfusion.sim import (
     empty_space_gaussian,
     generate_scene,
     model_from_dict,
-    noiseless_model,
     observe,
     observe_world,
     prepare_episode,
@@ -26,7 +25,6 @@ from gsfusion.sim import (
     raycast_visible,
     run_episode,
     scene_from_dict,
-    scene_to_dict,
     surface_mask,
     visible_surface,
     _exposed_face_targets,
@@ -35,8 +33,10 @@ from gsfusion.splat import SplatConfig, splat
 
 from helpers import (
     lockstep_raycast_oracle,
+    noiseless_model,
     prepare_with_undecodable_message,
     resample_agent_grid_oracle,
+    scene_to_dict,
 )
 
 

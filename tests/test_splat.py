@@ -12,7 +12,6 @@ from gsfusion.core import (
     SemanticGaussian,
     VoxelGrid,
     _quat_to_rotmat_unchecked,
-    random_unit_quaternion,
 )
 from gsfusion import splat as splat_module
 from gsfusion.sim import empty_space_gaussian
@@ -37,6 +36,7 @@ from helpers import (
     dense_splat_oracle,
     pair_geometry_oracle,
     per_channel_splat,
+    random_unit_quaternion,
     repeat_pair_lists,
     splat_pairs_oracle,
 )
