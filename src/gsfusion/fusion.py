@@ -10,9 +10,9 @@ with no neighbors pass through bit-for-bit unchanged.
 
 Each stage exists once, as a batched function over all (ego, neighbor)
 pairs of a scene, and `fuse_scene` is the one path that chains them.
-`HashGrid`, `propose`, `pool` and `confidence` are per-item adapters
-over those stages (one query point, one pair feature, one
-neighborhood, one class vector) with no arithmetic of their own.
+`propose`, `pool` and `confidence` are per-item adapters over those
+stages (one pair feature, one neighborhood, one class vector) with no
+arithmetic of their own.
 
 The forward pass can record a tape from which `fusion_backward` produces
 analytic parameter gradients; `learn` drives that during training.
@@ -25,13 +25,13 @@ arrays before the next block starts, so its memory no longer grows with
 the pair count. The fused output is bit-identical to one whole-scene
 pass: segments are never split, so the softmax, pooling and blend see
 the same numbers in the same order, and every other stage is computed
-row by row. The gemms are row by row too once a block's products run
-over as many rows as the scene's, up to `_GEMM_MIN_ROWS` (`_project`
-pads a short block), because BLAS rounds a product of a few rows
-differently from a product of many. The tape keeps one record per
-block, and `fusion_backward` sums the blocks' parameter gradients in
-block order; that sum is the one place where the summation order
-differs from a single-block backward.
+row by row. The gemms are row by row too: every product runs over a
+multiple of `_ROW_TILE` rows (`_pad_rows`), and over whole tiles a
+row's bits depend only on its own inputs, whatever the block, on every
+OpenBLAS kernel and thread count `tests/test_fusion.py` covers. The
+tape keeps one record per block, and `fusion_backward` sums the blocks'
+parameter gradients in block order; that sum is the one place where the
+summation order differs from a single-block backward.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ HIDDEN_DIM = 128
 PROJ_DIM = 32
 SCALE_FLOOR = 1e-4
 _FUSE_BLOCK = 1 << 12                  # pairs per block of whole segments
-_GEMM_MIN_ROWS = 256                   # a block's products run over at least this many rows
+_ROW_TILE = 64                         # every product runs over a multiple of this many rows
 
 
 @dataclass(frozen=True)
@@ -269,24 +269,6 @@ def _build_pairs(ego_means: np.ndarray, pool_means: np.ndarray, rho: float,
     return seg_egos, cand_j, starts, counts
 
 
-class HashGrid:
-    """Radius queries over a fixed point set, answered by the sorted cell
-    list of `_build_pairs` (one cell per query radius, so a query only
-    ever touches the 27 surrounding cells)."""
-
-    def __init__(self, points: np.ndarray, cell: float):
-        self.points = np.asarray(points, dtype=np.float64)
-        self.cell = float(cell)
-
-    def query(self, x: np.ndarray, radius: float, cap: int | None = None) -> np.ndarray:
-        """Indices with ||p - x|| <= radius, nearest first, ties by index,
-        truncated to `cap` when given. radius must not exceed the cell size."""
-        if radius > self.cell + 1e-12:
-            raise ValueError("query radius exceeds hash cell size")
-        return _build_pairs(np.reshape(np.asarray(x, dtype=np.float64), (1, 3)),
-                            self.points, radius, cap)[1]
-
-
 # ---------------------------------------------------------------------------
 # features
 # ---------------------------------------------------------------------------
@@ -314,37 +296,45 @@ def rel_features(ego: GaussianSet, ego_idx: np.ndarray, nbr: GaussianSet,
 # proposal network
 # ---------------------------------------------------------------------------
 
-def _project(x: np.ndarray, w: np.ndarray, min_rows: int = 0) -> np.ndarray:
-    """x @ w.T, computed by a gemm of at least `min_rows` rows (zero rows
-    pad a shorter x).
+def _pad_rows(x: np.ndarray) -> np.ndarray:
+    """x with zero rows appended up to a multiple of `_ROW_TILE` rows; x
+    itself when its row count already is one.
 
-    BLAS rounds a product of a few rows differently from a product of
-    many (OpenBLAS on Haswell: gemv for one row, another kernel for up
-    to 50 rows of a 24-wide output), while an output row does not depend
-    on the other rows of a product of a given shape. So a block padded to
-    min(scene rows, _GEMM_MIN_ROWS) rows gives every row the bits of the
-    whole scene's product."""
+    BLAS rounds a product of a few rows, or a partial last tile of rows,
+    differently from whole tiles (OpenBLAS: gemv for one row, other
+    paths by kernel and thread count). Over whole tiles an output row
+    depends only on its own input row, so a pair gets the same bits in
+    any block, and in `propose`."""
     n = x.shape[0]
-    if n >= min_rows:
-        return x @ w.T
-    padded = np.zeros((min_rows, x.shape[1]))
+    if n % _ROW_TILE == 0:
+        return x
+    padded = np.zeros((n + _ROW_TILE - n % _ROW_TILE, x.shape[1]))
     padded[:n] = x
-    return (padded @ w.T)[:n]
+    return padded
 
 
-def _hidden(x: np.ndarray, w: np.ndarray, b: np.ndarray, min_rows: int = 0) -> np.ndarray:
+def _project(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w.T over whole row tiles (see `_pad_rows`)."""
+    return (_pad_rows(x) @ w.T)[:x.shape[0]]
+
+
+def _hidden(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """relu(x @ w.T + b), computed in one buffer."""
-    h = _project(x, w, min_rows)
+    h = x @ w.T
     h += b
     return np.maximum(h, 0.0, out=h)
 
 
-def _mlp_forward(z: np.ndarray, params: FusionParams, min_rows: int = 0):
-    """Raw outputs and the two hidden layers' post-ReLU activations, each
-    product over at least `min_rows` rows (see `_project`)."""
-    h1 = _hidden(z, params.w1, params.b1, min_rows)
-    h2 = _hidden(h1, params.w2, params.b2, min_rows)
-    return _project(h2, params.w3, min_rows) + params.b3, h1, h2
+def _mlp_forward(z: np.ndarray, params: FusionParams):
+    """Raw outputs and the two hidden layers' post-ReLU activations. z is
+    padded once to whole row tiles (see `_pad_rows`) and every product runs
+    over the padded rows; the results are views of the first len(z) rows."""
+    n = z.shape[0]
+    h1 = _hidden(_pad_rows(z), params.w1, params.b1)
+    h2 = _hidden(h1, params.w2, params.b2)
+    raw = h2 @ params.w3.T
+    raw += params.b3
+    return raw[:n], h1[:n], h2[:n]
 
 
 def _activate(raw: np.ndarray, num_classes: int):
@@ -398,19 +388,17 @@ def _pool_segments(w, dm, s, r, a, c, starts, counts):
 
 
 def _pool_weights(pooling: str, e_feats: np.ndarray, f_rel: np.ndarray,
-                  starts: np.ndarray, counts: np.ndarray, params: FusionParams,
-                  min_rows: tuple[int, int] = (0, 0)):
+                  starts: np.ndarray, counts: np.ndarray, params: FusionParams):
     """Per-pair pooling weights: uniform within each segment ("mean"), or
     the segment softmax of the scaled dot products of the q_proj-projected
     segment ego feature and the k_proj-projected pair relative feature
-    ("attention"). `min_rows` holds the least row counts of the segment and
-    of the pair products (see `_project`)."""
+    ("attention")."""
     if pooling == "mean":
         return np.repeat(1.0 / counts, counts)
     if pooling != "attention":
         raise ValueError("weights_mode must be 'mean' or 'attention'")
-    qe = _project(e_feats, params.q_proj, min_rows[0])     # (S, d)
-    kf = _project(f_rel, params.k_proj, min_rows[1])       # (P, d)
+    qe = _project(e_feats, params.q_proj)     # (S, d)
+    kf = _project(f_rel, params.k_proj)       # (P, d)
     logits = np.sum(np.repeat(qe, counts, axis=0) * kf, axis=1)
     logits = logits / np.sqrt(params.q_proj.shape[0])
     return _segment_softmax(logits, starts, counts)
@@ -542,11 +530,10 @@ def fuse_scene(ego_set: GaussianSet, received_sets: list[GaussianSet],
         return (fused, None) if record else fused
 
     e_all = ego_features(ego_set)
-    min_rows = (min(seg_egos.size, _GEMM_MIN_ROWS), min(pair_j.size, _GEMM_MIN_ROWS))
     blocks = []
     for a, b, p0, p1 in _segment_blocks(counts):
         block = _fuse_block(fused, ego_set, e_all, pool_set, seg_egos[a:b], pair_j[p0:p1],
-                            starts[a:b] - p0, counts[a:b], cfg, params, min_rows)
+                            starts[a:b] - p0, counts[a:b], cfg, params)
         if record:
             blocks.append(block)
         del block                   # a dropped block is freed before the next one runs
@@ -559,18 +546,17 @@ def fuse_scene(ego_set: GaussianSet, received_sets: list[GaussianSet],
 def _fuse_block(fused: GaussianSet, ego_set: GaussianSet, e_all: np.ndarray,
                 pool_set: GaussianSet, seg_egos: np.ndarray, pair_j: np.ndarray,
                 starts: np.ndarray, counts: np.ndarray, cfg: FusionConfig,
-                params: FusionParams, min_rows: tuple[int, int]) -> FusionBlock:
-    """Fuse one block of whole segments into the rows `seg_egos` of `fused`;
-    `min_rows` are the least row counts of its segment and pair products."""
+                params: FusionParams) -> FusionBlock:
+    """Fuse one block of whole segments into the rows `seg_egos` of `fused`."""
     pair_e = np.repeat(seg_egos, counts)
     f_rel = rel_features(ego_set, pair_e, pool_set, pair_j)
     z = np.concatenate([e_all[pair_e], f_rel], axis=1)
 
-    raw, h1, h2 = _mlp_forward(z, params, min_rows[1])
+    raw, h1, h2 = _mlp_forward(z, params)
     dm, s, r, a, c, rnorm = _activate(raw, ego_set.num_classes)
 
     e_feats = e_all[seg_egos]
-    w = _pool_weights(cfg.pooling, e_feats, f_rel, starts, counts, params, min_rows)
+    w = _pool_weights(cfg.pooling, e_feats, f_rel, starts, counts, params)
 
     pooled_dm, pooled_s, pooled_a, pooled_c, rbar_norm, rbar, sigma = \
         _pool_segments(w, dm, s, r, a, c, starts, counts)
@@ -677,8 +663,8 @@ def _raw_output_grads(tape: FusionTape, blk: FusionBlock, grad_fused: dict[str, 
         d_logits = wdw - blk.w * rep(seg_wdw)
         scale = 1.0 / np.sqrt(p.q_proj.shape[0])
         d_logits = d_logits * scale
-        qe = blk.e_feats @ p.q_proj.T
-        kf = blk.f_rel @ p.k_proj.T
+        qe = _project(blk.e_feats, p.q_proj)
+        kf = _project(blk.f_rel, p.k_proj)
         d_qe = np.add.reduceat(d_logits[:, None] * kf, starts)
         d_kf = d_logits[:, None] * rep(qe)
         grads["q_proj"] += d_qe.T @ blk.e_feats

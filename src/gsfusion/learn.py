@@ -288,9 +288,12 @@ def scene_loss_and_grads(example: TrainExample, fusion_cfg: FusionConfig,
                          fixed_render: SparseChannels | None = None):
     """Forward pass of one scene and, optionally, parameter gradients.
     `neighbors` is the example's `scene_neighbors` and `fixed_render` its
-    `splat_sparse` of `example.fixed`; each is computed when not given."""
-    fused, tape = fuse_scene(example.fusion_input, example.received,
-                             fusion_cfg, params, record=True, neighbors=neighbors)
+    `splat_sparse` of `example.fixed`; each is computed when not given.
+    A loss-only call (want_grads=False) records no fusion tape."""
+    fused = fuse_scene(example.fusion_input, example.received,
+                       fusion_cfg, params, record=want_grads, neighbors=neighbors)
+    if want_grads:
+        fused, tape = fused
     if fixed_render is None:
         fixed_render = splat_sparse(example.fixed, example.geometry, splat_cfg)
     pairs = _pair_lists(fused, example.geometry, splat_cfg)

@@ -5,7 +5,9 @@ not by calling the library paths it checks. The exceptions are
 references that keep an earlier composition of library kernels, which a
 rewrite of that composition must reproduce bit for bit
 (`concat_scene_loss_and_grads`, `per_channel_splat`, `repeat_pair_lists`,
-`bincount_splat`, `lovasz_softmax_oracle`).
+`bincount_splat`, `lovasz_softmax_oracle`), and `HashGrid`, a per-query
+adapter over the library's neighbour search that tests check against
+`linear_scan_neighborhood`.
 """
 
 import hashlib
@@ -28,7 +30,14 @@ from gsfusion.core import (
     _quat_to_rotmat_unchecked,
     canonicalize_quaternion,
 )
-from gsfusion.fusion import SCALE_FLOOR, FusionConfig, FusionParams, fuse_scene, fusion_backward
+from gsfusion.fusion import (
+    SCALE_FLOOR,
+    FusionConfig,
+    FusionParams,
+    _build_pairs,
+    fuse_scene,
+    fusion_backward,
+)
 from gsfusion.learn import total_loss
 from gsfusion.metrics import iou_3d
 from gsfusion.sim import ObservationModel, generate_scene, prepare_episode, run_episode
@@ -131,6 +140,24 @@ def linear_scan_neighborhood(query_mean, means, rho, max_neighbors=None):
         order = np.argsort(d[idx], kind="stable")
         idx = idx[order[:max_neighbors]]
     return np.sort(idx)
+
+
+class HashGrid:
+    """Radius queries over a fixed point set, answered by the sorted cell
+    list of `fusion._build_pairs` (one cell per query radius, so a query
+    only ever touches the 27 surrounding cells)."""
+
+    def __init__(self, points: np.ndarray, cell: float):
+        self.points = np.asarray(points, dtype=np.float64)
+        self.cell = float(cell)
+
+    def query(self, x: np.ndarray, radius: float, cap: int | None = None) -> np.ndarray:
+        """Indices with ||p - x|| <= radius, nearest first, ties by index,
+        truncated to `cap` when given. radius must not exceed the cell size."""
+        if radius > self.cell + 1e-12:
+            raise ValueError("query radius exceeds hash cell size")
+        return _build_pairs(np.reshape(np.asarray(x, dtype=np.float64), (1, 3)),
+                            self.points, radius, cap)[1]
 
 
 def neighbor_csr_oracle(ego_means, pool_means, rho, max_neighbors=None):

@@ -30,7 +30,6 @@ from gsfusion.cli import main
 from gsfusion.fusion import (
     FusionConfig,
     FusionParams,
-    HashGrid,
     confidence,
     fuse_scene,
     load_params,
@@ -59,6 +58,7 @@ from gsfusion.sim import (
 from gsfusion.splat import SplatConfig, splat, splat_sparse
 
 from helpers import (
+    HashGrid,
     inv3x3,
     jaccard_by_counting,
     linear_scan_neighborhood,

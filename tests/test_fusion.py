@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -12,7 +15,6 @@ from gsfusion.fusion import (
     _build_pairs,
     FusionConfig,
     FusionParams,
-    HashGrid,
     Proposal,
     confidence,
     ego_features,
@@ -29,6 +31,7 @@ from gsfusion.fusion import (
 
 from helpers import (
     ORACLE_TOL,
+    HashGrid,
     fusion_digest,
     fusion_oracle,
     golden_fusion_fixture,
@@ -234,6 +237,20 @@ class TestPropose:
         params.w1[0, 0] = np.nan
         with pytest.raises(ValueError):
             propose(np.zeros(45), params)
+
+    def test_matches_fuse_scene_rows_bit_for_bit(self):
+        # propose's one pair is padded to a whole row tile like every block,
+        # so it carries the bits fuse_scene computes for that pair
+        ego, rec, cfg, params = golden_fusion_fixture()
+        _, tape = fuse_scene(ego, rec, cfg, params, record=True)
+        (block,) = tape.blocks
+        for i in range(block.z.shape[0]):
+            p = propose(block.z[i], params)
+            assert np.array_equal(p.delta_mean, block.dm[i]), i
+            assert np.array_equal(p.scale_star, block.s[i]), i
+            assert np.array_equal(p.rot_star, block.r[i]), i
+            assert p.opacity_star == block.a[i], i
+            assert np.array_equal(p.sem_star, block.c[i]), i
 
     def test_forward_matches_manual(self):
         params = FusionParams.init(seed=9)
@@ -512,7 +529,7 @@ class TestFusionBackward:
 
 def _block_runs():
     """The golden fixture in both pooling modes and with a binding cap, and
-    a scene of fewer pairs than `fusion._GEMM_MIN_ROWS`."""
+    a scene of fewer pairs than one row tile (`fusion._ROW_TILE`)."""
     ego, rec, cfg, params = golden_fusion_fixture()
     rng = np.random.default_rng(606)
     tiny = (random_gaussian_set(rng, 6, center_span=0.5),
@@ -533,6 +550,37 @@ def _bound(name, counts):
     if name == "above_all":
         return int(counts.sum()) + 1
     return name
+
+
+def _block_digest_mismatches():
+    """(run, bound) of every `_block_runs` case whose fused digest at block
+    bound 1, 7 or "below_longest" differs from its one-block digest."""
+    bad = []
+    for run, (ego, rec, cfg, params) in _block_runs().items():
+        want_fused, want_tape = fuse_scene(ego, rec, cfg, params, record=True)
+        want = fusion_digest(want_fused)
+        one_block = fusion._FUSE_BLOCK
+        for bound in (1, 7, "below_longest"):
+            fusion._FUSE_BLOCK = _bound(bound, want_tape.counts)
+            try:
+                if fusion_digest(fuse_scene(ego, rec, cfg, params)) != want:
+                    bad.append((run, bound))
+            finally:
+                fusion._FUSE_BLOCK = one_block
+    return bad
+
+
+# OpenBLAS kernels (OPENBLAS_CORETYPE) and the CPU features each needs
+_BLAS_KERNELS = {"default": (), "Haswell": ("AVX2", "FMA3"), "Zen": ("AVX2", "FMA3"),
+                 "Nehalem": ("SSE42",), "Sandybridge": ("AVX",), "Prescott": ("SSE3",)}
+
+
+def _cpu_has(features) -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:                 # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return all(__cpu_features__.get(f, False) for f in features)
 
 
 class TestFusionBlocks:
@@ -578,6 +626,26 @@ class TestFusionBlocks:
                 assert scale == 0.0 and np.all(got[name] == 0.0)
                 continue
             assert np.max(np.abs(got[name] - g)) <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kernel", sorted(_BLAS_KERNELS))
+    def test_blocks_change_no_forward_bit_on_every_kernel(self, kernel, threads):
+        # a fresh process per case, because OpenBLAS reads its kernel and
+        # thread count once at load; manifest membership is left to
+        # test_golden_fixture_hash, as other kernels give other digests
+        if not _cpu_has(_BLAS_KERNELS[kernel]):
+            pytest.skip(f"this CPU lacks {_BLAS_KERNELS[kernel]} for the {kernel} kernel")
+        here = pathlib.Path(__file__).parent
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+        env.pop("OPENBLAS_CORETYPE", None)
+        if kernel != "default":
+            env["OPENBLAS_CORETYPE"] = kernel
+        code = "import test_fusion; bad = test_fusion._block_digest_mismatches(); " \
+               "assert not bad, bad"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=here,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
 
     def test_memory_bounded_by_block(self, monkeypatch):
         # 256 egos with 16 neighbours each span 16 blocks of 256 pairs, 16

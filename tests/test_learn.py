@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gsfusion import learn
 from gsfusion.core import EMPTY_CLASS, GaussianSet, GridGeometry
 from gsfusion.fusion import FusionConfig, FusionParams
 from gsfusion.learn import (
@@ -336,6 +337,24 @@ class TestFixedRenderedApart:
         report, grads = scene_loss_and_grads(example, fusion_cfg, splat_cfg, params,
                                              want_grads=False)
         assert grads is None and report.total == want_report.total
+
+    @pytest.mark.parametrize("source", ["toy", "generated"])
+    def test_loss_only_records_no_tape(self, source, monkeypatch):
+        example, fusion_cfg, splat_cfg = self._case(source)
+        params = FusionParams.init(seed=77)
+        records = []
+
+        def spy(*args, **kwargs):
+            records.append(kwargs["record"])
+            return fuse_scene(*args, **kwargs)
+
+        monkeypatch.setattr(learn, "fuse_scene", spy)
+        want, _ = scene_loss_and_grads(example, fusion_cfg, splat_cfg, params)
+        got, grads = scene_loss_and_grads(example, fusion_cfg, splat_cfg, params,
+                                          want_grads=False)
+        assert records == [True, False] and grads is None
+        assert (got.ce, got.lovasz, got.total) == (want.ce, want.lovasz, want.total)
+        assert np.array_equal(got.per_class_lovasz, want.per_class_lovasz)
 
 
 class TestPipelineGradient:
