@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from gsfusion.learn import (
 from gsfusion.metrics import iou_3d
 from gsfusion.sim import (
     MODES,
+    ObservationModel,
     SceneSpecError,
     derive_scene_seed,
     generate_scene,
@@ -64,16 +66,24 @@ _DEFAULTS = {
     "train": {},
 }
 
+# the train section holds these and TrainConfig's fields
 _TRAIN_DEFAULTS = {
     "mode": "learned",
-    "steps": 300,
-    "warmup_steps": 50,
-    "peak_lr": 2e-4,
-    "weight_decay": 0.01,
-    "batch": 2,
-    "seed": 0,
     "train_scenes": 20,
     "holdout_scenes": 8,
+}
+
+
+def _field_defaults(kind) -> dict:
+    return {f.name: f.default for f in dataclasses.fields(kind)}
+
+
+# the keys each config section takes: the fields of the dataclass it fills
+_SECTION_KEYS = {
+    "observation": set(_field_defaults(ObservationModel)),
+    "fusion": set(_field_defaults(FusionConfig)),
+    "splat": set(_field_defaults(SplatConfig)),
+    "train": set(_field_defaults(TrainConfig)) | set(_TRAIN_DEFAULTS),
 }
 
 
@@ -93,13 +103,14 @@ def load_config(path: str | None) -> dict:
         if unknown:
             raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
         for k, v in data.items():
-            if isinstance(_DEFAULTS[k], dict) and isinstance(v, dict):
-                cfg[k] = {**_DEFAULTS[k], **v}
-            else:
-                cfg[k] = v
-    tr = dict(_TRAIN_DEFAULTS)
-    tr.update(cfg.get("train") or {})
-    cfg["train"] = tr
+            cfg[k] = {} if v is None and k in _SECTION_KEYS else v     # an empty section
+        for name, keys in _SECTION_KEYS.items():
+            if not isinstance(cfg[name], dict):
+                raise ConfigError(f"{path}: section {name}: must be a mapping, not {cfg[name]!r}")
+            unknown = set(cfg[name]) - keys
+            if unknown:
+                raise ConfigError(f"{path}: section {name}: unknown keys {sorted(unknown)}")
+    cfg["train"] = {**_field_defaults(TrainConfig), **_TRAIN_DEFAULTS, **cfg["train"]}
     return cfg
 
 
@@ -126,9 +137,9 @@ def _apply_flag_overrides(cfg: dict, args: argparse.Namespace) -> dict:
 
 
 def _build_components(cfg: dict):
-    model = model_from_dict(cfg.get("observation") or {})
-    fusion_cfg = FusionConfig(**(cfg.get("fusion") or {}))
-    splat_cfg = SplatConfig(**(cfg.get("splat") or {}))
+    model = model_from_dict(cfg["observation"])
+    fusion_cfg = FusionConfig(**cfg["fusion"])
+    splat_cfg = SplatConfig(**cfg["splat"])
     if cfg["precision"] not in ("fp16", "fp32"):
         raise ConfigError("precision must be fp16 or fp32")
     precision = PRECISION_FP16 if cfg["precision"] == "fp16" else PRECISION_FP32
@@ -263,10 +274,8 @@ def cmd_train(args) -> int:
     cfg = _apply_flag_overrides(load_config(args.config), args)
     model, fusion_cfg, splat_cfg, precision = _build_components(cfg)
     tr = cfg["train"]
-    train_cfg = TrainConfig(steps=int(tr["steps"]), warmup_steps=int(tr["warmup_steps"]),
-                            peak_lr=float(tr["peak_lr"]),
-                            weight_decay=float(tr["weight_decay"]),
-                            batch=int(tr["batch"]), seed=int(tr["seed"]))
+    # each field is cast to its default's type (int or float)
+    train_cfg = TrainConfig(**{k: type(v)(tr[k]) for k, v in _field_defaults(TrainConfig).items()})
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
 

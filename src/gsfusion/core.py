@@ -453,11 +453,6 @@ class VoxelGrid:
                 raise ValueError("label buffer does not match geometry")
             self.labels = self.labels.astype(np.uint8)
 
-    @staticmethod
-    def zeros_channels(geometry: GridGeometry) -> "VoxelGrid":
-        x, y, z = geometry.dims
-        return VoxelGrid(geometry, channels=np.zeros((x, y, z, geometry.num_classes)))
-
 
 # ---------------------------------------------------------------------------
 # Gaussian evaluation
@@ -505,3 +500,17 @@ def density(g: SemanticGaussian, x: np.ndarray) -> np.ndarray:
     y = np.linalg.solve(chol, delta)
     q = float(y @ y)
     return g.opacity * np.exp(-0.5 * q) * g.semantics
+
+
+def _whole_runs(sizes: np.ndarray, bound: int):
+    """(first item, end item, first unit, end unit) of each run of whole
+    items holding at most `bound` units together, or of one item holding
+    more; item i holds `sizes[i]` units. Fusion runs its blocks over
+    segments of pairs, the splat over Gaussians' candidate cells."""
+    ends = np.cumsum(sizes)
+    start = 0
+    while start < sizes.size:
+        before = int(ends[start - 1]) if start else 0
+        stop = max(int(np.searchsorted(ends, before + bound, "right")), start + 1)
+        yield start, stop, before, int(ends[stop - 1])
+        start = stop

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gsfusion.core import NUM_CLASSES, GaussianSet, _canonical_sign
+from gsfusion.core import NUM_CLASSES, GaussianSet, _canonical_sign, _whole_runs
 
 FPRM_MAGIC = b"FPRM"
 FPRM_VERSION = 1
@@ -493,19 +493,6 @@ def scene_neighbors(ego_set: GaussianSet, received_sets: list[GaussianSet],
     return _build_pairs(ego_set.means, pool_means, cfg.radius_rho, cfg.max_neighbors)
 
 
-def _segment_blocks(counts: np.ndarray):
-    """(first segment, end segment, first pair, end pair) of each block: a
-    run of whole segments holding at most _FUSE_BLOCK pairs together, or
-    one segment holding more."""
-    ends = np.cumsum(counts)
-    start = 0
-    while start < counts.size:
-        before = int(ends[start - 1]) if start else 0
-        stop = max(int(np.searchsorted(ends, before + _FUSE_BLOCK, "right")), start + 1)
-        yield start, stop, before, int(ends[stop - 1])
-        start = stop
-
-
 def fuse_scene(ego_set: GaussianSet, received_sets: list[GaussianSet],
                cfg: FusionConfig, params: FusionParams,
                record: bool = False, neighbors=None):
@@ -531,7 +518,7 @@ def fuse_scene(ego_set: GaussianSet, received_sets: list[GaussianSet],
 
     e_all = ego_features(ego_set)
     blocks = []
-    for a, b, p0, p1 in _segment_blocks(counts):
+    for a, b, p0, p1 in _whole_runs(counts, _FUSE_BLOCK):
         block = _fuse_block(fused, ego_set, e_all, pool_set, seg_egos[a:b], pair_j[p0:p1],
                             starts[a:b] - p0, counts[a:b], cfg, params)
         if record:

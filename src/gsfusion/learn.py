@@ -28,7 +28,6 @@ from gsfusion.fusion import (
 from gsfusion.splat import (
     SparseChannels,
     SplatConfig,
-    _pair_lists,
     splat,
     splat_backward,
     splat_sparse,
@@ -224,6 +223,9 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
     return cfg.peak_lr * 0.5 * (1.0 + np.cos(np.pi * t))
 
 
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8       # AdamW's fixed betas and eps
+
+
 class AdamW:
     """Decoupled weight-decay Adam over a dict of parameter arrays.
 
@@ -231,28 +233,58 @@ class AdamW:
     for this step.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], weight_decay: float = 0.01,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, np.ndarray], weight_decay: float = 0.01):
         self.params = params
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - _BETA1**self.t
+        b2c = 1.0 - _BETA2**self.t
         for k, p in self.params.items():
             g = grads[k]
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
+            self.m[k] = _BETA1 * self.m[k] + (1.0 - _BETA1) * g
+            self.v[k] = _BETA2 * self.v[k] + (1.0 - _BETA2) * g * g
             mhat = self.m[k] / b1c
             vhat = self.v[k] / b2c
-            p -= lr * (mhat / (np.sqrt(vhat) + self.eps) + self.weight_decay * p)
+            p -= lr * (mhat / (np.sqrt(vhat) + _ADAM_EPS) + self.weight_decay * p)
+
+
+def _minibatch_adamw(opt: AdamW, count: int, cfg: TrainConfig, stream: int, example,
+                     log_every: int = 0):
+    """The AdamW loop of `train` and `train_calibration`: each step draws a
+    batch of the `count` examples, seeded by (cfg.seed, stream), averages
+    the (LossReport, gradients keyed like opt.params) of `example(i)` over
+    it and steps `opt`. Returns the curve rows (step, ce, lovasz, total)."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, stream]))
+    curve = []
+    for step in range(cfg.steps):
+        take = min(cfg.batch, count)
+        idx = rng.choice(count, size=take, replace=False)
+        mean_grads = {k: np.zeros_like(v) for k, v in opt.params.items()}
+        ce = lov = tot = 0.0
+        for i in idx:
+            report, grads = example(i)
+            report.validate()
+            ce += report.ce / take
+            lov += report.lovasz / take
+            tot += report.total / take
+            for k in mean_grads:
+                mean_grads[k] += grads[k] / take
+        if not np.isfinite(tot):
+            raise DivergenceError(f"loss diverged at step {step}")
+        opt.step(mean_grads, lr_at(step, cfg))
+        for k, v in opt.params.items():
+            if not np.all(np.isfinite(v)):
+                raise DivergenceError(f"parameter {k} became non-finite at step {step}")
+        curve.append((step, ce, lov, tot))
+        if log_every and step % log_every == 0:
+            print(f"step {step:4d}  lr {lr_at(step, cfg):.2e}  "
+                  f"ce {ce:.4f}  lovasz {lov:.4f}  total {tot:.4f}")
+    return curve
 
 
 # ---------------------------------------------------------------------------
@@ -289,24 +321,25 @@ def scene_loss_and_grads(example: TrainExample, fusion_cfg: FusionConfig,
     """Forward pass of one scene and, optionally, parameter gradients.
     `neighbors` is the example's `scene_neighbors` and `fixed_render` its
     `splat_sparse` of `example.fixed`; each is computed when not given.
-    A loss-only call (want_grads=False) records no fusion tape."""
+    Gradients flow back through the splat's tape and then the fusion's; a
+    loss-only call (want_grads=False) records neither tape."""
     fused = fuse_scene(example.fusion_input, example.received,
                        fusion_cfg, params, record=want_grads, neighbors=neighbors)
     if want_grads:
         fused, tape = fused
     if fixed_render is None:
         fixed_render = splat_sparse(example.fixed, example.geometry, splat_cfg)
-    pairs = _pair_lists(fused, example.geometry, splat_cfg)
-    channels = fixed_render.add_to(
-        splat(fused, example.geometry, splat_cfg, pairs=pairs).channels)
+    grid = splat(fused, example.geometry, splat_cfg, record=want_grads)
+    if want_grads:
+        grid, splat_tape = grid
+    channels = fixed_render.add_to(grid.channels)
     report, grad_ch = total_loss(channels, example.gt_labels)
     if not want_grads:
         return report, None
     if tape is None:
         grads = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
         return report, grads
-    field_grads = splat_backward(fused, example.geometry, splat_cfg, grad_ch, pairs=pairs)
-    return report, fusion_backward(tape, field_grads)
+    return report, fusion_backward(tape, splat_backward(splat_tape, grad_ch))
 
 
 def train(params0: FusionParams, dataset: list[TrainExample], cfg: TrainConfig,
@@ -324,39 +357,17 @@ def train(params0: FusionParams, dataset: list[TrainExample], cfg: TrainConfig,
     fusion_cfg = fusion_cfg or FusionConfig()
     splat_cfg = splat_cfg or SplatConfig()
     params = params0.copy()
-    opt = AdamW(params.as_dict(), weight_decay=cfg.weight_decay)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x7E41]))
     # the fusion inputs and fixed sets are constants, so each example's
     # neighbour search and fixed render are done once
     neighbors = [scene_neighbors(ex.fusion_input, ex.received, fusion_cfg) for ex in dataset]
     fixed_renders = [splat_sparse(ex.fixed, ex.geometry, splat_cfg) for ex in dataset]
-    curve = []
-    for step in range(cfg.steps):
-        take = min(cfg.batch, len(dataset))
-        idx = rng.choice(len(dataset), size=take, replace=False)
-        mean_grads = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
-        ce = lov = tot = 0.0
-        for i in idx:
-            report, grads = scene_loss_and_grads(dataset[i], fusion_cfg, splat_cfg, params,
-                                                 neighbors=neighbors[i],
-                                                 fixed_render=fixed_renders[i])
-            report.validate()
-            ce += report.ce / take
-            lov += report.lovasz / take
-            tot += report.total / take
-            for k in mean_grads:
-                mean_grads[k] += grads[k] / take
-        if not np.isfinite(tot):
-            raise DivergenceError(f"loss diverged at step {step}")
-        opt.step(mean_grads, lr_at(step, cfg))
-        for k, v in params.as_dict().items():
-            if not np.all(np.isfinite(v)):
-                raise DivergenceError(f"parameter {k} became non-finite at step {step}")
-        curve.append((step, ce, lov, tot))
-        if log_every and step % log_every == 0:
-            print(f"step {step:4d}  lr {lr_at(step, cfg):.2e}  "
-                  f"ce {ce:.4f}  lovasz {lov:.4f}  total {tot:.4f}")
-    return params, curve
+
+    def example(i):
+        return scene_loss_and_grads(dataset[i], fusion_cfg, splat_cfg, params,
+                                    neighbors=neighbors[i], fixed_render=fixed_renders[i])
+
+    opt = AdamW(params.as_dict(), weight_decay=cfg.weight_decay)
+    return params, _minibatch_adamw(opt, len(dataset), cfg, 0x7E41, example, log_every)
 
 
 # ---------------------------------------------------------------------------
@@ -406,30 +417,17 @@ def train_calibration(cal0: Calibration, channel_examples: list[tuple[np.ndarray
     if not channel_examples:
         raise ValueError("empty training dataset")
     cal = cal0.copy()
-    opt = AdamW({"log_gain": cal.log_gain}, weight_decay=cfg.weight_decay)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x7E42]))
-    curve = []
-    for step in range(cfg.steps):
-        take = min(cfg.batch, len(channel_examples))
-        idx = rng.choice(len(channel_examples), size=take, replace=False)
-        grad = np.zeros_like(cal.log_gain)
-        ce = lov = tot = 0.0
+
+    def example(i):
+        channels, labels = channel_examples[i]
         gain = np.exp(cal.log_gain)
-        for i in idx:
-            channels, labels = channel_examples[i]
-            report, grad_ch = total_loss(channels * gain, labels)
-            report.validate()
-            ce += report.ce / take
-            lov += report.lovasz / take
-            tot += report.total / take
-            grad += np.sum(grad_ch * channels, axis=tuple(range(channels.ndim - 1))) * gain / take
-        if not np.isfinite(tot):
-            raise DivergenceError(f"loss diverged at step {step}")
-        opt.step({"log_gain": grad}, lr_at(step, cfg))
-        if not np.all(np.isfinite(cal.log_gain)):
-            raise DivergenceError(f"calibration became non-finite at step {step}")
-        curve.append((step, ce, lov, tot))
-    return cal, curve
+        report, grad_ch = total_loss(channels * gain, labels)
+        # the loop divides by the batch size after this product
+        return report, {"log_gain": np.sum(grad_ch * channels,
+                                           axis=tuple(range(channels.ndim - 1))) * gain}
+
+    opt = AdamW({"log_gain": cal.log_gain}, weight_decay=cfg.weight_decay)
+    return cal, _minibatch_adamw(opt, len(channel_examples), cfg, 0x7E42, example)
 
 
 def write_loss_curve(path, curve) -> None:

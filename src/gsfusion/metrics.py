@@ -67,25 +67,18 @@ def iou_3d(pred: VoxelGrid, gt: VoxelGrid) -> EvalReport:
     return EvalReport(iou=float(occ), miou=miou, per_class_iou=per_class, bev_iou=bev)
 
 
-def bev_iou(pred: VoxelGrid, gt: VoxelGrid,
-            category_map: dict[str, tuple[int, ...]] | None = None) -> dict[str, float]:
+def bev_iou(pred: VoxelGrid, gt: VoxelGrid) -> dict[str, float]:
     """2D IoU after projecting voxels onto the ground plane.
 
     A BEV cell is positive for a category when any voxel in its z-column
-    carries one of the category's classes. Default categories: vehicle,
+    carries one of the category's classes. The categories are vehicle,
     road, and others (every remaining semantic class).
     """
     _check_geometry(pred, gt)
     c = pred.geometry.num_classes
-    cats = dict(category_map) if category_map is not None else dict(DEFAULT_BEV_CATEGORIES)
-    if category_map is None:
-        taken = {k for cls in cats.values() for k in cls}
-        cats["others"] = tuple(k for k in range(c - 1) if k not in taken)
-    else:
-        for name, classes in cats.items():
-            for k in classes:
-                if not (0 <= k < c - 1):
-                    raise ValueError(f"BEV category {name} maps unknown class {k}")
+    cats = dict(DEFAULT_BEV_CATEGORIES)
+    taken = {k for cls in cats.values() for k in cls}
+    cats["others"] = tuple(k for k in range(c - 1) if k not in taken)
     out = {}
     for name, classes in cats.items():
         if not classes:

@@ -33,9 +33,10 @@ from gsfusion.comms import (
     enforce_budget,
     serialize_message,
     stack,
+    transform_set,
 )
 from gsfusion.fusion import FusionConfig, FusionParams, fuse_scene
-from gsfusion.learn import Calibration
+from gsfusion.learn import Calibration, TrainExample
 from gsfusion.splat import SplatConfig, labels_from_channels, splat, splat_sparse
 
 CLASS_NAMES = (
@@ -477,8 +478,6 @@ def observe(spec: SceneSpec, agent_id: int, model: ObservationModel,
             world: VoxelGrid | None = None,
             visible: np.ndarray | None = None) -> GaussianSet:
     """Agent-frame observation (observe_world expressed in the agent pose)."""
-    from gsfusion.comms import transform_set
-
     gs = observe_world(spec, agent_id, model, world, visible)
     return transform_set(gs, spec.agents[agent_id].inverse())
 
@@ -601,8 +600,6 @@ def make_training_example(spec: SceneSpec, model: ObservationModel, ego: int = 0
     so training sees exactly the quantized Gaussians deployment sees. The
     target is the collaborative ground truth of the ego grid.
     """
-    from gsfusion.learn import TrainExample
-
     episode = episode or prepare_episode(spec, model)
     stats = CommStats()
     received = _receive_all(episode, ego, precision, None, stats)

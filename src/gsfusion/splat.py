@@ -12,8 +12,12 @@ Bounded blocks. The forward enumerates candidate voxels over runs of
 whole Gaussians whose bounding boxes hold at most `_BLOCK` cells
 together (a Gaussian whose box holds more is a block on its own), so its
 temporaries are bounded by the block, not by the set, apart from such a
-Gaussian (the empty-space prior's box is the whole grid). A precomputed
-pair tape is accumulated in slices of at most `_BLOCK` pairs.
+Gaussian (the empty-space prior's box is the whole grid). With
+record=True the splat also keeps each block's pairs on a tape, one record
+per block as `fuse_scene` keeps its tape, and `splat_backward` walks those
+records one block at a time, writing each block's rows. Every sum of the
+backward bins by Gaussian, and a Gaussian's pairs all lie in one block in
+their canonical order, so the blocks change no gradient bit.
 
 Nonzero accumulation. Each block's per-channel weights go straight into
 the zeroed grid with `np.add.at`, keeping only the entries at or above
@@ -54,6 +58,8 @@ from gsfusion.core import (
     VoxelGrid,
     _check_conditioning,
     _quat_to_rotmat_unchecked,
+    _whole_runs,
+    quat_to_rotmat_jacobian,
 )
 
 VOXG_MAGIC = b"VOXG"
@@ -100,6 +106,23 @@ class Pairs(NamedTuple):
     local: np.ndarray
 
 
+class SplatBlock(NamedTuple):
+    """The pairs of one block of whole Gaussians, the set's rows start:stop."""
+
+    start: int
+    stop: int
+    pairs: Pairs
+
+
+class SplatTape(NamedTuple):
+    """What `splat_backward` needs from one forward pass: the splatted set,
+    its floor (min_contribution), and the blocks that hold pairs, in order."""
+
+    gaussians: GaussianSet
+    min_contribution: float
+    blocks: list[SplatBlock]
+
+
 class SparseChannels(NamedTuple):
     """A channel grid kept as its nonzero entries: ascending flat indices
     into `channels.reshape(-1)` and their values."""
@@ -115,9 +138,9 @@ class SparseChannels(NamedTuple):
 
 
 def _pair_blocks(gaussians: GaussianSet, geometry: GridGeometry,
-                 cfg: SplatConfig) -> Iterator[Pairs]:
-    """The pairs of `_pair_lists`, one block of whole Gaussians at a time,
-    in the same order.
+                 cfg: SplatConfig) -> Iterator[SplatBlock]:
+    """All (gaussian, voxel) pairs inside the truncation ellipsoids, ordered
+    by (gaussian, flat voxel index), one block of whole Gaussians at a time.
 
     Candidates are the voxels whose centers lie in each ellipsoid's
     axis-aligned bounding box, of half-extent t * sqrt(Sigma_ii) on axis
@@ -135,15 +158,10 @@ def _pair_blocks(gaussians: GaussianSet, geometry: GridGeometry,
     hi = np.floor((gaussians.means + half - geometry.origin) / h - 0.5 + 1e-9)
     lo = np.clip(lo, 0, dims).astype(np.int64)
     ext = np.maximum(np.clip(hi, -1, dims - 1).astype(np.int64) - lo + 1, 0)
-    ends = np.cumsum(np.prod(ext, axis=1))
-    start = 0
-    while start < len(gaussians):
-        before = ends[start - 1] if start else 0
-        stop = max(int(np.searchsorted(ends, before + _BLOCK, "right")), start + 1)
+    for start, stop, _, _ in _whole_runs(np.prod(ext, axis=1), _BLOCK):
         b = slice(start, stop)
         pairs = _box_pairs(gaussians.take(b), geometry, t, rots[b], lo[b], ext[b])
-        yield pairs._replace(gauss=pairs.gauss + start)
-        start = stop
+        yield SplatBlock(start, stop, pairs._replace(gauss=pairs.gauss + start))
 
 
 def _box_pairs(gaussians: GaussianSet, geometry: GridGeometry, t: float,
@@ -177,17 +195,6 @@ def _box_pairs(gaussians: GaussianSet, geometry: GridGeometry, t: float,
                  delta.take(kept, axis=0), local.take(kept, axis=0))
 
 
-def _pair_lists(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfig) -> Pairs:
-    """All (gaussian, voxel) pairs inside the truncation ellipsoids,
-    ordered by (gaussian, flat voxel index): the blocks of `_pair_blocks`
-    concatenated."""
-    blocks = list(_pair_blocks(gaussians, geometry, cfg))
-    if not blocks:
-        return Pairs(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0),
-                     np.zeros((0, 3)), np.zeros((0, 3)))
-    return Pairs(*(np.concatenate(field) for field in zip(*blocks)))
-
-
 def _accumulate(flat: np.ndarray, gaussians: GaussianSet, pairs: Pairs,
                 min_contribution: float) -> None:
     """Add the pairs' per-channel weights that reach `min_contribution`
@@ -210,34 +217,33 @@ def _accumulate(flat: np.ndarray, gaussians: GaussianSet, pairs: Pairs,
 
 
 def splat(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfig | None = None,
-          pairs: Pairs | None = None) -> VoxelGrid:
+          record: bool = False):
     """Additively render `gaussians` into a channel grid.
 
     Contributions are evaluated at voxel centers and restricted to centers
     with Mahalanobis distance <= truncation_sigma; per-channel values below
     min_contribution are dropped. Accumulation is vectorized over
     (gaussian, voxel) pairs, block by block, and deterministic for fixed
-    inputs. `pairs` accepts a precomputed _pair_lists result for the same
-    arguments.
+    inputs. With record=True also returns a SplatTape for `splat_backward`.
     """
     cfg = cfg or SplatConfig()
     num_classes = geometry.num_classes
-    if len(gaussians) == 0:
-        return VoxelGrid.zeros_channels(geometry)
-    if gaussians.num_classes != num_classes:
+    if len(gaussians) and gaussians.num_classes != num_classes:
         raise ValueError("gaussian semantics width does not match grid classes")
     _check_conditioning(gaussians.scales)
     # allocated before the pair temporaries: a caller that keeps the grid
     # keeps it below them in the heap, not above the hole they leave
     out = np.zeros(geometry.num_voxels * num_classes)
-    if pairs is None:
-        blocks = _pair_blocks(gaussians, geometry, cfg)
-    else:                           # a tape, in slices of at most _BLOCK pairs
-        blocks = (Pairs(*(field[i:i + _BLOCK] for field in pairs))
-                  for i in range(0, pairs.gauss.size, _BLOCK))
-    for block in blocks:
-        _accumulate(out, gaussians, block, cfg.min_contribution)
-    return VoxelGrid(geometry, channels=out.reshape(geometry.dims + (num_classes,)))
+    blocks = []
+    for block in _pair_blocks(gaussians, geometry, cfg):
+        _accumulate(out, gaussians, block.pairs, cfg.min_contribution)
+        if record and block.pairs.gauss.size:
+            blocks.append(block)
+        del block                   # a dropped block is freed before the next one runs
+    grid = VoxelGrid(geometry, channels=out.reshape(geometry.dims + (num_classes,)))
+    if not record:
+        return grid
+    return grid, SplatTape(gaussians, cfg.min_contribution, blocks)
 
 
 def splat_sparse(gaussians: GaussianSet, geometry: GridGeometry,
@@ -259,17 +265,17 @@ def splat_sparse(gaussians: GaussianSet, geometry: GridGeometry,
     return SparseChannels(voxel * geometry.num_classes + cols[col], channels[voxel, col])
 
 
-def splat_backward(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfig,
-                   grad_channels: np.ndarray, pairs: Pairs | None = None) -> dict[str, np.ndarray]:
-    """Gradients of sum(grad_channels * splat(...)) w.r.t. every Gaussian field.
+def splat_backward(tape: SplatTape, grad_channels: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradients of sum(grad_channels * splat(...)) w.r.t. every Gaussian field
+    of the set `tape` recorded.
 
-    Reuses (or recomputes) the forward pair enumeration, so it
-    differentiates exactly the function `splat` evaluates (same truncation
-    and floor masks). Returns arrays keyed
-    means/scales/rotations/opacities/semantics, one row per Gaussian of
-    `gaussians`: the rows it is given pairs for. A row's gradient sums
-    only that row's pairs, so a constant set rendered apart (and added to
-    the channels) needs no rows here and changes no other row's bits.
+    Walks the forward's recorded blocks, so it differentiates exactly the
+    function `splat` evaluates (same truncation and floor masks), and holds
+    one block's (pairs, classes) temporaries at a time. Returns arrays keyed
+    means/scales/rotations/opacities/semantics, one row per Gaussian of the
+    set, zero for a row without pairs. A row's gradient sums only that
+    row's pairs, so a constant set rendered apart (and added to the
+    channels) needs no rows here and changes no other row's bits.
 
     `splat` is piecewise smooth: a contribution drops to zero where its
     (Gaussian, voxel) pair crosses the truncation_sigma surface or its
@@ -277,52 +283,44 @@ def splat_backward(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatCon
     piece the inputs lie on; the jumps between pieces are not in it, so a
     finite difference whose step crosses one disagrees with it.
     """
-    cfg = cfg or SplatConfig()
+    gaussians = tape.gaussians
     n = len(gaussians)
     num_classes = gaussians.num_classes
-    grads = {
-        "means": np.zeros((n, 3)),
-        "scales": np.zeros((n, 3)),
-        "rotations": np.zeros((n, 4)),
-        "opacities": np.zeros(n),
-        "semantics": np.zeros((n, num_classes)),
-    }
-    if n == 0:
-        return grads
-    from gsfusion.core import quat_to_rotmat_jacobian
-
-    pg, pv, e, delta, local = pairs if pairs is not None else _pair_lists(gaussians, geometry, cfg)
-    if pg.size == 0:
+    grads = {field: np.zeros(getattr(gaussians, field).shape)
+             for field in ("means", "scales", "rotations", "opacities", "semantics")}
+    if not tape.blocks:
         return grads
     grad_flat = grad_channels.reshape(-1, num_classes)
-    w = gaussians.opacities[pg] * e
-    sem = gaussians.semantics[pg]
-    up = grad_flat[pv]                                            # (P, C)
-    if cfg.min_contribution > 0.0:
-        up = up * ((w[:, None] * sem) >= cfg.min_contribution)
+    # per-Gaussian sums over pairs that the geometry terms are formed from
+    dq_ys = np.zeros((n, 3))
+    dq_l2 = np.zeros((n, 3))
+    dR = np.zeros((n, 3, 3))
+    for start, stop, (pg, pv, e, delta, local) in tape.blocks:
+        rows, g, m = slice(start, stop), pg - start, stop - start
+        w = gaussians.opacities[pg] * e
+        sem = gaussians.semantics[pg]
+        up = grad_flat[pv]                                        # (P, C)
+        if tape.min_contribution > 0.0:
+            up = up * ((w[:, None] * sem) >= tape.min_contribution)
 
-    # semantics and opacity enter linearly through the weight
-    for ch in range(num_classes):
-        grads["semantics"][:, ch] = np.bincount(pg, weights=w * up[:, ch], minlength=n)
-    gsum = np.sum(up * sem, axis=1)                               # dL/dw per pair
-    grads["opacities"] = np.bincount(pg, weights=gsum * e, minlength=n)
+        # semantics and opacity enter linearly through the weight
+        for ch in range(num_classes):
+            grads["semantics"][rows, ch] = np.bincount(g, weights=w * up[:, ch], minlength=m)
+        gsum = np.sum(up * sem, axis=1)                           # dL/dw per pair
+        grads["opacities"][rows] = np.bincount(g, weights=gsum * e, minlength=m)
 
-    # geometry terms, from the forward's pairwise delta and local
-    rots_all = _quat_to_rotmat_unchecked(gaussians.rotations)     # (N, 3, 3)
-    ys = local / gaussians.scales[pg] ** 2
-    dq = -0.5 * w * gsum
-
-    dq_ys = np.stack([np.bincount(pg, weights=dq * ys[:, j], minlength=n)
-                      for j in range(3)], axis=1)                 # (N, 3)
-    grads["means"] = -2.0 * np.einsum("gj,gkj->gk", dq_ys, rots_all)
-    dq_l2 = np.stack([np.bincount(pg, weights=dq * local[:, j] ** 2, minlength=n)
-                      for j in range(3)], axis=1)
-    grads["scales"] = -2.0 * dq_l2 / gaussians.scales**3
-    dR = np.empty((n, 3, 3))
-    for i in range(3):
+        # geometry terms, from the forward's pairwise delta and local
+        ys = local / gaussians.scales[pg] ** 2
+        dq = -0.5 * w * gsum
         for j in range(3):
-            dR[:, i, j] = np.bincount(pg, weights=dq * delta[:, i] * ys[:, j],
-                                      minlength=n)
+            dq_ys[rows, j] = np.bincount(g, weights=dq * ys[:, j], minlength=m)
+            dq_l2[rows, j] = np.bincount(g, weights=dq * local[:, j] ** 2, minlength=m)
+            for i in range(3):
+                dR[rows, i, j] = np.bincount(g, weights=dq * delta[:, i] * ys[:, j],
+                                             minlength=m)
+    rots_all = _quat_to_rotmat_unchecked(gaussians.rotations)     # (N, 3, 3)
+    grads["means"] = -2.0 * np.einsum("gj,gkj->gk", dq_ys, rots_all)
+    grads["scales"] = -2.0 * dq_l2 / gaussians.scales**3
     jac = quat_to_rotmat_jacobian(gaussians.rotations)            # (N, 4, 3, 3)
     grads["rotations"] = 2.0 * np.einsum("gpij,gij->gp", jac, dR)
     return grads

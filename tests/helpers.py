@@ -41,7 +41,7 @@ from gsfusion.fusion import (
 from gsfusion.learn import total_loss
 from gsfusion.metrics import iou_3d
 from gsfusion.sim import ObservationModel, generate_scene, prepare_episode, run_episode
-from gsfusion.splat import Pairs, _pair_lists, splat, splat_backward
+from gsfusion.splat import Pairs, splat, splat_backward
 
 
 def inv3x3(m):
@@ -509,12 +509,11 @@ def concat_scene_loss_and_grads(example, fusion_cfg, splat_cfg, params, want_gra
     fused, tape = fuse_scene(example.fusion_input, example.received,
                              fusion_cfg, params, record=True, neighbors=neighbors)
     full = GaussianSet.concat([fused, example.fixed])
-    pairs = _pair_lists(full, example.geometry, splat_cfg)
-    channels = splat(full, example.geometry, splat_cfg, pairs=pairs).channels
-    report, grad_ch = total_loss(channels, example.gt_labels)
+    grid, splat_tape = splat(full, example.geometry, splat_cfg, record=True)
+    report, grad_ch = total_loss(grid.channels, example.gt_labels)
     if not want_grads:
         return report, None
-    field_grads = splat_backward(full, example.geometry, splat_cfg, grad_ch, pairs=pairs)
+    field_grads = splat_backward(splat_tape, grad_ch)
     n = len(fused)
     return report, fusion_backward(tape, {k: v[:n] for k, v in field_grads.items()})
 
@@ -581,8 +580,6 @@ def bincount_splat(gaussians: GaussianSet, geometry, cfg) -> VoxelGrid:
     """Reference for `splat`: the (P, C) weights of every pair, floored,
     summed by one `np.bincount` over the flat index voxel * C + c."""
     num_classes = geometry.num_classes
-    if len(gaussians) == 0:
-        return VoxelGrid.zeros_channels(geometry)
     _check_conditioning(gaussians.scales)
     pairs = repeat_pair_lists(gaussians, geometry, cfg)
     weights = (gaussians.opacities[pairs.gauss] * pairs.e)[:, None] \

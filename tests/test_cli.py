@@ -3,6 +3,7 @@ import hashlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 import yaml
 
 from gsfusion.cli import load_config, main
@@ -56,6 +57,27 @@ class TestConfig:
         p.write_text("seed: [unclosed\n")
         assert main(["run", "--config", str(p)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, value", [
+        ("fusion", {"radius": 1}),
+        ("splat", 5),
+        ("observation", 5),
+        ("train", 5),
+        ("train", {"stpes": 3}),
+    ], ids=["fusion_unknown_key", "splat_not_mapping", "observation_not_mapping",
+            "train_not_mapping", "train_unknown_key"])
+    def test_bad_section_rejected(self, tmp_path, capsys, section, value):
+        p, _ = small_config(tmp_path, **{section: value})
+        assert main(["run", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"section {section}: " in err
+
+    def test_empty_section_takes_defaults(self, tmp_path):
+        p, _ = small_config(tmp_path, fusion=None, train=None)
+        cfg = load_config(str(p))
+        assert cfg["fusion"] == {}
+        assert cfg["train"] == load_config(None)["train"]
+        assert cfg["train"]["steps"] == 300 and cfg["train"]["holdout_scenes"] == 8
 
     def test_bad_mode(self, tmp_path):
         p, _ = small_config(tmp_path, modes=["warp"])

@@ -344,15 +344,19 @@ class TestFixedRenderedApart:
         params = FusionParams.init(seed=77)
         records = []
 
-        def spy(*args, **kwargs):
-            records.append(kwargs["record"])
-            return fuse_scene(*args, **kwargs)
+        def spy(fn):
+            def recording(*args, **kwargs):
+                records.append((fn.__name__, kwargs["record"]))
+                return fn(*args, **kwargs)
+            return recording
 
-        monkeypatch.setattr(learn, "fuse_scene", spy)
+        monkeypatch.setattr(learn, "fuse_scene", spy(fuse_scene))
+        monkeypatch.setattr(learn, "splat", spy(splat))
         want, _ = scene_loss_and_grads(example, fusion_cfg, splat_cfg, params)
         got, grads = scene_loss_and_grads(example, fusion_cfg, splat_cfg, params,
                                           want_grads=False)
-        assert records == [True, False] and grads is None
+        assert records == [("fuse_scene", True), ("splat", True),
+                           ("fuse_scene", False), ("splat", False)] and grads is None
         assert (got.ce, got.lovasz, got.total) == (want.ce, want.lovasz, want.total)
         assert np.array_equal(got.per_class_lovasz, want.per_class_lovasz)
 

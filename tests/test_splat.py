@@ -20,7 +20,6 @@ from gsfusion.splat import (
     Pairs,
     SplatConfig,
     _pair_blocks,
-    _pair_lists,
     labels_from_channels,
     load_voxg,
     read_voxg,
@@ -42,6 +41,19 @@ from helpers import (
 )
 
 RNG = np.random.default_rng(777)
+
+
+def recorded_pairs(gaussians, geometry, cfg) -> Pairs:
+    """The pairs of the blocks `splat(record=True)` keeps, concatenated."""
+    _, tape = splat(gaussians, geometry, cfg, record=True)
+    if not tape.blocks:
+        return Pairs(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0),
+                     np.zeros((0, 3)), np.zeros((0, 3)))
+    return Pairs(*(np.concatenate(field) for field in zip(*(b.pairs for b in tape.blocks))))
+
+
+def recorded_backward(gaussians, geometry, cfg, grad_channels):
+    return splat_backward(splat(gaussians, geometry, cfg, record=True)[1], grad_channels)
 
 C = 13
 
@@ -191,7 +203,7 @@ class TestPairLists:
         geom = GridGeometry(np.array([-1.5, -1.2, -0.6]), 0.3, (12, 10, 6), num_classes=C)
         gs = pair_test_set(geom)
         gs.validate()
-        pairs = _pair_lists(gs, geom, SplatConfig(truncation_sigma=sigma))
+        pairs = recorded_pairs(gs, geom, SplatConfig(truncation_sigma=sigma))
         pg, pv, e = pairs.gauss, pairs.voxel, pairs.e
         og, ov, oe = splat_pairs_oracle(gs, geom, sigma,
                                         _quat_to_rotmat_unchecked(gs.rotations))
@@ -251,7 +263,7 @@ class TestPairTape:
     @pytest.mark.parametrize("case", sorted(ACCUMULATION_SETS))
     def test_delta_and_local_equal_recomputation(self, case):
         gs = ACCUMULATION_SETS[case]()
-        pairs = _pair_lists(gs, PAIR_GEOM, SplatConfig())
+        pairs = recorded_pairs(gs, PAIR_GEOM, SplatConfig())
         delta, local = pair_geometry_oracle(gs, PAIR_GEOM, pairs.gauss, pairs.voxel,
                                             _quat_to_rotmat_unchecked(gs.rotations))
         assert pairs.delta.shape == pairs.local.shape == (pairs.gauss.size, 3)
@@ -265,7 +277,7 @@ class TestPairTape:
     def test_flat_bincount_equals_per_channel_loop(self, case, floor):
         gs = ACCUMULATION_SETS[case]()
         cfg = SplatConfig(min_contribution=floor)
-        pairs = _pair_lists(gs, PAIR_GEOM, cfg)
+        pairs = recorded_pairs(gs, PAIR_GEOM, cfg)
         grid = splat(gs, PAIR_GEOM, cfg)
         assert np.array_equal(grid.channels, per_channel_splat(gs, PAIR_GEOM, cfg, pairs))
 
@@ -308,26 +320,27 @@ BLOCK_GEOMS = {"many_blocks": BIG_GEOM, "prior": PRIOR_GEOM}
 class TestBlocks:
     """The blocked pair enumeration and the nonzero-only accumulation equal
     the whole-set `np.repeat` enumeration and one `np.bincount` byte for
-    byte (`repeat_pair_lists`, `bincount_splat`)."""
+    byte (`repeat_pair_lists`, `bincount_splat`), and the blocked backward
+    equals a one-block backward byte for byte."""
 
     @pytest.mark.parametrize("case", sorted(BLOCK_SETS))
     def test_pair_lists_equal_whole_set_expansion(self, case):
         gs, geom = BLOCK_SETS[case](), BLOCK_GEOMS.get(case, PAIR_GEOM)
-        got = _pair_lists(gs, geom, SplatConfig())
+        got = recorded_pairs(gs, geom, SplatConfig())
         want = repeat_pair_lists(gs, geom, SplatConfig())
         for field in Pairs._fields:
             a, b = getattr(got, field), getattr(want, field)
             assert a.dtype == b.dtype and a.shape == b.shape, field
             assert a.tobytes() == b.tobytes(), field
 
-    @pytest.mark.parametrize("tape", [False, True])
+    @pytest.mark.parametrize("record", [False, True])
     @pytest.mark.parametrize("floor", [0.0, 1e-4])
     @pytest.mark.parametrize("case", sorted(BLOCK_SETS))
-    def test_splat_equals_bincount(self, case, floor, tape):
+    def test_splat_equals_bincount(self, case, floor, record):
         gs, geom = BLOCK_SETS[case](), BLOCK_GEOMS.get(case, PAIR_GEOM)
         cfg = SplatConfig(min_contribution=floor)
-        pairs = _pair_lists(gs, geom, cfg) if tape else None
-        got = splat(gs, geom, cfg, pairs=pairs).channels
+        got = splat(gs, geom, cfg, record=record)
+        got = (got[0] if record else got).channels
         want = bincount_splat(gs, geom, cfg).channels
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         if case == "mixed":             # the row at the floor is kept, the one below it is not
@@ -338,15 +351,36 @@ class TestBlocks:
     @pytest.mark.parametrize("case", sorted(BLOCK_SETS))
     def test_blocks_hold_whole_gaussians(self, case):
         gs, geom = BLOCK_SETS[case](), BLOCK_GEOMS.get(case, PAIR_GEOM)
-        blocks = [b.gauss for b in _pair_blocks(gs, geom, SplatConfig())]
-        blocks = [g for g in blocks if g.size]
-        for before, after in zip(blocks, blocks[1:]):
-            assert before[-1] < after[0]
+        every = list(_pair_blocks(gs, geom, SplatConfig()))
+        edges = [0] + [b.stop for b in every]           # the blocks tile the rows
+        assert [b.start for b in every] == edges[:-1] and edges[-1] == len(gs)
+        for b in every:                 # each block's pairs lie in its own rows
+            assert np.all((b.start <= b.pairs.gauss) & (b.pairs.gauss < b.stop))
+        blocks = [b.pairs.gauss for b in every if b.pairs.gauss.size]
         if case == "many_blocks":
             assert len(blocks) >= 9
-            assert sum(g.size for g in blocks) > 2 * _BLOCK     # its tape splats in slices
+            assert sum(g.size for g in blocks) > 2 * _BLOCK
         if case == "prior":             # its 80 000-cell box is one block
             assert len(blocks) == 1 and blocks[0].size == geom.num_voxels > _BLOCK
+
+    @pytest.mark.parametrize("floor", [0.0, 1e-4])
+    @pytest.mark.parametrize("case", sorted(BLOCK_SETS))
+    def test_backward_blocks_change_no_bit(self, case, floor, monkeypatch):
+        gs, geom = BLOCK_SETS[case](), BLOCK_GEOMS.get(case, PAIR_GEOM)
+        cfg = SplatConfig(min_contribution=floor)
+        up = np.random.default_rng(8).normal(size=geom.dims + (C,))
+        runs = []
+        for bound in (1 << 62, 1):      # one block, then a block per Gaussian
+            monkeypatch.setattr(splat_module, "_BLOCK", bound)
+            grid, tape = splat(gs, geom, cfg, record=True)
+            runs.append((grid.channels, tape.blocks, splat_backward(tape, up)))
+        (want_ch, one, want), (got_ch, many, got) = runs
+        with_pairs = np.unique(one[0].pairs.gauss).size if one else 0
+        assert len(one) <= 1 and len(many) == with_pairs
+        assert got_ch.tobytes() == want_ch.tobytes()
+        for field, a in want.items():
+            assert got[field].shape == a.shape == (len(gs),) + a.shape[1:], field
+            assert got[field].tobytes() == a.tobytes(), field
 
     def test_splat_peak_memory_is_bounded(self):
         gs, geom = BLOCK_SETS["many_blocks"](), BIG_GEOM
@@ -494,7 +528,7 @@ class TestSplatBackward:
         def objective(sets: GaussianSet):
             return float(np.sum(up * splat(sets, geom, cfg).channels))
 
-        grads = splat_backward(gs, geom, cfg, up)
+        grads = recorded_backward(gs, geom, cfg, up)
         eps = 1e-6
         for field in ("means", "scales", "opacities", "semantics", "rotations"):
             arr = getattr(gs, field)
@@ -516,7 +550,7 @@ class TestSplatBackward:
     def test_zero_upstream_zero_grads(self):
         geom = small_geom(dims=(4, 4, 2))
         gs = tight_set(RNG, 3, geom)
-        grads = splat_backward(gs, geom, SplatConfig(), np.zeros(geom.dims + (C,)))
+        grads = recorded_backward(gs, geom, SplatConfig(), np.zeros(geom.dims + (C,)))
         for v in grads.values():
             assert np.all(v == 0.0)
 
