@@ -136,10 +136,19 @@ def _apply_flag_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _from_section(name: str, build, values: dict):
+    """build(values) for config section `name`; a value of the wrong type
+    or out of range is a ConfigError that names the section."""
+    try:
+        return build(values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"section {name}: {exc}") from exc
+
+
 def _build_components(cfg: dict):
-    model = model_from_dict(cfg["observation"])
-    fusion_cfg = FusionConfig(**cfg["fusion"])
-    splat_cfg = SplatConfig(**cfg["splat"])
+    model = _from_section("observation", model_from_dict, cfg["observation"])
+    fusion_cfg = _from_section("fusion", lambda v: FusionConfig(**v), cfg["fusion"])
+    splat_cfg = _from_section("splat", lambda v: SplatConfig(**v), cfg["splat"])
     if cfg["precision"] not in ("fp16", "fp32"):
         raise ConfigError("precision must be fp16 or fp32")
     precision = PRECISION_FP16 if cfg["precision"] == "fp16" else PRECISION_FP32
@@ -275,7 +284,8 @@ def cmd_train(args) -> int:
     model, fusion_cfg, splat_cfg, precision = _build_components(cfg)
     tr = cfg["train"]
     # each field is cast to its default's type (int or float)
-    train_cfg = TrainConfig(**{k: type(v)(tr[k]) for k, v in _field_defaults(TrainConfig).items()})
+    train_cfg = _from_section("train", lambda t: TrainConfig(
+        **{k: type(v)(t[k]) for k, v in _field_defaults(TrainConfig).items()}), tr)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
 

@@ -40,6 +40,12 @@ HEADER_SIZE = 24
 _HEADER = struct.Struct("<4sHHIIII")  # magic, version, precision, sender, receiver, frame, count
 
 
+class EncodeRangeError(ValueError):
+    """A Gaussian the wire precision cannot carry: a field that would
+    overflow to inf, or a scale that would round to 0 (in fp16, above
+    65 504 or below about 3e-8). Raised before any bytes are made."""
+
+
 class DecodeError(ValueError):
     """Base class for malformed GMSG payloads."""
 
@@ -128,6 +134,9 @@ def record_size(precision: int, num_classes: int = 13) -> int:
 
 
 def serialize_message(msg: GaussianMessage) -> bytes:
+    """The GMSG bytes of a message. Raises EncodeRangeError when a Gaussian
+    would not survive the precision's rounding, so the receiver is never
+    sent a record it must reject."""
     gs = msg.gaussians
     header = _HEADER.pack(GMSG_MAGIC, GMSG_VERSION, msg.precision,
                           msg.sender_id, msg.receiver_id, msg.frame_tag, msg.count)
@@ -137,7 +146,14 @@ def serialize_message(msg: GaussianMessage) -> bytes:
         [gs.means, gs.scales, gs.rotations, gs.opacities[:, None], gs.semantics], axis=1
     )
     dtype = "<f2" if msg.precision == PRECISION_FP16 else "<f4"
-    return header + np.ascontiguousarray(flat, dtype=dtype).tobytes()
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(flat, dtype=dtype)
+    bad = ~np.all(np.isfinite(payload), axis=1) | np.any(payload[:, 3:6] <= 0.0, axis=1)
+    if np.any(bad):
+        raise EncodeRangeError(
+            f"{int(bad.sum())} of {msg.count} Gaussians overflow or lose a scale in "
+            f"{np.dtype(dtype).name}, first at row {int(np.argmax(bad))}")
+    return header + payload.tobytes()
 
 
 def deserialize_message(data: bytes, num_classes: int = 13) -> GaussianMessage:

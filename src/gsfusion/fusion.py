@@ -15,7 +15,13 @@ stages (one pair feature, one neighborhood, one class vector) with no
 arithmetic of their own.
 
 The forward pass can record a tape from which `fusion_backward` produces
-analytic parameter gradients; `learn` drives that during training.
+analytic parameter gradients; `learn` drives that during training. The
+tape keeps each block's pair features once, in the buffer padded to
+whole row tiles that the MLP ran over, and not the MLP's two hidden
+layers (2 KB a pair): `fusion_backward` recomputes them block by block
+from that buffer through the same products, so they carry the forward's
+bits and the gradients are those of a backward over kept layers
+(checkpointing, Chen et al. 2016, arXiv:1604.06174).
 
 Bounded blocks. A segment is one ego's neighbour list. `fuse_scene` runs
 every stage over blocks of whole segments holding at most `_FUSE_BLOCK`
@@ -281,15 +287,18 @@ def ego_features(gs: GaussianSet) -> np.ndarray:
 
 
 def rel_features(ego: GaussianSet, ego_idx: np.ndarray, nbr: GaussianSet,
-                 nbr_idx: np.ndarray) -> np.ndarray:
-    """Per-pair relative cue [dmean | dscale | |quat cosine| | opacity | semantics]."""
-    dm = nbr.means[nbr_idx] - ego.means[ego_idx]
-    ds = nbr.scales[nbr_idx] - ego.scales[ego_idx]
-    cos = np.abs(np.sum(nbr.rotations[nbr_idx] * ego.rotations[ego_idx], axis=1))
-    return np.concatenate(
-        [dm, ds, cos[:, None], nbr.opacities[nbr_idx][:, None], nbr.semantics[nbr_idx]],
-        axis=1,
-    )
+                 nbr_idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-pair relative cue [dmean | dscale | |quat cosine| | opacity | semantics],
+    written into `out` (a (pairs, 8 + classes) array or view) when given."""
+    if out is None:
+        out = np.empty((len(nbr_idx), rel_feature_dim(nbr.num_classes)))
+    np.subtract(nbr.means[nbr_idx], ego.means[ego_idx], out=out[:, 0:3])
+    np.subtract(nbr.scales[nbr_idx], ego.scales[ego_idx], out=out[:, 3:6])
+    np.sum(nbr.rotations[nbr_idx] * ego.rotations[ego_idx], axis=1, out=out[:, 6])
+    np.abs(out[:, 6], out=out[:, 6])
+    out[:, 7] = nbr.opacities[nbr_idx]
+    out[:, 8:] = nbr.semantics[nbr_idx]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +334,20 @@ def _hidden(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(h, 0.0, out=h)
 
 
-def _mlp_forward(z: np.ndarray, params: FusionParams):
-    """Raw outputs and the two hidden layers' post-ReLU activations. z is
-    padded once to whole row tiles (see `_pad_rows`) and every product runs
-    over the padded rows; the results are views of the first len(z) rows."""
-    n = z.shape[0]
-    h1 = _hidden(_pad_rows(z), params.w1, params.b1)
-    h2 = _hidden(h1, params.w2, params.b2)
-    raw = h2 @ params.w3.T
+def _mlp_hidden(z_tiles: np.ndarray, params: FusionParams):
+    """The two hidden layers' post-ReLU activations over `z_tiles`, pair
+    features padded to whole row tiles (see `_pad_rows`). `fusion_backward`
+    recomputes them with this same call over the same rows, so they carry
+    the forward's bits."""
+    h1 = _hidden(z_tiles, params.w1, params.b1)
+    return h1, _hidden(h1, params.w2, params.b2)
+
+
+def _mlp_forward(z_tiles: np.ndarray, params: FusionParams) -> np.ndarray:
+    """Raw MLP outputs over every row of `z_tiles`, padding rows included."""
+    raw = _mlp_hidden(z_tiles, params)[1] @ params.w3.T
     raw += params.b3
-    return raw[:n], h1[:n], h2[:n]
+    return raw
 
 
 def _activate(raw: np.ndarray, num_classes: int):
@@ -356,7 +369,8 @@ def propose(z: np.ndarray, params: FusionParams) -> Proposal:
     if not np.all(np.isfinite(z)):
         raise ValueError("non-finite pair feature")
     params.validate()
-    dm, s, r, a, c, _ = _activate(_mlp_forward(z[None, :], params)[0], params.num_classes)
+    raw = _mlp_forward(_pad_rows(z[None, :]), params)[:1]
+    dm, s, r, a, c, _ = _activate(raw, params.num_classes)
     return Proposal(dm[0], s[0], r[0], float(a[0]), c[0])
 
 
@@ -392,14 +406,15 @@ def _pool_weights(pooling: str, e_feats: np.ndarray, f_rel: np.ndarray,
     """Per-pair pooling weights: uniform within each segment ("mean"), or
     the segment softmax of the scaled dot products of the q_proj-projected
     segment ego feature and the k_proj-projected pair relative feature
-    ("attention")."""
+    ("attention"). `f_rel` may go on past the pairs with padding rows,
+    which are projected but not read."""
     if pooling == "mean":
         return np.repeat(1.0 / counts, counts)
     if pooling != "attention":
         raise ValueError("weights_mode must be 'mean' or 'attention'")
-    qe = _project(e_feats, params.q_proj)     # (S, d)
-    kf = _project(f_rel, params.k_proj)       # (P, d)
-    logits = np.sum(np.repeat(qe, counts, axis=0) * kf, axis=1)
+    qe = np.repeat(_project(e_feats, params.q_proj), counts, axis=0)     # (P, d)
+    kf = _project(f_rel, params.k_proj)[:qe.shape[0]]                    # (P, d)
+    logits = np.sum(qe * kf, axis=1)
     logits = logits / np.sqrt(params.q_proj.shape[0])
     return _segment_softmax(logits, starts, counts)
 
@@ -443,14 +458,13 @@ def confidence(v: np.ndarray, epsilon: float = 1e-8) -> float:
 @dataclass
 class FusionBlock:
     """What the analytic backward needs from one block of whole segments;
-    `starts` index the block's own pairs."""
+    `starts` index the block's own pairs. The hidden activations are not
+    kept: `fusion_backward` recomputes them from `z_tiles`."""
 
     seg_egos: np.ndarray        # ego rows of the block's segments
     starts: np.ndarray
     counts: np.ndarray
-    z: np.ndarray
-    h1: np.ndarray              # post-ReLU hidden activations (no pre-activation copies)
-    h2: np.ndarray
+    z_tiles: np.ndarray         # pair features, zero rows up to whole row tiles
     raw: np.ndarray
     dm: np.ndarray
     s: np.ndarray
@@ -461,7 +475,6 @@ class FusionBlock:
     w: np.ndarray
     sigma: np.ndarray
     e_feats: np.ndarray         # per-segment ego features
-    f_rel: np.ndarray           # per-pair relative features
     pooled_c: np.ndarray
     rbar_norm: np.ndarray
     rbar: np.ndarray
@@ -470,6 +483,16 @@ class FusionBlock:
     conf_ego: np.ndarray
     conf_pool: np.ndarray
     ego_sem: np.ndarray
+
+    @property
+    def z(self) -> np.ndarray:
+        """Per-pair features, a view of `z_tiles` without the padding."""
+        return self.z_tiles[:self.raw.shape[0]]
+
+    @property
+    def f_rel(self) -> np.ndarray:
+        """Per-pair relative features, the last columns of `z`."""
+        return self.z[:, self.e_feats.shape[1]:]
 
 
 @dataclass
@@ -534,16 +557,20 @@ def _fuse_block(fused: GaussianSet, ego_set: GaussianSet, e_all: np.ndarray,
                 pool_set: GaussianSet, seg_egos: np.ndarray, pair_j: np.ndarray,
                 starts: np.ndarray, counts: np.ndarray, cfg: FusionConfig,
                 params: FusionParams) -> FusionBlock:
-    """Fuse one block of whole segments into the rows `seg_egos` of `fused`."""
+    """Fuse one block of whole segments into the rows `seg_egos` of `fused`.
+    The pair features are written straight into one buffer padded to whole
+    row tiles, which the MLP, the k_proj projection and the tape share."""
     pair_e = np.repeat(seg_egos, counts)
-    f_rel = rel_features(ego_set, pair_e, pool_set, pair_j)
-    z = np.concatenate([e_all[pair_e], f_rel], axis=1)
+    n, n_ego = pair_e.size, e_all.shape[1]
+    z_tiles = np.zeros((n + -n % _ROW_TILE, n_ego + rel_feature_dim(ego_set.num_classes)))
+    z_tiles[:n, :n_ego] = e_all[pair_e]
+    rel_features(ego_set, pair_e, pool_set, pair_j, out=z_tiles[:n, n_ego:])
 
-    raw, h1, h2 = _mlp_forward(z, params)
+    raw = _mlp_forward(z_tiles, params)[:n]
     dm, s, r, a, c, rnorm = _activate(raw, ego_set.num_classes)
 
     e_feats = e_all[seg_egos]
-    w = _pool_weights(cfg.pooling, e_feats, f_rel, starts, counts, params)
+    w = _pool_weights(cfg.pooling, e_feats, z_tiles[:, n_ego:], starts, counts, params)
 
     pooled_dm, pooled_s, pooled_a, pooled_c, rbar_norm, rbar, sigma = \
         _pool_segments(w, dm, s, r, a, c, starts, counts)
@@ -564,9 +591,9 @@ def _fuse_block(fused: GaussianSet, ego_set: GaussianSet, e_all: np.ndarray,
     fused.semantics[seg_egos] = sem_hat
 
     return FusionBlock(
-        seg_egos=seg_egos, starts=starts, counts=counts, z=z, h1=h1, h2=h2, raw=raw,
+        seg_egos=seg_egos, starts=starts, counts=counts, z_tiles=z_tiles, raw=raw,
         dm=dm, s=s, r=r, a=a, c=c, rnorm=rnorm, w=w, sigma=sigma,
-        e_feats=e_feats, f_rel=f_rel, pooled_c=pooled_c, rbar_norm=rbar_norm, rbar=rbar,
+        e_feats=e_feats, pooled_c=pooled_c, rbar_norm=rbar_norm, rbar=rbar,
         canon_sign=canon_sign, alpha=alpha, conf_ego=conf_ego, conf_pool=conf_pool,
         ego_sem=ego_sem,
     )
@@ -576,24 +603,30 @@ def fusion_backward(tape: FusionTape, grad_fused: dict[str, np.ndarray]) -> dict
     """Map loss gradients w.r.t. the fused Gaussian fields back onto the
     FusionParams tensors, one tape block at a time, summing the blocks'
     parameter gradients in block order. Input Gaussians are treated as
-    constants."""
+    constants. Each block's hidden activations are recomputed from its
+    padded features, as the forward computed them."""
     p = tape.params
     grads = {k: np.zeros_like(v) for k, v in p.as_dict().items()}
     for block in tape.blocks:
         d_raw = _raw_output_grads(tape, block, grad_fused, grads)
+        n = d_raw.shape[0]
+        h1, h2 = _mlp_hidden(block.z_tiles, p)
+        h1, h2 = h1[:n], h2[:n]
 
         # MLP backward; the ReLU masks are h > 0 (h = max(pre-activation, 0)),
         # and each (pairs, hidden) temporary is freed or overwritten once spent
-        grads["w3"] += d_raw.T @ block.h2
+        grads["w3"] += d_raw.T @ h2
         grads["b3"] += d_raw.sum(axis=0)
         d_h2 = d_raw @ p.w3
         del d_raw
-        d_h2 *= block.h2 > 0.0
-        grads["w2"] += d_h2.T @ block.h1
+        d_h2 *= h2 > 0.0
+        del h2
+        grads["w2"] += d_h2.T @ h1
         grads["b2"] += d_h2.sum(axis=0)
         d_h1 = d_h2 @ p.w2
         del d_h2
-        d_h1 *= block.h1 > 0.0
+        d_h1 *= h1 > 0.0
+        del h1
         grads["w1"] += d_h1.T @ block.z
         grads["b1"] += d_h1.sum(axis=0)
         del d_h1
@@ -651,7 +684,7 @@ def _raw_output_grads(tape: FusionTape, blk: FusionBlock, grad_fused: dict[str, 
         scale = 1.0 / np.sqrt(p.q_proj.shape[0])
         d_logits = d_logits * scale
         qe = _project(blk.e_feats, p.q_proj)
-        kf = _project(blk.f_rel, p.k_proj)
+        kf = _project(blk.z_tiles[:, blk.e_feats.shape[1]:], p.k_proj)[:blk.raw.shape[0]]
         d_qe = np.add.reduceat(d_logits[:, None] * kf, starts)
         d_kf = d_logits[:, None] * rep(qe)
         grads["q_proj"] += d_qe.T @ blk.e_feats

@@ -6,11 +6,27 @@ splatted channel grid. Gradients flow analytically from the loss through
 splatting into the fusion network parameters; Gaussian attributes coming
 out of the simulator are constants. The trainer is a deterministic
 AdamW loop with linear warmup and cosine decay.
+
+Concurrency. A step with a batch of two or more runs two examples at a
+time: the calling thread takes the batch's even positions, one worker
+thread its odd ones, and the reports and gradients are summed in batch
+order, as a sequential loop sums them. The worker is made for one
+`train` or `train_calibration` call and joined before it returns; it
+never submits work of its own. While such a loop runs, both threads
+hold BLAS to one thread through OpenBLAS's per-thread setter, so two
+examples do not contend for the cores through BLAS's own threads, and
+the results equal a one-thread sequential run's bit for bit, whatever
+the process's BLAS thread count. A batch of one runs on the
+calling thread with BLAS untouched, and so does every batch when numpy's
+BLAS has no per-thread setter.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,37 +269,84 @@ class AdamW:
             p -= lr * (mhat / (np.sqrt(vhat) + _ADAM_EPS) + self.weight_decay * p)
 
 
+def _blas_threads_setter():
+    """OpenBLAS's `openblas_set_num_threads_local(n)`, which sets the BLAS
+    thread count of the calling thread only and returns the previous one,
+    or None when numpy's BLAS has no such symbol. It is looked up through
+    numpy's own extension module, whose dependencies the loader searches,
+    so it is the setter of the BLAS numpy calls."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:                                 # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    try:
+        setter = ctypes.CDLL(umath.__file__).openblas_set_num_threads_local
+    except (OSError, AttributeError):
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
+_set_blas_threads = _blas_threads_setter()
+
+
+@contextmanager
+def _batch_runner(example, take: int):
+    """A function that returns the results of `example(i)` for a batch of
+    `take` positions `idx`, in batch order, two at a time when it can (see
+    the module docstring). The worker lives as long as the runner, and the
+    calling thread's BLAS thread count is restored when the runner ends."""
+    if take < 2 or _set_blas_threads is None:
+        yield lambda idx: [example(i) for i in idx]
+        return
+    previous = _set_blas_threads(1)
+    try:
+        with ThreadPoolExecutor(max_workers=1, initializer=_set_blas_threads,
+                                initargs=(1,)) as worker:
+            def run_batch(idx):
+                theirs = worker.submit(lambda: [example(i) for i in idx[1::2]])
+                results = [None] * len(idx)
+                results[::2] = [example(i) for i in idx[::2]]
+                results[1::2] = theirs.result()
+                return results
+
+            yield run_batch
+    finally:
+        _set_blas_threads(previous)
+
+
 def _minibatch_adamw(opt: AdamW, count: int, cfg: TrainConfig, stream: int, example,
                      log_every: int = 0):
     """The AdamW loop of `train` and `train_calibration`: each step draws a
     batch of the `count` examples, seeded by (cfg.seed, stream), averages
     the (LossReport, gradients keyed like opt.params) of `example(i)` over
-    it and steps `opt`. Returns the curve rows (step, ce, lovasz, total)."""
+    it in batch order and steps `opt`; `_batch_runner` runs the batch.
+    Returns the curve rows (step, ce, lovasz, total)."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, stream]))
+    take = min(cfg.batch, count)
     curve = []
-    for step in range(cfg.steps):
-        take = min(cfg.batch, count)
-        idx = rng.choice(count, size=take, replace=False)
-        mean_grads = {k: np.zeros_like(v) for k, v in opt.params.items()}
-        ce = lov = tot = 0.0
-        for i in idx:
-            report, grads = example(i)
-            report.validate()
-            ce += report.ce / take
-            lov += report.lovasz / take
-            tot += report.total / take
-            for k in mean_grads:
-                mean_grads[k] += grads[k] / take
-        if not np.isfinite(tot):
-            raise DivergenceError(f"loss diverged at step {step}")
-        opt.step(mean_grads, lr_at(step, cfg))
-        for k, v in opt.params.items():
-            if not np.all(np.isfinite(v)):
-                raise DivergenceError(f"parameter {k} became non-finite at step {step}")
-        curve.append((step, ce, lov, tot))
-        if log_every and step % log_every == 0:
-            print(f"step {step:4d}  lr {lr_at(step, cfg):.2e}  "
-                  f"ce {ce:.4f}  lovasz {lov:.4f}  total {tot:.4f}")
+    with _batch_runner(example, take) as run_batch:
+        for step in range(cfg.steps):
+            idx = rng.choice(count, size=take, replace=False)
+            mean_grads = {k: np.zeros_like(v) for k, v in opt.params.items()}
+            ce = lov = tot = 0.0
+            for report, grads in run_batch(idx):
+                report.validate()
+                ce += report.ce / take
+                lov += report.lovasz / take
+                tot += report.total / take
+                for k in mean_grads:
+                    mean_grads[k] += grads[k] / take
+            if not np.isfinite(tot):
+                raise DivergenceError(f"loss diverged at step {step}")
+            opt.step(mean_grads, lr_at(step, cfg))
+            for k, v in opt.params.items():
+                if not np.all(np.isfinite(v)):
+                    raise DivergenceError(f"parameter {k} became non-finite at step {step}")
+            curve.append((step, ce, lov, tot))
+            if log_every and step % log_every == 0:
+                print(f"step {step:4d}  lr {lr_at(step, cfg):.2e}  "
+                      f"ce {ce:.4f}  lovasz {lov:.4f}  total {tot:.4f}")
     return curve
 
 

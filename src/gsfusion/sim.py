@@ -28,6 +28,7 @@ from gsfusion.comms import (
     PRECISION_FP16,
     DecodeError,
     CommStats,
+    EncodeRangeError,
     cull_to_roi,
     deserialize_message,
     enforce_budget,
@@ -514,9 +515,11 @@ def _receive_all(episode: EpisodeData, ego: int, precision: int,
                  message_sink: list | None = None):
     """Package every neighbor's observation for `ego`: cull, serialize,
     enforce the budget, account, then decode (so quantization is real).
-    A message that fails to decode is dropped and counted as rejected on
-    its link; its bytes stay counted as sent. Accepted wire messages are
-    appended to message_sink when given."""
+    A message that cannot be encoded (EncodeRangeError) is not sent and
+    is counted as rejected on its link. A message that fails to decode is
+    dropped and counted as rejected on its link; its bytes stay counted
+    as sent. Accepted wire messages are appended to message_sink when
+    given."""
     spec = episode.spec
     roi = spec.agent_roi()
     t_world_ego = spec.agents[ego].inverse()
@@ -527,7 +530,11 @@ def _receive_all(episode: EpisodeData, ego: int, precision: int,
         t_j_to_ego = t_world_ego.compose(spec.agents[j])
         culled = cull_to_roi(episode.observations[j], t_j_to_ego, roi)
         msg = GaussianMessage(j, ego, int(spec.seed) & 0xFFFFFFFF, culled, precision)
-        data = serialize_message(msg)
+        try:
+            data = serialize_message(msg)
+        except EncodeRangeError:
+            stats.record_rejected((j, ego))
+            continue
         if budget_bytes is not None and not enforce_budget(len(data), budget_bytes):
             stats.record_rejected()
             continue

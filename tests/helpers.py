@@ -5,7 +5,8 @@ not by calling the library paths it checks. The exceptions are
 references that keep an earlier composition of library kernels, which a
 rewrite of that composition must reproduce bit for bit
 (`concat_scene_loss_and_grads`, `per_channel_splat`, `repeat_pair_lists`,
-`bincount_splat`, `lovasz_softmax_oracle`), and `HashGrid`, a per-query
+`bincount_splat`, `lovasz_softmax_oracle`, `kept_hidden_fusion_backward`,
+`sequential_train`), and `HashGrid`, a per-query
 adapter over the library's neighbour search that tests check against
 `linear_scan_neighborhood`.
 """
@@ -30,6 +31,7 @@ from gsfusion.core import (
     _quat_to_rotmat_unchecked,
     canonicalize_quaternion,
 )
+from gsfusion import fusion, learn
 from gsfusion.fusion import (
     SCALE_FLOOR,
     FusionConfig,
@@ -41,7 +43,7 @@ from gsfusion.fusion import (
 from gsfusion.learn import total_loss
 from gsfusion.metrics import iou_3d
 from gsfusion.sim import ObservationModel, generate_scene, prepare_episode, run_episode
-from gsfusion.splat import Pairs, splat, splat_backward
+from gsfusion.splat import Pairs, SplatConfig, splat, splat_backward
 
 
 def inv3x3(m):
@@ -518,6 +520,64 @@ def concat_scene_loss_and_grads(example, fusion_cfg, splat_cfg, params, want_gra
     return report, fusion_backward(tape, {k: v[:n] for k, v in field_grads.items()})
 
 
+def kept_hidden_fusion_backward(ego_set, received_sets, cfg, params, grad_fused):
+    """(fused, tape, gradients) of `fuse_scene(record=True)` and a backward
+    over the hidden layers each block's forward computed and kept, the
+    earlier tape, where `fusion_backward` recomputes them."""
+    kept, real = [], fusion._mlp_hidden
+
+    def keep(z_tiles, p):
+        kept.append(real(z_tiles, p))
+        return kept[-1]
+
+    fusion._mlp_hidden = keep
+    try:
+        fused, tape = fuse_scene(ego_set, received_sets, cfg, params, record=True)
+    finally:
+        fusion._mlp_hidden = real
+    assert len(kept) == len(tape.blocks)
+    p = tape.params
+    grads = {k: np.zeros_like(v) for k, v in p.as_dict().items()}
+    for block, (h1, h2) in zip(tape.blocks, kept):
+        d_raw = fusion._raw_output_grads(tape, block, grad_fused, grads)
+        h1, h2 = h1[:d_raw.shape[0]], h2[:d_raw.shape[0]]
+        grads["w3"] += d_raw.T @ h2
+        grads["b3"] += d_raw.sum(axis=0)
+        d_h2 = (d_raw @ p.w3) * (h2 > 0.0)
+        grads["w2"] += d_h2.T @ h1
+        grads["b2"] += d_h2.sum(axis=0)
+        d_h1 = (d_h2 @ p.w2) * (h1 > 0.0)
+        grads["w1"] += d_h1.T @ block.z
+        grads["b1"] += d_h1.sum(axis=0)
+    return fused, tape, grads
+
+
+def sequential_train(params0, dataset, cfg, fusion_cfg=None, splat_cfg=None):
+    """`learn.train` as one loop on the calling thread: every example of a
+    step in batch order, each summed into the batch mean as it comes."""
+    fusion_cfg = fusion_cfg or FusionConfig()
+    splat_cfg = splat_cfg or SplatConfig()
+    params = params0.copy()
+    opt = learn.AdamW(params.as_dict(), weight_decay=cfg.weight_decay)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x7E41]))
+    take = min(cfg.batch, len(dataset))
+    curve = []
+    for step in range(cfg.steps):
+        mean = {k: np.zeros_like(v) for k, v in opt.params.items()}
+        ce = lov = tot = 0.0
+        for i in rng.choice(len(dataset), size=take, replace=False):
+            report, grads = learn.scene_loss_and_grads(dataset[i], fusion_cfg, splat_cfg,
+                                                       params)
+            ce += report.ce / take
+            lov += report.lovasz / take
+            tot += report.total / take
+            for k in mean:
+                mean[k] += grads[k] / take
+        opt.step(mean, learn.lr_at(step, cfg))
+        curve.append((step, ce, lov, tot))
+    return params, curve
+
+
 def pair_geometry_oracle(gaussians: GaussianSet, geometry, pair_gauss, pair_voxel, rots):
     """(delta, local) of each pair recomputed from its flat voxel index:
     voxel center minus mean, then R^T delta with the given (N, 3, 3)
@@ -624,11 +684,12 @@ def episode42_metrics() -> dict:
     return out
 
 
-def prepare_with_undecodable_message(spec, model, scales=1e-8):
+def prepare_with_undecodable_message(spec, model, scales=(3.01e-7, 0.3, 0.3)):
     """`prepare_episode`, then give agent 1 a Gaussian inside agent 0's ROI
-    with the given `scales`, valid as they are. The default 1e-8
-    underflows to 0 in fp16, so agent 1's message to agent 0 fails to
-    decode."""
+    with the given `scales`, valid as they are. The default's condition
+    number is 0.99e12, and 1.01e12 once fp16 has rounded the scales, so
+    agent 1's message to agent 0 is sent but fails to decode. A scale of
+    1e-8 instead underflows to 0 in fp16, so the message is not sent."""
     episode = prepare_episode(spec, model)
     obs = episode.observations[1].copy()
     moved = transform_set(obs, spec.agents[0].inverse().compose(spec.agents[1]))

@@ -72,6 +72,18 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"section {section}: " in err
 
+    @pytest.mark.parametrize("command, section, value", [
+        ("run", "fusion", {"radius_rho": "abc"}),
+        ("run", "observation", {"gaussians_per_agent": "abc"}),
+        ("run", "splat", {"truncation_sigma": "abc"}),
+        ("train", "train", {"steps": [3], "train_scenes": 1, "holdout_scenes": 1}),
+    ], ids=["fusion", "observation", "splat", "train"])
+    def test_wrong_typed_value_rejected(self, tmp_path, capsys, command, section, value):
+        p, _ = small_config(tmp_path, **{section: value})
+        assert main([command, "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"section {section}: " in err
+
     def test_empty_section_takes_defaults(self, tmp_path):
         p, _ = small_config(tmp_path, fusion=None, train=None)
         cfg = load_config(str(p))

@@ -6,6 +6,8 @@ from gsfusion.comms import (
     BadMagicError,
     CommStats,
     CorruptFieldError,
+    DecodeError,
+    EncodeRangeError,
     GaussianMessage,
     PRECISION_FP16,
     PRECISION_FP32,
@@ -237,6 +239,28 @@ class TestWireFormat:
         back.gaussians.validate()
         with pytest.raises(CorruptFieldError, match="condition number 1.01.e\\+12 exceeds"):
             deserialize_message(serialize_message(GaussianMessage(0, 1, 0, gs)))
+
+    @pytest.mark.parametrize("field, col, fits, lost", [
+        ("scales", 1, 2.0**-24, 2.0**-25),       # the least fp16 subnormal; its half rounds to 0
+        ("semantics", 5, 65504.0, 65520.0),      # the fp16 maximum; 65 520 rounds to inf
+    ], ids=["scale_underflow", "semantic_overflow"])
+    def test_fp16_encoder_refuses_what_it_cannot_carry(self, field, col, fits, lost):
+        gs = random_gaussian_set(RNG, 3)
+        gs.scales[1] = 1e-5                      # round, so one tiny axis keeps the set valid
+        for value in (fits, lost):
+            getattr(gs, field)[1, col] = value
+            gs.validate()
+            fp32 = deserialize_message(serialize_message(GaussianMessage(0, 1, 0, gs,
+                                                                         PRECISION_FP32)))
+            assert getattr(fp32.gaussians, field)[1, col] == value
+            if value == fits:
+                back = deserialize_message(serialize_message(GaussianMessage(0, 1, 0, gs)))
+                assert getattr(back.gaussians, field)[1, col] == value
+            else:
+                with pytest.raises(EncodeRangeError,
+                                   match="1 of 3 Gaussians .* float16, first at row 1"):
+                    serialize_message(GaussianMessage(0, 1, 0, gs))
+        assert not issubclass(EncodeRangeError, DecodeError)
 
 
 class TestBudgetAndStats:

@@ -35,6 +35,7 @@ from helpers import (
     fusion_digest,
     fusion_oracle,
     golden_fusion_fixture,
+    kept_hidden_fusion_backward,
     linear_scan_neighborhood,
     neighbor_csr_oracle,
     oracle_gaps,
@@ -450,7 +451,7 @@ class TestFuseScene:
             assert np.array_equal(getattr(tape_a, name), getattr(tape_b, name))
         assert len(tape_a.blocks) == len(tape_b.blocks)
         for block_a, block_b in zip(tape_a.blocks, tape_b.blocks):
-            for name in ("seg_egos", "starts", "counts", "z", "h1", "h2", "raw", "w"):
+            for name in ("seg_egos", "starts", "counts", "z", "raw", "w"):
                 assert np.array_equal(getattr(block_a, name), getattr(block_b, name))
         # the given lists are the ones used: none given, nothing is fused
         untouched = fuse_scene(ego, rec, cfg, params, neighbors=(np.empty(0, np.int64),) * 4)
@@ -626,6 +627,24 @@ class TestFusionBlocks:
                 assert scale == 0.0 and np.all(got[name] == 0.0)
                 continue
             assert np.max(np.abs(got[name] - g)) <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("bound", [7, "above_all"])
+    @pytest.mark.parametrize("run", ["golden", "mean", "cap5", "tiny"])
+    def test_recomputed_hidden_layers_equal_kept_ones(self, run, bound, monkeypatch):
+        # the tape keeps no hidden layer; the backward's recompute must give
+        # the gradients of a backward over the layers the forward computed
+        ego, rec, cfg, params = _block_runs()[run]
+        rng = np.random.default_rng(2718)
+        upstream = {name: rng.normal(size=getattr(ego, name).shape)
+                    for name in ("means", "scales", "rotations", "opacities", "semantics")}
+        counts = scene_neighbors(ego, rec, cfg)[3]
+        monkeypatch.setattr(fusion, "_FUSE_BLOCK", _bound(bound, counts))
+        fused, tape, want = kept_hidden_fusion_backward(ego, rec, cfg, params, upstream)
+        assert (len(tape.blocks) == 1) == (bound == "above_all")
+        assert fusion_digest(fused) == fusion_digest(fuse_scene(ego, rec, cfg, params))
+        got = fusion_backward(tape, upstream)
+        for name, g in want.items():
+            assert np.array_equal(got[name], g), name
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("kernel", sorted(_BLAS_KERNELS))

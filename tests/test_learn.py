@@ -1,4 +1,10 @@
+import hashlib
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -35,6 +41,7 @@ from helpers import (
     jaccard_by_counting,
     lovasz_softmax_oracle,
     random_gaussian_set,
+    sequential_train,
 )
 
 RNG = np.random.default_rng(60601)
@@ -456,6 +463,122 @@ class TestTrain:
         p0.b3[:] = 1e6                      # force absurd proposals
         with pytest.raises(DivergenceError):
             train(p0, data, TrainConfig(steps=3, peak_lr=1e30, seed=0))
+
+
+def _threaded_fixture():
+    """Three training examples large enough that a sequential `train` of
+    `THREAD_CFG` gives other bits at one BLAS thread than at two."""
+    model = ObservationModel(gaussians_per_agent=800)
+    return [make_training_example(generate_scene(derive_scene_seed(5, i), num_agents=2,
+                                                 world_half_xy=10.0, grid_dims=(50, 50, 8)),
+                                  model, ego=0)
+            for i in range(3)]
+
+
+THREAD_CFG = TrainConfig(steps=3, warmup_steps=1, peak_lr=1e-3, batch=3, seed=4)
+
+needs_setter = pytest.mark.skipif(learn._set_blas_threads is None,
+                                  reason="numpy's BLAS has no per-thread thread-count setter")
+
+
+def _threaded_digest() -> str:
+    """Digest of the curve and weights of `train` on `_threaded_fixture`."""
+    params, curve = train(FusionParams.init(seed=1), _threaded_fixture(), THREAD_CFG)
+    h = hashlib.sha256(np.array(curve, dtype=np.float64).tobytes())
+    for v in params.as_dict().values():
+        h.update(v.tobytes())
+    return h.hexdigest()
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a batch that runs on the calling thread needs no worker or pinning")
+
+
+def _assert_same_training(got, want):
+    (p_got, c_got), (p_want, c_want) = got, want
+    assert c_got == c_want
+    for name in FusionParams._ORDER:
+        assert np.array_equal(getattr(p_got, name), getattr(p_want, name)), name
+
+
+class TestTwoExamplesAtATime:
+    @pytest.fixture(scope="class")
+    def data(self):
+        return _threaded_fixture()
+
+    @needs_setter
+    def test_equals_sequential_loop_at_one_blas_thread(self, data, monkeypatch):
+        previous = learn._set_blas_threads(1)
+        try:
+            want = sequential_train(FusionParams.init(seed=1), data, THREAD_CFG)
+        finally:
+            learn._set_blas_threads(previous)
+        ran, pinned = [], []
+        real_example, real_setter = learn.scene_loss_and_grads, learn._set_blas_threads
+
+        def example(*args, **kwargs):
+            ran.append(threading.current_thread())
+            return real_example(*args, **kwargs)
+
+        def setter(n):
+            pinned.append((threading.current_thread(), n))
+            return real_setter(n)
+
+        monkeypatch.setattr(learn, "scene_loss_and_grads", example)
+        monkeypatch.setattr(learn, "_set_blas_threads", setter)
+        before = threading.enumerate()
+        got = train(FusionParams.init(seed=1), data, THREAD_CFG)
+        assert threading.enumerate() == before          # no thread outlives train
+        _assert_same_training(got, want)
+        main = threading.main_thread()
+        worker = next(t for t in ran if t is not main)
+        # a batch of three: positions 0 and 2 on the calling thread, 1 on the worker
+        assert [t is main for t in ran].count(True) == 2 * THREAD_CFG.steps
+        assert ran.count(worker) == THREAD_CFG.steps
+        assert pinned == [(main, 1), (worker, 1), (main, previous)]
+
+    def test_without_setter_runs_sequentially(self, data, monkeypatch):
+        want = sequential_train(FusionParams.init(seed=1), data, THREAD_CFG)
+        monkeypatch.setattr(learn, "_set_blas_threads", None)
+        monkeypatch.setattr(learn, "ThreadPoolExecutor", _forbidden)
+        _assert_same_training(train(FusionParams.init(seed=1), data, THREAD_CFG), want)
+
+    def test_batch_of_one_runs_on_the_calling_thread(self, data, monkeypatch):
+        cfg = replace(THREAD_CFG, batch=1)
+        want = sequential_train(FusionParams.init(seed=1), data, cfg)
+        monkeypatch.setattr(learn, "_set_blas_threads", _forbidden)
+        monkeypatch.setattr(learn, "ThreadPoolExecutor", _forbidden)
+        _assert_same_training(train(FusionParams.init(seed=1), data, cfg), want)
+
+    @needs_setter
+    def test_divergence_in_the_worker_reaches_the_caller(self, data, monkeypatch):
+        real = learn.scene_loss_and_grads
+
+        def diverge_off_main(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise DivergenceError(f"non-finite loss in {threading.current_thread().name}")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(learn, "scene_loss_and_grads", diverge_off_main)
+        before = threading.enumerate()
+        with pytest.raises(DivergenceError, match="non-finite loss in ThreadPoolExecutor-"):
+            train(FusionParams.init(seed=1), data, THREAD_CFG)
+        assert threading.enumerate() == before
+
+    @needs_setter
+    def test_training_does_not_depend_on_blas_thread_count(self):
+        # a fresh process per count, because OpenBLAS reads it once at load
+        here = pathlib.Path(__file__).parent
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+            proc = subprocess.run([sys.executable, "-c",
+                                   "import test_learn; print(test_learn._threaded_digest())"],
+                                  env=env, cwd=here, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            digests.append(proc.stdout.split()[-1])
+        assert digests[0] == digests[1]
 
 
 class TestCalibration:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gsfusion.core import EMPTY_CLASS, GaussianSet, GridGeometry, RigidTransform
-from gsfusion.comms import deserialize_message, stack, transform_set
+from gsfusion.comms import PRECISION_FP32, deserialize_message, stack, transform_set
 from gsfusion.fusion import FusionConfig, FusionParams, fuse_scene
 from gsfusion.learn import Calibration
 from gsfusion.sim import (
@@ -422,6 +422,25 @@ class TestEpisode:
             assert res.comm.bytes_sent == links[(1, 0)].bytes + links[(0, 1)].bytes
             assert links[(1, 0)].bytes > 0
             assert np.array_equal(res.channels[0].channels, single.channels[0].channels)
+
+    def test_unencodable_message_rejected_on_its_link(self):
+        # agent 1's scale of 1e-8 rounds to 0 in fp16: its message to agent 0
+        # is not sent but counted as rejected on its link; fp32 carries it
+        spec = self._spec()
+        model = self._model()
+        episode = prepare_with_undecodable_message(spec, model, scales=1e-8)
+        single = run_episode(spec, model, "single", episode=episode)
+        for mode, p in (("zero_shot", None), ("learned", FusionParams.init(seed=3))):
+            res = run_episode(spec, model, mode, params=p, episode=episode)
+            links = res.comm.per_link
+            assert res.comm.messages_rejected == 1
+            assert (links[(1, 0)].rejected, links[(1, 0)].messages, links[(1, 0)].bytes) \
+                == (1, 0, 0)
+            assert (links[(0, 1)].rejected, res.comm.messages_sent) == (0, 1)
+            assert res.comm.bytes_sent == links[(0, 1)].bytes > 0
+            assert np.array_equal(res.channels[0].channels, single.channels[0].channels)
+        wide = run_episode(spec, model, "zero_shot", episode=episode, precision=PRECISION_FP32)
+        assert (wide.comm.messages_rejected, wide.comm.messages_sent) == (0, 2)
 
     def test_quantized_ill_conditioned_message_rejected_on_its_link(self):
         # condition 0.99e12 in agent 1's frame, 1.01e12 once fp16 has rounded
