@@ -223,7 +223,9 @@ class LinkStats:
     messages: int = 0
     gaussians: int = 0
     bytes: int = 0
-    rejected: int = 0           # sent messages the receiver could not decode
+    # messages the encoder refused (EncodeRangeError: never sent, no bytes)
+    # plus sent messages the receiver could not decode
+    rejected: int = 0
 
 
 @dataclass

@@ -305,6 +305,11 @@ def rel_features(ego: GaussianSet, ego_idx: np.ndarray, nbr: GaussianSet,
 # proposal network
 # ---------------------------------------------------------------------------
 
+def _whole_tiles(n: int) -> int:
+    """n rows rounded up to a multiple of `_ROW_TILE`."""
+    return n + -n % _ROW_TILE
+
+
 def _pad_rows(x: np.ndarray) -> np.ndarray:
     """x with zero rows appended up to a multiple of `_ROW_TILE` rows; x
     itself when its row count already is one.
@@ -314,10 +319,10 @@ def _pad_rows(x: np.ndarray) -> np.ndarray:
     paths by kernel and thread count). Over whole tiles an output row
     depends only on its own input row, so a pair gets the same bits in
     any block, and in `propose`."""
-    n = x.shape[0]
-    if n % _ROW_TILE == 0:
+    n, rows = x.shape[0], _whole_tiles(x.shape[0])
+    if rows == n:
         return x
-    padded = np.zeros((n + _ROW_TILE - n % _ROW_TILE, x.shape[1]))
+    padded = np.zeros((rows, x.shape[1]))
     padded[:n] = x
     return padded
 
@@ -490,9 +495,9 @@ class FusionBlock:
         return self.z_tiles[:self.raw.shape[0]]
 
     @property
-    def f_rel(self) -> np.ndarray:
-        """Per-pair relative features, the last columns of `z`."""
-        return self.z[:, self.e_feats.shape[1]:]
+    def rel_tiles(self) -> np.ndarray:
+        """The relative-feature columns of `z_tiles`, padding rows included."""
+        return self.z_tiles[:, self.e_feats.shape[1]:]
 
 
 @dataclass
@@ -562,15 +567,16 @@ def _fuse_block(fused: GaussianSet, ego_set: GaussianSet, e_all: np.ndarray,
     row tiles, which the MLP, the k_proj projection and the tape share."""
     pair_e = np.repeat(seg_egos, counts)
     n, n_ego = pair_e.size, e_all.shape[1]
-    z_tiles = np.zeros((n + -n % _ROW_TILE, n_ego + rel_feature_dim(ego_set.num_classes)))
+    z_tiles = np.zeros((_whole_tiles(n), n_ego + rel_feature_dim(ego_set.num_classes)))
+    rel_tiles = z_tiles[:, n_ego:]
     z_tiles[:n, :n_ego] = e_all[pair_e]
-    rel_features(ego_set, pair_e, pool_set, pair_j, out=z_tiles[:n, n_ego:])
+    rel_features(ego_set, pair_e, pool_set, pair_j, out=rel_tiles[:n])
 
     raw = _mlp_forward(z_tiles, params)[:n]
     dm, s, r, a, c, rnorm = _activate(raw, ego_set.num_classes)
 
     e_feats = e_all[seg_egos]
-    w = _pool_weights(cfg.pooling, e_feats, z_tiles[:, n_ego:], starts, counts, params)
+    w = _pool_weights(cfg.pooling, e_feats, rel_tiles, starts, counts, params)
 
     pooled_dm, pooled_s, pooled_a, pooled_c, rbar_norm, rbar, sigma = \
         _pool_segments(w, dm, s, r, a, c, starts, counts)
@@ -684,11 +690,12 @@ def _raw_output_grads(tape: FusionTape, blk: FusionBlock, grad_fused: dict[str, 
         scale = 1.0 / np.sqrt(p.q_proj.shape[0])
         d_logits = d_logits * scale
         qe = _project(blk.e_feats, p.q_proj)
-        kf = _project(blk.z_tiles[:, blk.e_feats.shape[1]:], p.k_proj)[:blk.raw.shape[0]]
+        rel = blk.rel_tiles[:blk.raw.shape[0]]
+        kf = _project(blk.rel_tiles, p.k_proj)[:rel.shape[0]]
         d_qe = np.add.reduceat(d_logits[:, None] * kf, starts)
         d_kf = d_logits[:, None] * rep(qe)
         grads["q_proj"] += d_qe.T @ blk.e_feats
-        grads["k_proj"] += d_kf.T @ blk.f_rel
+        grads["k_proj"] += d_kf.T @ rel
 
     # activation maps back to raw MLP outputs
     d_raw = np.zeros_like(blk.raw)

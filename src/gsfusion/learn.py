@@ -16,9 +16,12 @@ never submits work of its own. While such a loop runs, both threads
 hold BLAS to one thread through OpenBLAS's per-thread setter, so two
 examples do not contend for the cores through BLAS's own threads, and
 the results equal a one-thread sequential run's bit for bit, whatever
-the process's BLAS thread count. A batch of one runs on the
-calling thread with BLAS untouched, and so does every batch when numpy's
-BLAS has no per-thread setter.
+the process's BLAS thread count. So such a batch uses two cores
+however many threads BLAS would otherwise use; this was measured only
+on a 2-core machine, where it is faster, and may be slower on a host
+whose BLAS would give each example more than two threads. A batch of
+one runs on the calling thread with BLAS untouched, and so does every
+batch when numpy's BLAS has no per-thread setter.
 """
 
 from __future__ import annotations
