@@ -223,8 +223,8 @@ class LinkStats:
     messages: int = 0
     gaussians: int = 0
     bytes: int = 0
-    # messages the encoder refused (EncodeRangeError: never sent, no bytes)
-    # plus sent messages the receiver could not decode
+    # messages the encoder (EncodeRangeError) or the budget refused: never
+    # sent, no bytes; plus sent messages the receiver could not decode
     rejected: int = 0
 
 

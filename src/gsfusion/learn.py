@@ -7,21 +7,24 @@ splatting into the fusion network parameters; Gaussian attributes coming
 out of the simulator are constants. The trainer is a deterministic
 AdamW loop with linear warmup and cosine decay.
 
-Concurrency. A step with a batch of two or more runs two examples at a
-time: the calling thread takes the batch's even positions, one worker
-thread its odd ones, and the reports and gradients are summed in batch
-order, as a sequential loop sums them. The worker is made for one
-`train` or `train_calibration` call and joined before it returns; it
-never submits work of its own. While such a loop runs, both threads
-hold BLAS to one thread through OpenBLAS's per-thread setter, so two
-examples do not contend for the cores through BLAS's own threads, and
-the results equal a one-thread sequential run's bit for bit, whatever
-the process's BLAS thread count. So such a batch uses two cores
-however many threads BLAS would otherwise use; this was measured only
-on a 2-core machine, where it is faster, and may be slower on a host
-whose BLAS would give each example more than two threads. A batch of
-one runs on the calling thread with BLAS untouched, and so does every
-batch when numpy's BLAS has no per-thread setter.
+Concurrency. Two loops run two items at a time through `_batch_runner`:
+a training step with a batch of two or more examples, and the per-ego
+render of an episode with two or more agents (`gsfusion.sim.run_episode`).
+The calling thread takes the even positions, one worker thread the odd
+ones, and the results come back in order, so a step's reports and
+gradients are summed in batch order, as a sequential loop sums them. The
+worker is made for one `train`, `train_calibration` or `run_episode` call
+and joined before it returns; it never submits work of its own. While
+such a loop runs, both threads hold BLAS to one thread through OpenBLAS's
+per-thread setter, so two items do not contend for the cores through
+BLAS's own threads, and the results equal a one-thread sequential run's
+bit for bit, whatever the process's BLAS thread count. So such a loop
+uses two cores however many threads BLAS would otherwise use; this was
+measured only on a 2-core machine, where it is faster, and may be slower
+on a host whose BLAS would give each item more than two threads. A batch
+of one and an episode of one agent run on the calling thread with BLAS
+untouched, and so does every loop when numpy's BLAS has no per-thread
+setter.
 """
 
 from __future__ import annotations

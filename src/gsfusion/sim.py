@@ -10,7 +10,7 @@ world frame, so observations are consistent across agent frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,8 +37,14 @@ from gsfusion.comms import (
     transform_set,
 )
 from gsfusion.fusion import FusionConfig, FusionParams, fuse_scene
-from gsfusion.learn import Calibration, TrainExample
-from gsfusion.splat import SplatConfig, labels_from_channels, splat, splat_sparse
+from gsfusion.learn import Calibration, TrainExample, _batch_runner
+from gsfusion.splat import (
+    SparseChannels,
+    SplatConfig,
+    labels_from_channels,
+    splat,
+    splat_sparse,
+)
 
 CLASS_NAMES = (
     "building", "fence", "terrain", "pole", "road", "sidewalk",
@@ -493,6 +499,9 @@ class EpisodeData:
     model: ObservationModel
     gt: GroundTruth
     observations: list[GaussianSet]      # agent frames
+    # the empty-space prior rendered on an agent grid, keyed by what the
+    # render reads (see _prior); filled by run_episode
+    priors: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass
@@ -510,16 +519,28 @@ def prepare_episode(spec: SceneSpec, model: ObservationModel) -> EpisodeData:
     return EpisodeData(spec, model, gt, obs)
 
 
+def _prior(episode: EpisodeData, model: ObservationModel, geometry: GridGeometry,
+           splat_cfg: SplatConfig) -> SparseChannels:
+    """The empty-space prior of `model` rendered on `geometry`, rendered once
+    per episode and key. The key holds everything the render reads, so a
+    call with other arguments renders afresh."""
+    key = (model.empty_gaussian_scale, model.semantic_weight, splat_cfg, geometry.dims,
+           tuple(geometry.origin.tolist()), geometry.voxel_size, geometry.num_classes)
+    if key not in episode.priors:
+        episode.priors[key] = splat_sparse(empty_space_gaussian(model), geometry, splat_cfg)
+    return episode.priors[key]
+
+
 def _receive_all(episode: EpisodeData, ego: int, precision: int,
                  budget_bytes: float | None, stats: CommStats,
                  message_sink: list | None = None):
     """Package every neighbor's observation for `ego`: cull, serialize,
     enforce the budget, account, then decode (so quantization is real).
-    A message that cannot be encoded (EncodeRangeError) is not sent and
-    is counted as rejected on its link. A message that fails to decode is
-    dropped and counted as rejected on its link; its bytes stay counted
-    as sent. Accepted wire messages are appended to message_sink when
-    given."""
+    A message that cannot be encoded (EncodeRangeError) or is over the
+    budget is not sent and is counted as rejected on its link. A message
+    that fails to decode is dropped and counted as rejected on its link;
+    its bytes stay counted as sent. Accepted wire messages are appended
+    to message_sink when given."""
     spec = episode.spec
     roi = spec.agent_roi()
     t_world_ego = spec.agents[ego].inverse()
@@ -536,7 +557,7 @@ def _receive_all(episode: EpisodeData, ego: int, precision: int,
             stats.record_rejected((j, ego))
             continue
         if budget_bytes is not None and not enforce_budget(len(data), budget_bytes):
-            stats.record_rejected()
+            stats.record_rejected((j, ego))
             continue
         stats.record(msg, len(data))
         try:
@@ -565,6 +586,11 @@ def run_episode(spec: SceneSpec, model: ObservationModel, mode: str,
                (identity when no Calibration is given).
     learned:   the stacked set is refined by the fusion network against the
                received pool before splatting; requires FusionParams.
+
+    Every ego first receives its messages, in ego order on the calling
+    thread, so the comm stats and message_sink keep that order; then the
+    egos render (fuse, splat, prior, calibration, labels) two at a time
+    through learn._batch_runner (see the gsfusion.learn docstring).
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -573,29 +599,32 @@ def run_episode(spec: SceneSpec, model: ObservationModel, mode: str,
     episode = episode or prepare_episode(spec, model)
     splat_cfg = splat_cfg or SplatConfig()
     fusion_cfg = fusion_cfg or FusionConfig()
-    # every agent shares one grid, so the constant prior is rendered once
-    # and added to each agent's splat (exact; see the gsfusion.splat docstring)
+    # every agent shares one grid, so the constant prior is rendered once per
+    # episode and added to each agent's splat (exact; see the gsfusion.splat
+    # docstring)
     geometry = spec.agent_geometry()
-    prior = splat_sparse(empty_space_gaussian(model), geometry, splat_cfg)
+    prior = _prior(episode, model, geometry, splat_cfg)
     stats = CommStats()
-    labels_out, channels_out = [], []
-    for ego in range(spec.num_agents):
-        own = episode.observations[ego]
-        if mode == "single" or spec.num_agents == 1:
-            final = own
-        else:
-            received = _receive_all(episode, ego, precision, budget_bytes, stats,
-                                    message_sink)
-            final = stack(own, received)
+    collaborate = mode != "single" and spec.num_agents > 1
+    received = [_receive_all(episode, ego, precision, budget_bytes, stats, message_sink)
+                for ego in range(spec.num_agents)] if collaborate else None
+
+    def render(ego):
+        final = episode.observations[ego]
+        if collaborate:
+            final = stack(final, received[ego])
             if mode == "learned":
-                final = fuse_scene(final, received, fusion_cfg, params)
+                final = fuse_scene(final, received[ego], fusion_cfg, params)
         grid = splat(final, geometry, splat_cfg)
         prior.add_to(grid.channels)
-        if mode == "naive" and spec.num_agents > 1 and isinstance(params, Calibration):
+        if mode == "naive" and collaborate and isinstance(params, Calibration):
             grid = VoxelGrid(geometry, channels=params.apply(grid.channels))
-        channels_out.append(grid)
-        labels_out.append(labels_from_channels(grid, splat_cfg.min_contribution))
-    return EpisodeResult(mode, labels_out, channels_out, stats)
+        return grid, labels_from_channels(grid, splat_cfg.min_contribution)
+
+    with _batch_runner(render, spec.num_agents) as run_all:
+        rendered = run_all(list(range(spec.num_agents)))
+    return EpisodeResult(mode, [labels for _, labels in rendered],
+                         [grid for grid, _ in rendered], stats)
 
 
 def make_training_example(spec: SceneSpec, model: ObservationModel, ego: int = 0,

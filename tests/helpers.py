@@ -6,7 +6,7 @@ references that keep an earlier composition of library kernels, which a
 rewrite of that composition must reproduce bit for bit
 (`concat_scene_loss_and_grads`, `per_channel_splat`, `repeat_pair_lists`,
 `bincount_splat`, `lovasz_softmax_oracle`, `kept_hidden_fusion_backward`,
-`sequential_train`), and `HashGrid`, a per-query
+`sequential_train`, `sequential_episode`), and `HashGrid`, a per-query
 adapter over the library's neighbour search that tests check against
 `linear_scan_neighborhood`.
 """
@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from gsfusion.comms import transform_set
+from gsfusion.comms import PRECISION_FP16, CommStats, stack, transform_set
 from gsfusion.core import (
     EMPTY_CLASS,
     GaussianSet,
@@ -31,7 +31,7 @@ from gsfusion.core import (
     _quat_to_rotmat_unchecked,
     canonicalize_quaternion,
 )
-from gsfusion import fusion, learn
+from gsfusion import fusion, learn, sim
 from gsfusion.fusion import (
     SCALE_FLOOR,
     FusionConfig,
@@ -40,10 +40,10 @@ from gsfusion.fusion import (
     fuse_scene,
     fusion_backward,
 )
-from gsfusion.learn import total_loss
+from gsfusion.learn import Calibration, total_loss
 from gsfusion.metrics import iou_3d
 from gsfusion.sim import ObservationModel, generate_scene, prepare_episode, run_episode
-from gsfusion.splat import Pairs, SplatConfig, splat, splat_backward
+from gsfusion.splat import Pairs, SplatConfig, labels_from_channels, splat, splat_backward
 
 
 def inv3x3(m):
@@ -576,6 +576,37 @@ def sequential_train(params0, dataset, cfg, fusion_cfg=None, splat_cfg=None):
         opt.step(mean, learn.lr_at(step, cfg))
         curve.append((step, ce, lov, tot))
     return params, curve
+
+
+def sequential_episode(spec, model, mode, params=None, episode=None, splat_cfg=None,
+                       fusion_cfg=None, precision=PRECISION_FP16, budget_bytes=None,
+                       message_sink=None):
+    """`sim.run_episode` as one loop on the calling thread: each ego in turn
+    receives its messages and renders, with the prior rendered afresh."""
+    episode = episode or prepare_episode(spec, model)
+    splat_cfg = splat_cfg or SplatConfig()
+    fusion_cfg = fusion_cfg or FusionConfig()
+    geometry = spec.agent_geometry()
+    prior = sim.splat_sparse(sim.empty_space_gaussian(model), geometry, splat_cfg)
+    stats = CommStats()
+    labels_out, channels_out = [], []
+    for ego in range(spec.num_agents):
+        own = episode.observations[ego]
+        if mode == "single" or spec.num_agents == 1:
+            final = own
+        else:
+            received = sim._receive_all(episode, ego, precision, budget_bytes, stats,
+                                        message_sink)
+            final = stack(own, received)
+            if mode == "learned":
+                final = fuse_scene(final, received, fusion_cfg, params)
+        grid = splat(final, geometry, splat_cfg)
+        prior.add_to(grid.channels)
+        if mode == "naive" and spec.num_agents > 1 and isinstance(params, Calibration):
+            grid = VoxelGrid(geometry, channels=params.apply(grid.channels))
+        channels_out.append(grid)
+        labels_out.append(labels_from_channels(grid, splat_cfg.min_contribution))
+    return sim.EpisodeResult(mode, labels_out, channels_out, stats)
 
 
 def pair_geometry_oracle(gaussians: GaussianSet, geometry, pair_gauss, pair_voxel, rots):

@@ -157,6 +157,11 @@ class TestRun:
         a = (out / "scene0_single_agent0_pred.voxg").read_bytes()
         b = (out / "scene0_zero_shot_agent0_pred.voxg").read_bytes()
         assert a == b
+        # every refused message is a row on its link, with no bytes
+        with open(out / "comm.csv") as f:
+            rows = {(r["mode"], r["sender"], r["receiver"]): (r["rejected"], r["bytes"])
+                    for r in csv.DictReader(f)}
+        assert rows == {("zero_shot", "0", "1"): ("1", "0"), ("zero_shot", "1", "0"): ("1", "0")}
 
     def test_dump_messages(self, tmp_path):
         from gsfusion.comms import deserialize_message

@@ -1,6 +1,15 @@
+import hashlib
+import os
+import pathlib
+import subprocess
+import sys
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from gsfusion import learn, sim
 from gsfusion.core import EMPTY_CLASS, GaussianSet, GridGeometry, RigidTransform
 from gsfusion.comms import PRECISION_FP32, deserialize_message, stack, transform_set
 from gsfusion.fusion import FusionConfig, FusionParams, fuse_scene
@@ -15,6 +24,7 @@ from gsfusion.sim import (
     SceneSpec,
     SceneSpecError,
     build_ground_truth,
+    derive_scene_seed,
     empty_space_gaussian,
     generate_scene,
     model_from_dict,
@@ -37,6 +47,7 @@ from helpers import (
     prepare_with_undecodable_message,
     resample_agent_grid_oracle,
     scene_to_dict,
+    sequential_episode,
 )
 
 
@@ -389,6 +400,15 @@ class TestEpisode:
         with pytest.raises(ValueError, match="FusionParams"):
             run_episode(self._spec(), self._model(), "learned")
 
+    def test_budget_rejections_counted_per_link(self):
+        spec = generate_scene(seed=5, num_agents=3, world_half_xy=10.0, grid_dims=(40, 40, 8))
+        res = run_episode(spec, self._model(), "zero_shot", budget_bytes=0)
+        links = res.comm.per_link
+        assert sorted(links) == [(j, i) for j in range(3) for i in range(3) if i != j]
+        assert all((link.rejected, link.messages, link.bytes) == (1, 0, 0)
+                   for link in links.values())
+        assert sum(link.rejected for link in links.values()) == res.comm.messages_rejected
+
     def test_budget_zero_degrades_to_single_bitwise(self):
         spec = self._spec()
         model = self._model()
@@ -500,6 +520,152 @@ class TestEpisode:
         assert a.comm.bytes_sent == b.comm.bytes_sent
         for k in range(2):
             assert np.array_equal(a.labels[k].labels, b.labels[k].labels)
+
+
+def _episode_fixture(num_agents, gaussians=300):
+    """A prepared episode of `num_agents` agents (the first of a 2-agent
+    scene when 1)."""
+    spec = generate_scene(seed=derive_scene_seed(8, num_agents), num_agents=max(num_agents, 2),
+                          world_half_xy=10.0, grid_dims=(40, 40, 8))
+    spec.agents = spec.agents[:num_agents]
+    model = ObservationModel(gaussians_per_agent=gaussians)
+    return spec, model, prepare_episode(spec, model)
+
+
+EPISODE_PARAMS = {"naive": Calibration(np.random.default_rng(3).normal(0.0, 0.3, 13)),
+                  "learned": FusionParams.init(seed=3)}
+
+needs_setter = pytest.mark.skipif(learn._set_blas_threads is None,
+                                  reason="numpy's BLAS has no per-thread thread-count setter")
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a one-agent episode needs no worker or pinning")
+
+
+def _learned_episode_digest() -> str:
+    """Digest of a 3-agent learned episode: grids, comm counts and wire bytes."""
+    spec, model, episode = _episode_fixture(3, gaussians=800)
+    sink = []
+    res = run_episode(spec, model, "learned", params=EPISODE_PARAMS["learned"],
+                      episode=episode, message_sink=sink)
+    h = hashlib.sha256()
+    for grid in res.labels:
+        h.update(grid.labels.tobytes())
+    for grid in res.channels:
+        h.update(grid.channels.tobytes())
+    h.update(repr((res.comm, sink)).encode())
+    return h.hexdigest()
+
+
+class TestTwoEgosAtATime:
+    @pytest.fixture(scope="class", params=[1, 3, 4], ids=["1agent", "3agents", "4agents"])
+    def scene(self, request):
+        return _episode_fixture(request.param)
+
+    @pytest.mark.parametrize("mode", ["single", "zero_shot", "naive", "learned"])
+    def test_equals_sequential_episode(self, scene, mode, monkeypatch):
+        spec, model, episode = scene
+        params = EPISODE_PARAMS.get(mode)
+        want_sink, got_sink = [], []
+        want = sequential_episode(spec, model, mode, params=params, episode=episode,
+                                  message_sink=want_sink)
+        if spec.num_agents == 1:            # one ego: no worker, BLAS untouched
+            monkeypatch.setattr(learn, "_set_blas_threads", _forbidden)
+            monkeypatch.setattr(learn, "ThreadPoolExecutor", _forbidden)
+        got = run_episode(spec, model, mode, params=params, episode=episode,
+                          message_sink=got_sink)
+        assert len(got.labels) == len(got.channels) == spec.num_agents
+        for a in range(spec.num_agents):
+            assert np.array_equal(got.labels[a].labels, want.labels[a].labels), a
+            assert np.array_equal(got.channels[a].channels, want.channels[a].channels), a
+        assert got.comm == want.comm
+        assert list(got.comm.per_link.items()) == list(want.comm.per_link.items())
+        assert got_sink == want_sink
+
+    @needs_setter
+    def test_worker_renders_odd_egos_and_leaves_nothing_behind(self, monkeypatch):
+        spec, model, episode = _episode_fixture(4)
+        real_stack, real_setter = sim.stack, learn._set_blas_threads
+        previous = real_setter(1)
+        real_setter(previous)
+        stacked, pinned = [], []
+
+        def stack(own, received):
+            ego = next(a for a, obs in enumerate(episode.observations) if obs is own)
+            stacked.append((threading.current_thread(), ego))
+            return real_stack(own, received)
+
+        def setter(n):
+            pinned.append((threading.current_thread(), n))
+            return real_setter(n)
+
+        monkeypatch.setattr(sim, "stack", stack)
+        monkeypatch.setattr(learn, "_set_blas_threads", setter)
+        before = threading.enumerate()
+        run_episode(spec, model, "zero_shot", episode=episode)
+        assert threading.enumerate() == before          # no thread outlives the episode
+        assert real_setter(previous) == previous        # the caller's BLAS count is back
+        main = threading.main_thread()
+        worker = next(t for t, _ in stacked if t is not main)
+        assert sorted(ego for t, ego in stacked if t is main) == [0, 2]
+        assert sorted(ego for t, ego in stacked if t is worker) == [1, 3]
+        assert pinned == [(main, 1), (worker, 1), (main, previous)]
+
+    @needs_setter
+    def test_failure_in_the_worker_reaches_the_caller(self, monkeypatch):
+        # in a 3-agent episode the worker renders ego 1 only
+        spec, model, episode = _episode_fixture(3)
+        real = sim.fuse_scene
+
+        def fail_off_main(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError(f"fusion failed in {threading.current_thread().name}")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "fuse_scene", fail_off_main)
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="fusion failed in ThreadPoolExecutor-"):
+            run_episode(spec, model, "learned", params=EPISODE_PARAMS["learned"],
+                        episode=episode)
+        assert threading.enumerate() == before
+
+    @needs_setter
+    def test_learned_episode_does_not_depend_on_blas_thread_count(self):
+        # a fresh process per count, because OpenBLAS reads it once at load
+        here = pathlib.Path(__file__).parent
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+            proc = subprocess.run([sys.executable, "-c",
+                                   "import test_sim; print(test_sim._learned_episode_digest())"],
+                                  env=env, cwd=here, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            digests.append(proc.stdout.split()[-1])
+        assert digests[0] == digests[1]
+
+    def test_prior_rendered_once_per_episode(self, monkeypatch):
+        spec, model, episode = _episode_fixture(3)
+        narrow, wider = SplatConfig(truncation_sigma=2.5), replace(model, empty_gaussian_scale=30.0)
+        want = [sequential_episode(spec, m, "zero_shot", episode=episode, splat_cfg=cfg)
+                for m, cfg in ((model, None), (model, narrow), (wider, None))]
+        real, rendered = sim.splat_sparse, []
+
+        def spy(gaussians, geometry, cfg):
+            rendered.append((float(gaussians.scales[0, 0]), cfg))
+            return real(gaussians, geometry, cfg)
+
+        monkeypatch.setattr(sim, "splat_sparse", spy)
+        got = [run_episode(spec, model, "single", episode=episode),
+               run_episode(spec, model, "zero_shot", episode=episode)]
+        assert rendered == [(20.0, SplatConfig())]
+        got += [run_episode(spec, model, "zero_shot", episode=episode, splat_cfg=narrow),
+                run_episode(spec, wider, "zero_shot", episode=episode)]
+        assert rendered == [(20.0, SplatConfig()), (20.0, narrow), (30.0, SplatConfig())]
+        for res, ref in zip(got[1:], want):
+            for a in range(spec.num_agents):
+                assert np.array_equal(res.channels[a].channels, ref.channels[a].channels)
 
 
 class TestSceneSerialization:
