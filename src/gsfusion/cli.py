@@ -87,6 +87,25 @@ _SECTION_KEYS = {
 }
 
 
+# the keys of each section that take only whole numbers
+_INTEGER_KEYS = {
+    "observation": ("gaussians_per_agent",),
+    "train": ("steps", "warmup_steps", "batch", "seed", "train_scenes", "holdout_scenes"),
+}
+
+
+def _whole_number(value):
+    """`value` as an int if it is an int or a float without a fractional
+    part (not a bool), else None."""
+    if isinstance(value, bool):
+        return None
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return None
+
+
 def load_config(path: str | None) -> dict:
     cfg = {k: (dict(v) if isinstance(v, dict) else v) for k, v in _DEFAULTS.items()}
     if path:
@@ -110,6 +129,12 @@ def load_config(path: str | None) -> dict:
             unknown = set(cfg[name]) - keys
             if unknown:
                 raise ConfigError(f"{path}: section {name}: unknown keys {sorted(unknown)}")
+            for key in set(cfg[name]) & set(_INTEGER_KEYS.get(name, ())):
+                whole = _whole_number(cfg[name][key])
+                if whole is None:
+                    raise ConfigError(f"{path}: section {name}: {key} must be an integer, "
+                                      f"not {cfg[name][key]!r}")
+                cfg[name][key] = whole
     cfg["train"] = {**_field_defaults(TrainConfig), **_TRAIN_DEFAULTS, **cfg["train"]}
     return cfg
 

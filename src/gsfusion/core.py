@@ -9,10 +9,43 @@ Conventions fixed here and used everywhere else:
   - the last semantic channel (index C-1) is the empty class.
 
 All types are immutable values; every operation is pure.
+
+Concurrency. Every loop that runs on two cores goes through one
+primitive here: `_two_threads()` gives the calling thread a team of
+itself and one worker thread, and `_each(fn, n)` returns
+`[fn(0), ..., fn(n - 1)]` in order, the calling thread taking the even
+indices and the worker the odd ones. `train` and `train_calibration`
+hold a team for their whole call, and `run_episode` holds one when it has
+two or more agents. A training step with a batch of two or more splits
+its examples, and an episode its egos. A batch of one leaves the team
+idle for the stages of its one example, which split their own work:
+`fuse_scene` its blocks of segments, `splat` and `splat_backward` their
+blocks of Gaussians, `fusion_backward` its blocks, and `total_loss` its
+two halves of the voxels and, in Lovasz, its present classes. While an
+`_each` runs, its team is busy, so an `_each` nested in it, on either
+thread, runs inline; the worker never holds a team. `_each` waits for
+the worker's share before it returns or raises.
+
+Every split item writes only its own rows (or returns its own result),
+and results are summed in index order on the calling thread, so a split
+run gives the bits of the same loop run inline. While a team exists, both
+threads hold BLAS to one thread through OpenBLAS's per-thread setter, so
+the two do not contend for the cores through BLAS's own threads, and the
+results equal a one-thread sequential run's bit for bit, whatever the
+process's BLAS thread count. So a team uses two cores however many
+threads BLAS would otherwise use; this was measured only on a 2-core
+machine, where it is faster, and may be slower on a host whose BLAS
+would give each item more than two threads. Without a team (a one-agent
+episode, a library call outside those three), or when numpy's BLAS has no
+per-thread setter, every `_each` runs inline with BLAS untouched.
 """
 
 from __future__ import annotations
 
+import ctypes
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -514,3 +547,98 @@ def _whole_runs(sizes: np.ndarray, bound: int):
         stop = max(int(np.searchsorted(ends, before + bound, "right")), start + 1)
         yield start, stop, before, int(ends[stop - 1])
         start = stop
+
+
+# ---------------------------------------------------------------------------
+# two threads (see the module docstring)
+# ---------------------------------------------------------------------------
+
+def _blas_threads_setter():
+    """OpenBLAS's `openblas_set_num_threads_local(n)`, which sets the BLAS
+    thread count of the calling thread only and returns the previous one,
+    or None when numpy's BLAS has no such symbol. It is looked up through
+    numpy's own extension module, whose dependencies the loader searches,
+    so it is the setter of the BLAS numpy calls."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:                                 # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    try:
+        setter = ctypes.CDLL(umath.__file__).openblas_set_num_threads_local
+    except (OSError, AttributeError):
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
+_set_blas_threads = _blas_threads_setter()
+
+# `_team.worker` of a thread: absent without a team, the worker's executor
+# while the team is idle, None while it is busy and on the worker itself
+_team = threading.local()
+
+
+def _join_team() -> None:
+    _team.worker = None             # a worker holds no team and opens none
+    _set_blas_threads(1)
+
+
+@contextmanager
+def _two_threads():
+    """Give the calling thread a team for `_each`: one worker thread, with
+    BLAS held to one thread on both, restored when the team ends. Does
+    nothing without the per-thread BLAS setter or on a thread that holds a
+    team or is a worker."""
+    if _set_blas_threads is None or hasattr(_team, "worker"):
+        yield
+        return
+    previous = _set_blas_threads(1)
+    try:
+        with ThreadPoolExecutor(max_workers=1, initializer=_join_team) as worker:
+            _team.worker = worker
+            try:
+                yield
+            finally:
+                del _team.worker
+    finally:
+        _set_blas_threads(previous)
+
+
+def _each(fn, n: int) -> list:
+    """`[fn(0), ..., fn(n - 1)]`; with an idle team, the calling thread
+    runs the even indices and the worker the odd ones, and the team is busy
+    until both shares are done."""
+    worker = getattr(_team, "worker", None)
+    if worker is None or n < 2:
+        return [fn(i) for i in range(n)]
+    _team.worker = None                 # busy: an `_each` nested in `fn` runs inline
+    try:
+        theirs = worker.submit(lambda: [fn(i) for i in range(1, n, 2)])
+        try:
+            mine = [fn(i) for i in range(0, n, 2)]
+        finally:
+            wait([theirs])
+        out = [None] * n
+        out[::2] = mine
+        out[1::2] = theirs.result()
+        return out
+    finally:
+        _team.worker = worker
+
+
+def _halves(n: int) -> list[slice]:
+    """Rows 0..n as the parts of a row-wise `_each`: two halves (one empty
+    for n = 1) when the calling thread holds an idle team, else one."""
+    if getattr(_team, "worker", None) is None:
+        return [slice(0, n)]
+    return [slice(0, n // 2), slice(n // 2, n)]
+
+
+def _each_folded(fn, n: int, fold) -> None:
+    """`fold(fn(i))` for i in index order on the calling thread, the
+    `fn(i)` running two at a time through `_each`: each pair is folded
+    before the next pair starts, so at most two results are alive."""
+    for first in range(0, n, 2):
+        pair = _each(lambda k: fn(first + k), min(2, n - first))
+        while pair:
+            fold(pair.pop(0))

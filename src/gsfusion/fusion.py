@@ -37,7 +37,11 @@ row's bits depend only on its own inputs, whatever the block, on every
 OpenBLAS kernel and thread count `tests/test_fusion.py` covers. The
 tape keeps one record per block, and `fusion_backward` sums the blocks'
 parameter gradients in block order; that sum is the one place where the
-summation order differs from a single-block backward.
+summation order differs from a single-block backward. On an idle team
+(see the `gsfusion.core` docstring) the forward's blocks run on either
+thread, each writing only its own fused rows, and the backward forms two
+blocks' gradients at a time, each in its own dict, still summed in block
+order, so the bits are those of the inline run.
 """
 
 from __future__ import annotations
@@ -47,7 +51,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gsfusion.core import NUM_CLASSES, GaussianSet, _canonical_sign, _whole_runs
+from gsfusion.core import (
+    NUM_CLASSES,
+    GaussianSet,
+    _canonical_sign,
+    _each,
+    _each_folded,
+    _whole_runs,
+)
 
 FPRM_MAGIC = b"FPRM"
 FPRM_VERSION = 1
@@ -545,13 +556,16 @@ def fuse_scene(ego_set: GaussianSet, received_sets: list[GaussianSet],
         return (fused, None) if record else fused
 
     e_all = ego_features(ego_set)
-    blocks = []
-    for a, b, p0, p1 in _whole_runs(counts, _FUSE_BLOCK):
-        block = _fuse_block(fused, ego_set, e_all, pool_set, seg_egos[a:b], pair_j[p0:p1],
-                            starts[a:b] - p0, counts[a:b], cfg, params)
-        if record:
-            blocks.append(block)
-        del block                   # a dropped block is freed before the next one runs
+    runs = list(_whole_runs(counts, _FUSE_BLOCK))
+
+    def block(k):
+        a, b, p0, p1 = runs[k]
+        blk = _fuse_block(fused, ego_set, e_all, pool_set, seg_egos[a:b], pair_j[p0:p1],
+                          starts[a:b] - p0, counts[a:b], cfg, params)
+        return blk if record else None      # a dropped block is freed before the next one
+
+    # the blocks write disjoint rows of `fused`, on either thread
+    blocks = _each(block, len(runs))
     if not record:
         return fused
     return fused, FusionTape(params=params, pooling=cfg.pooling, epsilon=cfg.epsilon,
@@ -607,43 +621,57 @@ def _fuse_block(fused: GaussianSet, ego_set: GaussianSet, e_all: np.ndarray,
 
 def fusion_backward(tape: FusionTape, grad_fused: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Map loss gradients w.r.t. the fused Gaussian fields back onto the
-    FusionParams tensors, one tape block at a time, summing the blocks'
-    parameter gradients in block order. Input Gaussians are treated as
-    constants. Each block's hidden activations are recomputed from its
-    padded features, as the forward computed them."""
-    p = tape.params
-    grads = {k: np.zeros_like(v) for k, v in p.as_dict().items()}
-    for block in tape.blocks:
-        d_raw = _raw_output_grads(tape, block, grad_fused, grads)
-        n = d_raw.shape[0]
-        h1, h2 = _mlp_hidden(block.z_tiles, p)
-        h1, h2 = h1[:n], h2[:n]
+    FusionParams tensors. Input Gaussians are treated as constants. Each
+    tape block's gradients go into the block's own dict, two blocks at a
+    time on a team (`gsfusion.core._each_folded`), and the dicts are summed
+    into the total in block order. Each block's hidden activations are
+    recomputed from its padded features, as the forward computed them."""
+    grads = {k: np.zeros_like(v) for k, v in tape.params.as_dict().items()}
 
-        # MLP backward; the ReLU masks are h > 0 (h = max(pre-activation, 0)),
-        # and each (pairs, hidden) temporary is freed or overwritten once spent
-        grads["w3"] += d_raw.T @ h2
-        grads["b3"] += d_raw.sum(axis=0)
-        d_h2 = d_raw @ p.w3
-        del d_raw
-        d_h2 *= h2 > 0.0
-        del h2
-        grads["w2"] += d_h2.T @ h1
-        grads["b2"] += d_h2.sum(axis=0)
-        d_h1 = d_h2 @ p.w2
-        del d_h2
-        d_h1 *= h1 > 0.0
-        del h1
-        grads["w1"] += d_h1.T @ block.z
-        grads["b1"] += d_h1.sum(axis=0)
-        del d_h1
+    def fold(block_grads):
+        for k, g in block_grads.items():
+            grads[k] += g
+
+    _each_folded(lambda k: _block_grads(tape, tape.blocks[k], grad_fused),
+                 len(tape.blocks), fold)
+    return grads
+
+
+def _block_grads(tape: FusionTape, block: FusionBlock,
+                 grad_fused: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """One block's own parameter gradients (the attention projections only
+    under attention pooling)."""
+    p = tape.params
+    grads = {}
+    d_raw = _raw_output_grads(tape, block, grad_fused, grads)
+    n = d_raw.shape[0]
+    h1, h2 = _mlp_hidden(block.z_tiles, p)
+    h1, h2 = h1[:n], h2[:n]
+
+    # MLP backward; the ReLU masks are h > 0 (h = max(pre-activation, 0)),
+    # and each (pairs, hidden) temporary is freed or overwritten once spent
+    grads["w3"] = d_raw.T @ h2
+    grads["b3"] = d_raw.sum(axis=0)
+    d_h2 = d_raw @ p.w3
+    del d_raw
+    d_h2 *= h2 > 0.0
+    del h2
+    grads["w2"] = d_h2.T @ h1
+    grads["b2"] = d_h2.sum(axis=0)
+    d_h1 = d_h2 @ p.w2
+    del d_h2
+    d_h1 *= h1 > 0.0
+    del h1
+    grads["w1"] = d_h1.T @ block.z
+    grads["b1"] = d_h1.sum(axis=0)
     return grads
 
 
 def _raw_output_grads(tape: FusionTape, blk: FusionBlock, grad_fused: dict[str, np.ndarray],
                       grads: dict[str, np.ndarray]) -> np.ndarray:
     """Gradient w.r.t. one block's raw MLP outputs, back through the update,
-    the pooling and the activations; adds the block's attention projection
-    gradients into `grads` on the way."""
+    the pooling and the activations; sets the block's attention projection
+    gradients in its own dict `grads` on the way."""
     p = tape.params
     seg = blk.seg_egos
     starts, counts = blk.starts, blk.counts
@@ -694,8 +722,8 @@ def _raw_output_grads(tape: FusionTape, blk: FusionBlock, grad_fused: dict[str, 
         kf = _project(blk.rel_tiles, p.k_proj)[:rel.shape[0]]
         d_qe = np.add.reduceat(d_logits[:, None] * kf, starts)
         d_kf = d_logits[:, None] * rep(qe)
-        grads["q_proj"] += d_qe.T @ blk.e_feats
-        grads["k_proj"] += d_kf.T @ rel
+        grads["q_proj"] = d_qe.T @ blk.e_feats
+        grads["k_proj"] = d_kf.T @ rel
 
     # activation maps back to raw MLP outputs
     d_raw = np.zeros_like(blk.raw)

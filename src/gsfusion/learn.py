@@ -7,37 +7,23 @@ splatting into the fusion network parameters; Gaussian attributes coming
 out of the simulator are constants. The trainer is a deterministic
 AdamW loop with linear warmup and cosine decay.
 
-Concurrency. Two loops run two items at a time through `_batch_runner`:
-a training step with a batch of two or more examples, and the per-ego
-render of an episode with two or more agents (`gsfusion.sim.run_episode`).
-The calling thread takes the even positions, one worker thread the odd
-ones, and the results come back in order, so a step's reports and
-gradients are summed in batch order, as a sequential loop sums them. The
-worker is made for one `train`, `train_calibration` or `run_episode` call
-and joined before it returns; it never submits work of its own. While
-such a loop runs, both threads hold BLAS to one thread through OpenBLAS's
-per-thread setter, so two items do not contend for the cores through
-BLAS's own threads, and the results equal a one-thread sequential run's
-bit for bit, whatever the process's BLAS thread count. So such a loop
-uses two cores however many threads BLAS would otherwise use; this was
-measured only on a 2-core machine, where it is faster, and may be slower
-on a host whose BLAS would give each item more than two threads. A batch
-of one and an episode of one agent run on the calling thread with BLAS
-untouched, and so does every loop when numpy's BLAS has no per-thread
-setter.
+Concurrency. `train` and `train_calibration` hold a two-thread team for
+their whole call (see the `gsfusion.core` docstring). A step with a
+batch of two or more runs its examples two at a time; a batch of one
+runs its example on the calling thread, whose stages then split their
+own work, the loss its voxel halves and its present classes among them.
+Either way the results equal a one-thread sequential run's bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
-import ctypes
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from gsfusion.core import GaussianSet, GridGeometry
+from gsfusion.core import GaussianSet, GridGeometry, _each, _halves, _two_threads
 from gsfusion.fusion import (
     FusionConfig,
     FusionParams,
@@ -77,12 +63,40 @@ class LossReport:
             raise DivergenceError("non-finite loss")
 
 
+def _voxel_labels(values: np.ndarray, labels, name: str) -> np.ndarray:
+    """`labels` flattened to one class index per voxel of `values`, whose
+    last axis is the class axis. Labels that are not integers, a count
+    other than one per voxel, no voxel at all, or a class out of range is a
+    ValueError."""
+    num_classes = values.shape[-1]
+    voxels = math.prod(values.shape[:-1])
+    flat_l = np.asarray(labels).reshape(-1)
+    if not np.issubdtype(flat_l.dtype, np.integer):
+        raise ValueError(f"{name}: labels must be integers, not {flat_l.dtype}")
+    if flat_l.size != voxels:
+        raise ValueError(f"{name}: {flat_l.size} labels for {voxels} voxels")
+    if voxels == 0:
+        raise ValueError(f"{name} needs at least one voxel")
+    if np.any((flat_l < 0) | (flat_l >= num_classes)):
+        raise ValueError("label out of range")
+    return flat_l
+
+
 def softmax_probs(channels: np.ndarray) -> np.ndarray:
-    """Per-voxel softmax over the class axis (the last one)."""
+    """Per-voxel softmax over the class axis (the last one), in two halves
+    of the voxels on an idle team (`gsfusion.core._halves`)."""
     ch = np.asarray(channels, dtype=np.float64)
-    shifted = ch - np.max(ch, axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / np.sum(ex, axis=-1, keepdims=True)
+    flat = ch.reshape(-1, ch.shape[-1])
+    out = np.empty(flat.shape)
+    halves = _halves(flat.shape[0])
+
+    def half(k):
+        rows = flat[halves[k]]
+        ex = np.exp(rows - np.max(rows, axis=-1, keepdims=True))
+        np.divide(ex, np.sum(ex, axis=-1, keepdims=True), out=out[halves[k]])
+
+    _each(half, len(halves))
+    return out.reshape(ch.shape)
 
 
 def softmax_vjp(probs: np.ndarray, grad_probs: np.ndarray) -> np.ndarray:
@@ -95,20 +109,29 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray):
     """Mean negative log-probability of the true class.
 
     Returns (loss, gradient w.r.t. the channel logits), the gradient being
-    (probs - onehot) / n_voxels.
+    (probs - onehot) / n_voxels. The per-voxel terms and gradient rows are
+    formed in two halves of the voxels on an idle team, the mean once over
+    all terms.
     """
-    num_classes = probs.shape[-1]
-    flat_p = probs.reshape(-1, num_classes)
-    flat_l = np.asarray(labels).reshape(-1)
-    if np.any((flat_l < 0) | (flat_l >= num_classes)):
-        raise ValueError("label out of range")
-    n = flat_l.shape[0]
-    p_true = flat_p[np.arange(n), flat_l]
-    loss = float(np.mean(-np.log(np.maximum(p_true, 1e-300))))
-    grad = flat_p.copy()
-    grad[np.arange(n), flat_l] -= 1.0
-    grad /= n
-    return loss, grad.reshape(probs.shape)
+    flat_l = _voxel_labels(probs, labels, "cross_entropy")
+    flat_p = probs.reshape(-1, probs.shape[-1])
+    n = flat_l.size
+    nll = np.empty(n)
+    grad = np.empty_like(flat_p)
+    halves = _halves(n)
+
+    def half(k):
+        h = halves[k]
+        rows = np.arange(h.stop - h.start)
+        p = flat_p[h]
+        np.negative(np.log(np.maximum(p[rows, flat_l[h]], 1e-300)), out=nll[h])
+        g = grad[h]
+        g[...] = p
+        g[rows, flat_l[h]] -= 1.0
+        g /= n
+
+    _each(half, len(halves))
+    return float(np.mean(nll)), grad.reshape(probs.shape)
 
 
 def _lovasz_grad_sorted(fg_sorted: np.ndarray) -> np.ndarray:
@@ -176,23 +199,24 @@ def lovasz_softmax(probs: np.ndarray, labels: np.ndarray):
     sort has one result whichever algorithm makes it, and it is the
     stable order. The errors, the Jaccard counts and the sign flip round
     as a per-class loop over a stable sort does, so loss and gradient are
-    bit-identical to it. The work runs class-major on one copy of `probs`,
-    whose rows become the gradient rows.
+    bit-identical to it. The work runs class-major: each present class
+    copies its column of `probs` into its own row, which becomes its
+    gradient row, and the present classes split even and odd
+    (`gsfusion.core._each`).
     """
     num_classes = probs.shape[-1]
-    flat_l = np.asarray(labels).reshape(-1)
-    if flat_l.size == 0:
-        raise ValueError("lovasz_softmax needs at least one voxel")
-    if np.any((flat_l < 0) | (flat_l >= num_classes)):
-        raise ValueError("label out of range")
-    rows = np.array(probs.reshape(-1, num_classes).T, dtype=np.float64, order="C")
+    flat_l = _voxel_labels(probs, labels, "lovasz_softmax")
+    flat_p = probs.reshape(-1, num_classes)
+    rows = np.zeros((num_classes, flat_l.size))
     per_class = np.zeros(num_classes)
-    present = np.unique(flat_l)
-    absent = np.ones(num_classes, dtype=bool)
-    absent[present] = False
-    rows[absent] = 0.0
-    for c in present:
+    present = np.flatnonzero(np.bincount(flat_l, minlength=num_classes))
+
+    def present_class(k):               # writes only its own row and entry
+        c = present[k]
+        rows[c] = flat_p[:, c]
         per_class[c] = _lovasz_class(rows[c], flat_l == c)
+
+    _each(present_class, present.size)
     loss = float(per_class[present].mean())
     grad = np.empty(rows.shape[::-1])
     np.divide(rows.T, present.size, out=grad)
@@ -202,12 +226,23 @@ def lovasz_softmax(probs: np.ndarray, labels: np.ndarray):
 def total_loss(channels: np.ndarray, labels: np.ndarray):
     """Cross-entropy plus Lovasz-Softmax on softmaxed channels.
 
-    Returns (LossReport, gradient w.r.t. channels).
+    Returns (LossReport, gradient w.r.t. channels). On an idle team the
+    softmax, the cross-entropy's per-voxel terms and the softmax VJP run
+    over two halves of the voxels, the Lovasz classes even and odd
+    (`gsfusion.core._each`).
     """
+    _voxel_labels(channels, labels, "total_loss")
     probs = softmax_probs(channels)
-    ce, grad_ce = cross_entropy(probs, labels)
+    ce, grad = cross_entropy(probs, labels)
     lov, grad_lov_p, per_class = lovasz_softmax(probs, labels)
-    grad = grad_ce + softmax_vjp(probs, grad_lov_p)
+    rows = [a.reshape(-1, probs.shape[-1]) for a in (grad, probs, grad_lov_p)]
+    halves = _halves(rows[0].shape[0])
+
+    def half(k):                        # grad += softmax_vjp(probs, grad_lov_p)
+        g, p, g_lov = (a[halves[k]] for a in rows)
+        g += softmax_vjp(p, g_lov)
+
+    _each(half, len(halves))
     report = LossReport(ce=ce, lovasz=lov, total=ce + lov, per_class_lovasz=per_class)
     return report, grad
 
@@ -275,84 +310,38 @@ class AdamW:
             p -= lr * (mhat / (np.sqrt(vhat) + _ADAM_EPS) + self.weight_decay * p)
 
 
-def _blas_threads_setter():
-    """OpenBLAS's `openblas_set_num_threads_local(n)`, which sets the BLAS
-    thread count of the calling thread only and returns the previous one,
-    or None when numpy's BLAS has no such symbol. It is looked up through
-    numpy's own extension module, whose dependencies the loader searches,
-    so it is the setter of the BLAS numpy calls."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:                                 # numpy 1.x
-        from numpy.core import _multiarray_umath as umath
-    try:
-        setter = ctypes.CDLL(umath.__file__).openblas_set_num_threads_local
-    except (OSError, AttributeError):
-        return None
-    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
-    return setter
-
-
-_set_blas_threads = _blas_threads_setter()
-
-
-@contextmanager
-def _batch_runner(example, take: int):
-    """A function that returns the results of `example(i)` for a batch of
-    `take` positions `idx`, in batch order, two at a time when it can (see
-    the module docstring). The worker lives as long as the runner, and the
-    calling thread's BLAS thread count is restored when the runner ends."""
-    if take < 2 or _set_blas_threads is None:
-        yield lambda idx: [example(i) for i in idx]
-        return
-    previous = _set_blas_threads(1)
-    try:
-        with ThreadPoolExecutor(max_workers=1, initializer=_set_blas_threads,
-                                initargs=(1,)) as worker:
-            def run_batch(idx):
-                theirs = worker.submit(lambda: [example(i) for i in idx[1::2]])
-                results = [None] * len(idx)
-                results[::2] = [example(i) for i in idx[::2]]
-                results[1::2] = theirs.result()
-                return results
-
-            yield run_batch
-    finally:
-        _set_blas_threads(previous)
-
-
 def _minibatch_adamw(opt: AdamW, count: int, cfg: TrainConfig, stream: int, example,
                      log_every: int = 0):
     """The AdamW loop of `train` and `train_calibration`: each step draws a
     batch of the `count` examples, seeded by (cfg.seed, stream), averages
     the (LossReport, gradients keyed like opt.params) of `example(i)` over
-    it in batch order and steps `opt`; `_batch_runner` runs the batch.
-    Returns the curve rows (step, ce, lovasz, total)."""
+    it in batch order and steps `opt`; `_each` runs the batch, two examples
+    at a time on the caller's team. Returns the curve rows (step, ce,
+    lovasz, total)."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, stream]))
     take = min(cfg.batch, count)
     curve = []
-    with _batch_runner(example, take) as run_batch:
-        for step in range(cfg.steps):
-            idx = rng.choice(count, size=take, replace=False)
-            mean_grads = {k: np.zeros_like(v) for k, v in opt.params.items()}
-            ce = lov = tot = 0.0
-            for report, grads in run_batch(idx):
-                report.validate()
-                ce += report.ce / take
-                lov += report.lovasz / take
-                tot += report.total / take
-                for k in mean_grads:
-                    mean_grads[k] += grads[k] / take
-            if not np.isfinite(tot):
-                raise DivergenceError(f"loss diverged at step {step}")
-            opt.step(mean_grads, lr_at(step, cfg))
-            for k, v in opt.params.items():
-                if not np.all(np.isfinite(v)):
-                    raise DivergenceError(f"parameter {k} became non-finite at step {step}")
-            curve.append((step, ce, lov, tot))
-            if log_every and step % log_every == 0:
-                print(f"step {step:4d}  lr {lr_at(step, cfg):.2e}  "
-                      f"ce {ce:.4f}  lovasz {lov:.4f}  total {tot:.4f}")
+    for step in range(cfg.steps):
+        idx = rng.choice(count, size=take, replace=False)
+        mean_grads = {k: np.zeros_like(v) for k, v in opt.params.items()}
+        ce = lov = tot = 0.0
+        for report, grads in _each(lambda k: example(idx[k]), take):
+            report.validate()
+            ce += report.ce / take
+            lov += report.lovasz / take
+            tot += report.total / take
+            for k in mean_grads:
+                mean_grads[k] += grads[k] / take
+        if not np.isfinite(tot):
+            raise DivergenceError(f"loss diverged at step {step}")
+        opt.step(mean_grads, lr_at(step, cfg))
+        for k, v in opt.params.items():
+            if not np.all(np.isfinite(v)):
+                raise DivergenceError(f"parameter {k} became non-finite at step {step}")
+        curve.append((step, ce, lov, tot))
+        if log_every and step % log_every == 0:
+            print(f"step {step:4d}  lr {lr_at(step, cfg):.2e}  "
+                  f"ce {ce:.4f}  lovasz {lov:.4f}  total {tot:.4f}")
     return curve
 
 
@@ -426,17 +415,24 @@ def train(params0: FusionParams, dataset: list[TrainExample], cfg: TrainConfig,
     fusion_cfg = fusion_cfg or FusionConfig()
     splat_cfg = splat_cfg or SplatConfig()
     params = params0.copy()
+
     # the fusion inputs and fixed sets are constants, so each example's
-    # neighbour search and fixed render are done once
-    neighbors = [scene_neighbors(ex.fusion_input, ex.received, fusion_cfg) for ex in dataset]
-    fixed_renders = [splat_sparse(ex.fixed, ex.geometry, splat_cfg) for ex in dataset]
+    # neighbour search and fixed render are done once: items 2i and 2i + 1
+    def constants(k):
+        ex = dataset[k // 2]
+        if k % 2 == 0:
+            return scene_neighbors(ex.fusion_input, ex.received, fusion_cfg)
+        return splat_sparse(ex.fixed, ex.geometry, splat_cfg)
 
     def example(i):
         return scene_loss_and_grads(dataset[i], fusion_cfg, splat_cfg, params,
                                     neighbors=neighbors[i], fixed_render=fixed_renders[i])
 
     opt = AdamW(params.as_dict(), weight_decay=cfg.weight_decay)
-    return params, _minibatch_adamw(opt, len(dataset), cfg, 0x7E41, example, log_every)
+    with _two_threads():
+        prepared = _each(constants, 2 * len(dataset))
+        neighbors, fixed_renders = prepared[::2], prepared[1::2]
+        return params, _minibatch_adamw(opt, len(dataset), cfg, 0x7E41, example, log_every)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +492,8 @@ def train_calibration(cal0: Calibration, channel_examples: list[tuple[np.ndarray
                                            axis=tuple(range(channels.ndim - 1))) * gain}
 
     opt = AdamW({"log_gain": cal.log_gain}, weight_decay=cfg.weight_decay)
-    return cal, _minibatch_adamw(opt, len(channel_examples), cfg, 0x7E42, example)
+    with _two_threads():
+        return cal, _minibatch_adamw(opt, len(channel_examples), cfg, 0x7E42, example)
 
 
 def write_loss_curve(path, curve) -> None:

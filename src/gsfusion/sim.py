@@ -10,6 +10,7 @@ world frame, so observations are consistent across agent frames.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,8 @@ from gsfusion.core import (
     RigidTransform,
     Roi,
     VoxelGrid,
+    _each,
+    _two_threads,
 )
 from gsfusion.comms import (
     GaussianMessage,
@@ -37,7 +40,7 @@ from gsfusion.comms import (
     transform_set,
 )
 from gsfusion.fusion import FusionConfig, FusionParams, fuse_scene
-from gsfusion.learn import Calibration, TrainExample, _batch_runner
+from gsfusion.learn import Calibration, TrainExample
 from gsfusion.splat import (
     SparseChannels,
     SplatConfig,
@@ -590,7 +593,8 @@ def run_episode(spec: SceneSpec, model: ObservationModel, mode: str,
     Every ego first receives its messages, in ego order on the calling
     thread, so the comm stats and message_sink keep that order; then the
     egos render (fuse, splat, prior, calibration, labels) two at a time
-    through learn._batch_runner (see the gsfusion.learn docstring).
+    on a two-thread team when there are two or more (see the gsfusion.core
+    docstring).
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -621,8 +625,8 @@ def run_episode(spec: SceneSpec, model: ObservationModel, mode: str,
             grid = VoxelGrid(geometry, channels=params.apply(grid.channels))
         return grid, labels_from_channels(grid, splat_cfg.min_contribution)
 
-    with _batch_runner(render, spec.num_agents) as run_all:
-        rendered = run_all(list(range(spec.num_agents)))
+    with _two_threads() if spec.num_agents > 1 else nullcontext():
+        rendered = _each(render, spec.num_agents)
     return EpisodeResult(mode, [labels for _, labels in rendered],
                          [grid for grid, _ in rendered], stats)
 

@@ -15,9 +15,13 @@ temporaries are bounded by the block, not by the set, apart from such a
 Gaussian (the empty-space prior's box is the whole grid). With
 record=True the splat also keeps each block's pairs on a tape, one record
 per block as `fuse_scene` keeps its tape, and `splat_backward` walks those
-records one block at a time, writing each block's rows. Every sum of the
+records block by block, writing each block's rows. Every sum of the
 backward bins by Gaussian, and a Gaussian's pairs all lie in one block in
-their canonical order, so the blocks change no gradient bit.
+their canonical order, so the blocks change no gradient bit. On a team
+(see the `gsfusion.core` docstring) the forward makes two blocks' pairs
+and entries at a time, one on each thread, and the calling thread adds
+both into the grid, in block order, before the next two start; the
+backward runs its blocks on either thread.
 
 Nonzero accumulation. Each block's per-channel weights go straight into
 the zeroed grid with `np.add.at`, keeping only the entries at or above
@@ -48,7 +52,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
-from typing import Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,6 +62,8 @@ from gsfusion.core import (
     VoxelGrid,
     _check_conditioning,
     _quat_to_rotmat_unchecked,
+    _each,
+    _each_folded,
     _whole_runs,
     quat_to_rotmat_jacobian,
 )
@@ -138,9 +144,11 @@ class SparseChannels(NamedTuple):
 
 
 def _pair_blocks(gaussians: GaussianSet, geometry: GridGeometry,
-                 cfg: SplatConfig) -> Iterator[SplatBlock]:
+                 cfg: SplatConfig) -> tuple[int, Callable[[int], SplatBlock]]:
     """All (gaussian, voxel) pairs inside the truncation ellipsoids, ordered
-    by (gaussian, flat voxel index), one block of whole Gaussians at a time.
+    by (gaussian, flat voxel index), in blocks of whole Gaussians: returns
+    the block count and a function that gives block k's SplatBlock, to be
+    called from any thread.
 
     Candidates are the voxels whose centers lie in each ellipsoid's
     axis-aligned bounding box, of half-extent t * sqrt(Sigma_ii) on axis
@@ -158,10 +166,15 @@ def _pair_blocks(gaussians: GaussianSet, geometry: GridGeometry,
     hi = np.floor((gaussians.means + half - geometry.origin) / h - 0.5 + 1e-9)
     lo = np.clip(lo, 0, dims).astype(np.int64)
     ext = np.maximum(np.clip(hi, -1, dims - 1).astype(np.int64) - lo + 1, 0)
-    for start, stop, _, _ in _whole_runs(np.prod(ext, axis=1), _BLOCK):
+    runs = list(_whole_runs(np.prod(ext, axis=1), _BLOCK))
+
+    def block(k):
+        start, stop, _, _ = runs[k]
         b = slice(start, stop)
         pairs = _box_pairs(gaussians.take(b), geometry, t, rots[b], lo[b], ext[b])
-        yield SplatBlock(start, stop, pairs._replace(gauss=pairs.gauss + start))
+        return SplatBlock(start, stop, pairs._replace(gauss=pairs.gauss + start))
+
+    return len(runs), block
 
 
 def _box_pairs(gaussians: GaussianSet, geometry: GridGeometry, t: float,
@@ -195,11 +208,10 @@ def _box_pairs(gaussians: GaussianSet, geometry: GridGeometry, t: float,
                  delta.take(kept, axis=0), local.take(kept, axis=0))
 
 
-def _accumulate(flat: np.ndarray, gaussians: GaussianSet, pairs: Pairs,
-                min_contribution: float) -> None:
-    """Add the pairs' per-channel weights that reach `min_contribution`
-    (that are nonzero, for a floor of 0) into the flat (V * C,) grid, in
-    pair order, then channel order."""
+def _entries(gaussians: GaussianSet, pairs: Pairs, min_contribution: float):
+    """(index, value) of the pairs' per-channel weights that reach
+    `min_contribution` (that are nonzero, for a floor of 0), as indices
+    into the flat (V * C,) grid, in pair order, then channel order."""
     num_classes = gaussians.num_classes
     weights = gaussians.semantics.take(pairs.gauss, axis=0)      # (P, C)
     weights *= (gaussians.opacities.take(pairs.gauss) * pairs.e)[:, None]
@@ -213,7 +225,7 @@ def _accumulate(flat: np.ndarray, gaussians: GaussianSet, pairs: Pairs,
     # add.at leaves its fast path (about 10x slower) for a float64 dtype
     # equal to, but not the same object as, the canonical one, as an
     # unpickled set's arrays carry; the view hands it the canonical one
-    np.add.at(flat, index, weights.take(entry).view(np.float64))
+    return index, weights.take(entry).view(np.float64)
 
 
 def splat(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfig | None = None,
@@ -234,12 +246,22 @@ def splat(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfig | Non
     # allocated before the pair temporaries: a caller that keeps the grid
     # keeps it below them in the heap, not above the hole they leave
     out = np.zeros(geometry.num_voxels * num_classes)
+    count, pair_block = _pair_blocks(gaussians, geometry, cfg)
     blocks = []
-    for block in _pair_blocks(gaussians, geometry, cfg):
-        _accumulate(out, gaussians, block.pairs, cfg.min_contribution)
-        if record and block.pairs.gauss.size:
-            blocks.append(block)
-        del block                   # a dropped block is freed before the next one runs
+
+    def block(k):
+        blk = pair_block(k)
+        kept = blk if record and blk.pairs.gauss.size else None
+        return kept, _entries(gaussians, blk.pairs, cfg.min_contribution)
+
+    def fold(item):
+        kept, (index, value) = item
+        np.add.at(out, index, value)
+        if kept is not None:
+            blocks.append(kept)
+
+    # pairs and entries on either thread; the grid sums on this one, in block order
+    _each_folded(block, count, fold)
     grid = VoxelGrid(geometry, channels=out.reshape(geometry.dims + (num_classes,)))
     if not record:
         return grid
@@ -295,7 +317,9 @@ def splat_backward(tape: SplatTape, grad_channels: np.ndarray) -> dict[str, np.n
     dq_ys = np.zeros((n, 3))
     dq_l2 = np.zeros((n, 3))
     dR = np.zeros((n, 3, 3))
-    for start, stop, (pg, pv, e, delta, local) in tape.blocks:
+
+    def block_rows(k):
+        start, stop, (pg, pv, e, delta, local) = tape.blocks[k]
         rows, g, m = slice(start, stop), pg - start, stop - start
         w = gaussians.opacities[pg] * e
         sem = gaussians.semantics[pg]
@@ -318,6 +342,8 @@ def splat_backward(tape: SplatTape, grad_channels: np.ndarray) -> dict[str, np.n
             for i in range(3):
                 dR[rows, i, j] = np.bincount(g, weights=dq * delta[:, i] * ys[:, j],
                                              minlength=m)
+
+    _each(block_rows, len(tape.blocks))     # the blocks write disjoint rows
     rots_all = _quat_to_rotmat_unchecked(gaussians.rotations)     # (N, 3, 3)
     grads["means"] = -2.0 * np.einsum("gj,gkj->gk", dq_ys, rots_all)
     grads["scales"] = -2.0 * dq_l2 / gaussians.scales**3

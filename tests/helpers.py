@@ -539,7 +539,10 @@ def kept_hidden_fusion_backward(ego_set, received_sets, cfg, params, grad_fused)
     p = tape.params
     grads = {k: np.zeros_like(v) for k, v in p.as_dict().items()}
     for block, (h1, h2) in zip(tape.blocks, kept):
-        d_raw = fusion._raw_output_grads(tape, block, grad_fused, grads)
+        attention = {}
+        d_raw = fusion._raw_output_grads(tape, block, grad_fused, attention)
+        for k, g in attention.items():
+            grads[k] += g
         h1, h2 = h1[:d_raw.shape[0]], h2[:d_raw.shape[0]]
         grads["w3"] += d_raw.T @ h2
         grads["b3"] += d_raw.sum(axis=0)

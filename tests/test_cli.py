@@ -84,6 +84,30 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"section {section}: " in err
 
+    @pytest.mark.parametrize("command, section, value", [
+        ("run", "observation", {"gaussians_per_agent": 150.5}),
+        ("train", "train", {"steps": 2.7}),
+        ("train", "train", {"warmup_steps": 0.5}),
+        ("train", "train", {"batch": True}),
+        ("train", "train", {"seed": 1.5}),
+        ("train", "train", {"train_scenes": 1.5}),
+        ("train", "train", {"holdout_scenes": True}),
+    ], ids=["gaussians_per_agent", "steps", "warmup_steps", "batch", "seed",
+            "train_scenes", "holdout_scenes"])
+    def test_non_integer_count_rejected(self, tmp_path, capsys, command, section, value):
+        p, cfg = small_config(tmp_path)
+        p, _ = small_config(tmp_path, **{section: {**cfg[section], **value}})
+        assert main([command, "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        key = next(iter(value))
+        assert err.startswith("error:") and f"section {section}: {key} must be an integer" in err
+
+    def test_whole_float_count_accepted(self, tmp_path):
+        p, cfg = small_config(tmp_path)
+        p, _ = small_config(tmp_path, train={**cfg["train"], "steps": 2.0})
+        assert load_config(str(p))["train"]["steps"] == 2
+        assert type(load_config(str(p))["train"]["steps"]) is int
+
     def test_empty_section_takes_defaults(self, tmp_path):
         p, _ = small_config(tmp_path, fusion=None, train=None)
         cfg = load_config(str(p))

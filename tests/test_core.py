@@ -1,6 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from gsfusion import core
 from gsfusion.core import (
     DegenerateGaussianError,
     GaussianSet,
@@ -251,3 +255,89 @@ class TestTypes:
             gs.validate()
         gs.scales[1] = [1.001e-6, 1.0, 1.0]                         # condition 0.998e12
         gs.validate()
+
+
+needs_setter = pytest.mark.skipif(core._set_blas_threads is None,
+                                  reason="numpy's BLAS has no per-thread thread-count setter")
+
+
+class TestTwoThreads:
+    @needs_setter
+    def test_even_indices_on_the_caller_odd_on_the_worker(self):
+        caller, ran, nested = threading.current_thread(), {}, []
+
+        def item(i):
+            ran[i] = threading.current_thread()
+            # the team is busy: a nested _each runs inline on this thread
+            nested.append(core._each(lambda j: threading.current_thread(), 3)
+                          == [ran[i]] * 3)
+            return i * i
+
+        before = threading.enumerate()
+        with core._two_threads():
+            assert core._each(item, 5) == [0, 1, 4, 9, 16]
+            worker = ran[1]
+            with core._two_threads():           # a team is not opened twice
+                assert threading.active_count() == len(before) + 1
+        assert threading.enumerate() == before
+        assert worker is not caller and all(nested)
+        assert [ran[i] is caller for i in range(5)] == [True, False, True, False, True]
+        assert ran[3] is worker
+
+    def test_without_a_team_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(core, "ThreadPoolExecutor", None)   # no pool may be made
+        assert core._each(lambda i: (i, threading.current_thread()), 3) == \
+            [(i, threading.current_thread()) for i in range(3)]
+        monkeypatch.setattr(core, "_set_blas_threads", None)
+        with core._two_threads():
+            assert core._each(lambda i: threading.current_thread(), 2) == \
+                [threading.current_thread()] * 2
+
+    @needs_setter
+    def test_each_folded_holds_at_most_two_results(self):
+        alive, folded = set(), []
+
+        def make(i):
+            alive.add(i)
+            assert len(alive) <= 2
+            return i
+
+        def fold(i):
+            folded.append(i)
+            alive.discard(i)
+
+        with core._two_threads():
+            core._each_folded(make, 7, fold)
+        assert folded == list(range(7))
+
+    @needs_setter
+    def test_many_teams_at_once(self):
+        # four callers, each with its own team (eight threads on this
+        # machine's cores), switching threads as often as the interpreter
+        # allows; every item writes only its own entry
+        n, rounds = 9, 50
+        out = np.zeros((4, rounds, n), dtype=np.int64)
+        failures = []
+
+        def caller(c):
+            try:
+                with core._two_threads():
+                    for r in range(rounds):
+                        def item(i):
+                            out[c, r, i] = sum(core._each(lambda j: i * 10 + j, 2))
+                        core._each(item, n)
+            except Exception as exc:                # reported below, not lost
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(c,)) for c in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not failures
+        assert np.all(out == 20 * np.arange(n) + 1)

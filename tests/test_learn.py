@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import os
@@ -5,12 +6,14 @@ import pathlib
 import subprocess
 import sys
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gsfusion import learn
+from gsfusion import core, fusion, learn
+from gsfusion import splat as splat_module
 from gsfusion.core import EMPTY_CLASS, GaussianSet, GridGeometry
 from gsfusion.fusion import FusionConfig, FusionParams
 from gsfusion.learn import (
@@ -108,6 +111,47 @@ class TestCrossEntropy:
             num = (fp - fm) / (2 * eps)
             got = grad.ravel()[k]
             assert abs(got - num) <= 1e-5 * max(abs(got), abs(num), 1e-3)
+
+
+LOSSES = pytest.mark.parametrize("loss", [cross_entropy, lovasz_softmax, total_loss],
+                                 ids=["cross_entropy", "lovasz_softmax", "total_loss"])
+
+
+class TestLossInputs:
+    @LOSSES
+    @pytest.mark.parametrize("count", [50, 150])
+    def test_label_count_must_match_voxels(self, loss, count):
+        probs = softmax_probs(RNG.normal(size=(100, C)))
+        with pytest.raises(ValueError, match=f"{count} labels for 100 voxels"):
+            loss(probs, RNG.integers(0, C, size=count))
+
+    @LOSSES
+    @pytest.mark.parametrize("labels", [np.full(4, 2.0), np.array([True, False] * 2)],
+                             ids=["float", "bool"])
+    def test_non_integer_labels_rejected(self, loss, labels):
+        probs = softmax_probs(RNG.normal(size=(4, C)))
+        with pytest.raises(ValueError, match="labels must be integers"):
+            loss(probs, labels)
+
+    @LOSSES
+    def test_zero_voxels_rejected(self, loss):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="needs at least one voxel"):
+                loss(np.zeros((0, C)), np.zeros(0, dtype=np.int64))
+
+    def test_one_voxel(self):
+        # total_loss runs over two halves of the voxels; here one is empty
+        ch = RNG.normal(size=(1, 1, 1, C))
+        labels = np.array([[[4]]])
+        report, grad = total_loss(ch, labels)
+        probs = softmax_probs(ch)
+        ce, grad_ce = cross_entropy(probs, labels)
+        lov, grad_lov, per_class = lovasz_softmax(probs, labels)
+        assert (report.ce, report.lovasz) == (ce, lov) and np.isfinite(report.total)
+        assert np.array_equal(report.per_class_lovasz, per_class)
+        assert grad.shape == ch.shape
+        assert np.array_equal(grad, grad_ce + softmax_vjp(probs, grad_lov))
 
 
 class TestLovasz:
@@ -477,21 +521,45 @@ def _threaded_fixture():
 
 THREAD_CFG = TrainConfig(steps=3, warmup_steps=1, peak_lr=1e-3, batch=3, seed=4)
 
-needs_setter = pytest.mark.skipif(learn._set_blas_threads is None,
+needs_setter = pytest.mark.skipif(core._set_blas_threads is None,
                                   reason="numpy's BLAS has no per-thread thread-count setter")
 
 
-def _threaded_digest() -> str:
-    """Digest of the curve and weights of `train` on `_threaded_fixture`."""
-    params, curve = train(FusionParams.init(seed=1), _threaded_fixture(), THREAD_CFG)
-    h = hashlib.sha256(np.array(curve, dtype=np.float64).tobytes())
-    for v in params.as_dict().values():
-        h.update(v.tobytes())
-    return h.hexdigest()
+def _threaded_digests() -> str:
+    """Digests of the curve and weights of `train` on `_threaded_fixture`,
+    at `THREAD_CFG`'s batch of three and at a batch of one."""
+    digests = []
+    for batch in (THREAD_CFG.batch, 1):
+        params, curve = train(FusionParams.init(seed=1), _threaded_fixture(),
+                              replace(THREAD_CFG, batch=batch))
+        h = hashlib.sha256(np.array(curve, dtype=np.float64).tobytes())
+        for v in params.as_dict().values():
+            h.update(v.tobytes())
+        digests.append(h.hexdigest())
+    return " ".join(digests)
 
 
 def _forbidden(*args, **kwargs):
     raise AssertionError("a batch that runs on the calling thread needs no worker or pinning")
+
+
+# a block function of each stage that splits its work on an idle team
+STAGE_BLOCKS = [(fusion, "_fuse_block"), (splat_module, "_box_pairs"),
+                (learn, "_lovasz_class"), (fusion, "_block_grads")]
+
+
+def _count_submits(monkeypatch) -> list:
+    """Patch the team's pool so that every submit is recorded in the
+    returned list."""
+    submits = []
+
+    class Pool(core.ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submits.append(threading.current_thread())
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(core, "ThreadPoolExecutor", Pool)
+    return submits
 
 
 def _assert_same_training(got, want):
@@ -508,13 +576,13 @@ class TestTwoExamplesAtATime:
 
     @needs_setter
     def test_equals_sequential_loop_at_one_blas_thread(self, data, monkeypatch):
-        previous = learn._set_blas_threads(1)
+        previous = core._set_blas_threads(1)
         try:
             want = sequential_train(FusionParams.init(seed=1), data, THREAD_CFG)
         finally:
-            learn._set_blas_threads(previous)
+            core._set_blas_threads(previous)
         ran, pinned = [], []
-        real_example, real_setter = learn.scene_loss_and_grads, learn._set_blas_threads
+        real_example, real_setter = learn.scene_loss_and_grads, core._set_blas_threads
 
         def example(*args, **kwargs):
             ran.append(threading.current_thread())
@@ -525,7 +593,7 @@ class TestTwoExamplesAtATime:
             return real_setter(n)
 
         monkeypatch.setattr(learn, "scene_loss_and_grads", example)
-        monkeypatch.setattr(learn, "_set_blas_threads", setter)
+        monkeypatch.setattr(core, "_set_blas_threads", setter)
         before = threading.enumerate()
         got = train(FusionParams.init(seed=1), data, THREAD_CFG)
         assert threading.enumerate() == before          # no thread outlives train
@@ -539,16 +607,81 @@ class TestTwoExamplesAtATime:
 
     def test_without_setter_runs_sequentially(self, data, monkeypatch):
         want = sequential_train(FusionParams.init(seed=1), data, THREAD_CFG)
-        monkeypatch.setattr(learn, "_set_blas_threads", None)
-        monkeypatch.setattr(learn, "ThreadPoolExecutor", _forbidden)
+        monkeypatch.setattr(core, "_set_blas_threads", None)
+        monkeypatch.setattr(core, "ThreadPoolExecutor", _forbidden)
         _assert_same_training(train(FusionParams.init(seed=1), data, THREAD_CFG), want)
 
-    def test_batch_of_one_runs_on_the_calling_thread(self, data, monkeypatch):
+    @needs_setter
+    def test_batch_of_one_splits_its_stages(self, data, monkeypatch):
         cfg = replace(THREAD_CFG, batch=1)
-        want = sequential_train(FusionParams.init(seed=1), data, cfg)
-        monkeypatch.setattr(learn, "_set_blas_threads", _forbidden)
-        monkeypatch.setattr(learn, "ThreadPoolExecutor", _forbidden)
-        _assert_same_training(train(FusionParams.init(seed=1), data, cfg), want)
+        previous = core._set_blas_threads(1)
+        try:
+            want = sequential_train(FusionParams.init(seed=1), data, cfg)
+        finally:
+            core._set_blas_threads(previous)
+        staged = []
+        for module, name in STAGE_BLOCKS:
+            real = getattr(module, name)
+
+            def block(*args, real=real, **kwargs):
+                staged.append(threading.current_thread())
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, block)
+        before = threading.enumerate()
+        got = train(FusionParams.init(seed=1), data, cfg)
+        assert threading.enumerate() == before          # no thread outlives train
+        assert core._set_blas_threads(previous) == previous     # the caller's count is back
+        _assert_same_training(got, want)
+        main = threading.main_thread()
+        assert main in staged and any(t is not main for t in staged)
+
+    @needs_setter
+    def test_batch_of_two_submits_no_stage_work(self, data, monkeypatch):
+        # one submit for the set-up, then one per step for the second example
+        submits = _count_submits(monkeypatch)
+        cfg = replace(THREAD_CFG, batch=2)
+        train(FusionParams.init(seed=1), data, cfg)
+        assert len(submits) == 1 + cfg.steps
+
+    @needs_setter
+    @pytest.mark.parametrize("module, name", [
+        (fusion, "_fuse_block"), (splat_module, "_box_pairs"), (learn, "_lovasz_class"),
+        (fusion, "_block_grads")], ids=["fuse", "splat", "lovasz", "fusion_backward"])
+    def test_failure_in_a_worker_block_reaches_the_caller(self, data, monkeypatch,
+                                                          module, name):
+        # blocks fail on the worker once the steps start; the call runs on a
+        # thread of its own so that a hang shows as a timeout, not a stuck suite
+        real, real_scene = getattr(module, name), learn.scene_loss_and_grads
+        caller, stepping, raised = [], [], []
+
+        def scene(*args, **kwargs):
+            stepping.append(True)
+            return real_scene(*args, **kwargs)
+
+        def block(*args, **kwargs):
+            if stepping and threading.current_thread() is not caller[0]:
+                raise RuntimeError(f"block failed in {threading.current_thread().name}")
+            return real(*args, **kwargs)
+
+        def run():
+            caller.append(threading.current_thread())
+            try:
+                train(FusionParams.init(seed=1), data, replace(THREAD_CFG, batch=1))
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        monkeypatch.setattr(learn, "scene_loss_and_grads", scene)
+        monkeypatch.setattr(module, name, block)
+        monkeypatch.setattr(fusion, "_FUSE_BLOCK", 256)         # several blocks a stage
+        monkeypatch.setattr(splat_module, "_BLOCK", 1 << 10)
+        before = threading.enumerate()
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        assert len(raised) == 1 and "block failed in ThreadPoolExecutor-" in str(raised[0])
+        assert threading.enumerate() == before
 
     @needs_setter
     def test_divergence_in_the_worker_reaches_the_caller(self, data, monkeypatch):
@@ -574,11 +707,114 @@ class TestTwoExamplesAtATime:
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                    "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
             proc = subprocess.run([sys.executable, "-c",
-                                   "import test_learn; print(test_learn._threaded_digest())"],
+                                   "import test_learn; print(test_learn._threaded_digests())"],
                                   env=env, cwd=here, capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, proc.stderr[-2000:]
-            digests.append(proc.stdout.split()[-1])
+            digests.append(proc.stdout.split()[-2:])
         assert digests[0] == digests[1]
+
+
+def _odd_bound(blocks, above: int) -> int:
+    """The largest bound below `above` at which `blocks(bound)`, a block
+    count, is odd and at least 5."""
+    for bound in range(above, 0, -1):
+        count = blocks(bound)
+        if count >= 5 and count % 2:
+            return bound
+    raise AssertionError("no bound gives an odd count of 5 or more blocks")
+
+
+GAUSSIAN_FIELDS = ("means", "scales", "rotations", "opacities", "semantics")
+
+
+def _stage_outputs(ex, params, mark=lambda stage: None):
+    """Every stage of one training example, as `scene_loss_and_grads` runs
+    them, with the tapes; `mark(stage)` is called after each stage."""
+    fusion_cfg, splat_cfg = FusionConfig(), SplatConfig()
+    fused, fusion_tape = fuse_scene(ex.fusion_input, ex.received, fusion_cfg, params,
+                                    record=True)
+    mark("fuse")
+    grid, splat_tape = splat(fused, ex.geometry, splat_cfg, record=True)
+    mark("splat")
+    channels = splat_sparse(ex.fixed, ex.geometry, splat_cfg).add_to(grid.channels)
+    report, grad_ch = total_loss(channels, ex.gt_labels)
+    mark("loss")
+    field_grads = splat_module.splat_backward(splat_tape, grad_ch)
+    mark("splat_backward")
+    grads = fusion.fusion_backward(fusion_tape, field_grads)
+    mark("fusion_backward")
+    return [{k: getattr(fused, k) for k in GAUSSIAN_FIELDS},
+            [dataclasses.astuple(b) for b in fusion_tape.blocks],
+            channels, [(b.start, b.stop, *b.pairs) for b in splat_tape.blocks],
+            (report.ce, report.lovasz, report.total, report.per_class_lovasz), grad_ch,
+            field_grads, grads]
+
+
+def _assert_same_bits(got, want, where="output"):
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for k in want:
+            _assert_same_bits(got[k], want[k], f"{where}.{k}")
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same_bits(g, w, f"{where}[{i}]")
+    else:
+        g, w = np.asarray(got), np.asarray(want)
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes(), where
+
+
+class TestStagesOnTwoThreads:
+    """Each stage of a training example split on an idle team gives the bits
+    of its inline run, at one BLAS thread."""
+
+    @needs_setter
+    def test_split_stages_equal_inline_runs(self, monkeypatch):
+        ex = _threaded_fixture()[0]
+        params = FusionParams.init(seed=1)
+        counts = fusion.scene_neighbors(ex.fusion_input, ex.received, FusionConfig())[3]
+        monkeypatch.setattr(fusion, "_FUSE_BLOCK", _odd_bound(
+            lambda b: len(list(core._whole_runs(counts, b))), int(counts.sum()) // 5))
+        fused = fuse_scene(ex.fusion_input, ex.received, FusionConfig(), params)
+
+        def splat_blocks(bound):
+            monkeypatch.setattr(splat_module, "_BLOCK", bound)
+            return splat_module._pair_blocks(fused, ex.geometry, SplatConfig())[0]
+
+        splat_blocks(_odd_bound(splat_blocks, 1 << 13))
+        previous = core._set_blas_threads(1)
+        try:
+            want = _stage_outputs(ex, params)
+        finally:
+            core._set_blas_threads(previous)
+        submits = _count_submits(monkeypatch)
+        marks = []
+
+        def mark(stage):
+            marks.append((stage, len(submits)))
+
+        with core._two_threads():
+            got = _stage_outputs(ex, params, mark)
+        _assert_same_bits(got, want)
+        assert len(want[1]) >= 5 and len(want[1]) % 2 == 1      # fusion blocks
+        assert len(want[3]) >= 5                                  # splat blocks with pairs
+        done = 0
+        for stage, count in marks:          # every stage handed work to the worker
+            assert count > done, stage
+            done = count
+
+    @needs_setter
+    @pytest.mark.parametrize("voxels", [1, 2, 3, 64])
+    def test_loss_on_two_threads_equals_inline(self, voxels):
+        rng = np.random.default_rng(voxels)
+        ch = rng.normal(size=(voxels, C)) * 3
+        labels = rng.integers(0, C, size=voxels)
+        want = total_loss(ch, labels)              # the loss makes no BLAS call
+        with core._two_threads():
+            got = total_loss(ch, labels)
+        _assert_same_bits([dataclasses.astuple(got[0]), got[1]],
+                          [dataclasses.astuple(want[0]), want[1]])
+        assert np.isfinite(got[0].total)
 
 
 class TestCalibration:

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gsfusion import learn, sim
+from gsfusion import core, sim
 from gsfusion.core import EMPTY_CLASS, GaussianSet, GridGeometry, RigidTransform
 from gsfusion.comms import PRECISION_FP32, deserialize_message, stack, transform_set
 from gsfusion.fusion import FusionConfig, FusionParams, fuse_scene
@@ -535,7 +535,7 @@ def _episode_fixture(num_agents, gaussians=300):
 EPISODE_PARAMS = {"naive": Calibration(np.random.default_rng(3).normal(0.0, 0.3, 13)),
                   "learned": FusionParams.init(seed=3)}
 
-needs_setter = pytest.mark.skipif(learn._set_blas_threads is None,
+needs_setter = pytest.mark.skipif(core._set_blas_threads is None,
                                   reason="numpy's BLAS has no per-thread thread-count setter")
 
 
@@ -571,8 +571,8 @@ class TestTwoEgosAtATime:
         want = sequential_episode(spec, model, mode, params=params, episode=episode,
                                   message_sink=want_sink)
         if spec.num_agents == 1:            # one ego: no worker, BLAS untouched
-            monkeypatch.setattr(learn, "_set_blas_threads", _forbidden)
-            monkeypatch.setattr(learn, "ThreadPoolExecutor", _forbidden)
+            monkeypatch.setattr(core, "_set_blas_threads", _forbidden)
+            monkeypatch.setattr(core, "ThreadPoolExecutor", _forbidden)
         got = run_episode(spec, model, mode, params=params, episode=episode,
                           message_sink=got_sink)
         assert len(got.labels) == len(got.channels) == spec.num_agents
@@ -586,7 +586,7 @@ class TestTwoEgosAtATime:
     @needs_setter
     def test_worker_renders_odd_egos_and_leaves_nothing_behind(self, monkeypatch):
         spec, model, episode = _episode_fixture(4)
-        real_stack, real_setter = sim.stack, learn._set_blas_threads
+        real_stack, real_setter = sim.stack, core._set_blas_threads
         previous = real_setter(1)
         real_setter(previous)
         stacked, pinned = [], []
@@ -601,7 +601,7 @@ class TestTwoEgosAtATime:
             return real_setter(n)
 
         monkeypatch.setattr(sim, "stack", stack)
-        monkeypatch.setattr(learn, "_set_blas_threads", setter)
+        monkeypatch.setattr(core, "_set_blas_threads", setter)
         before = threading.enumerate()
         run_episode(spec, model, "zero_shot", episode=episode)
         assert threading.enumerate() == before          # no thread outlives the episode

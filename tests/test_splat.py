@@ -351,7 +351,8 @@ class TestBlocks:
     @pytest.mark.parametrize("case", sorted(BLOCK_SETS))
     def test_blocks_hold_whole_gaussians(self, case):
         gs, geom = BLOCK_SETS[case](), BLOCK_GEOMS.get(case, PAIR_GEOM)
-        every = list(_pair_blocks(gs, geom, SplatConfig()))
+        count, block = _pair_blocks(gs, geom, SplatConfig())
+        every = [block(k) for k in range(count)]
         edges = [0] + [b.stop for b in every]           # the blocks tile the rows
         assert [b.start for b in every] == edges[:-1] and edges[-1] == len(gs)
         for b in every:                 # each block's pairs lie in its own rows
