@@ -18,6 +18,7 @@ import numpy as np
 import yaml
 
 from gsfusion.comms import PRECISION_FP16, PRECISION_FP32, communication_volume
+from gsfusion.core import whole_number
 from gsfusion.fusion import FusionConfig, FusionParams, load_params, save_params
 from gsfusion.learn import (
     Calibration,
@@ -36,7 +37,6 @@ from gsfusion.sim import (
     derive_scene_seed,
     generate_scene,
     make_training_example,
-    model_from_dict,
     prepare_episode,
     run_episode,
     scene_from_dict,
@@ -48,66 +48,113 @@ class ConfigError(ValueError):
     pass
 
 
+# every setting and its default, whose type is the rule a value must meet
+# (see `_checked`); a section's default is the dataclass it builds, and it
+# takes that dataclass's fields as keys
 _DEFAULTS = {
     "seed": 0,
     "scenes": 4,
     "agents": 3,
     "scene_files": [],
     "world_half_xy": 20.0,
-    "grid_dims": [100, 100, 8],
+    "grid_dims": (100, 100, 8),
     "modes": ["single", "zero_shot"],
     "precision": "fp16",
     "budget_bytes": None,
     "params": None,
     "out": "out",
-    "observation": {},
-    "fusion": {},
-    "splat": {},
-    "train": {},
+    "observation": ObservationModel,
+    "fusion": FusionConfig,
+    "splat": SplatConfig,
+    "train": TrainConfig,
 }
+_SECTIONS = [k for k, v in _DEFAULTS.items() if dataclasses.is_dataclass(v)]
 
-# the train section holds these and TrainConfig's fields
+# the train section holds these besides TrainConfig's fields
 _TRAIN_DEFAULTS = {
     "mode": "learned",
     "train_scenes": 20,
     "holdout_scenes": 8,
 }
 
+_PRECISIONS = {"fp16": PRECISION_FP16, "fp32": PRECISION_FP32}
 
-def _field_defaults(kind) -> dict:
-    return {f.name: f.default for f in dataclasses.fields(kind)}
-
-
-# the keys each config section takes: the fields of the dataclass it fills
-_SECTION_KEYS = {
-    "observation": set(_field_defaults(ObservationModel)),
-    "fusion": set(_field_defaults(FusionConfig)),
-    "splat": set(_field_defaults(SplatConfig)),
-    "train": set(_field_defaults(TrainConfig)) | set(_TRAIN_DEFAULTS),
+# each flag of `run` and `train` and the (section, key) it sets; None is the top level
+_FLAGS = {
+    "seed": (None, "seed"),
+    "scenes": (None, "scenes"),
+    "agents": (None, "agents"),
+    "modes": (None, "modes"),
+    "precision": (None, "precision"),
+    "budget_bytes": (None, "budget_bytes"),
+    "params": (None, "params"),
+    "out": (None, "out"),
+    "gaussians": ("observation", "gaussians_per_agent"),
+    "rho": ("fusion", "radius_rho"),
+    "pooling": ("fusion", "pooling"),
+    "steps": ("train", "steps"),
+    "train_mode": ("train", "mode"),
 }
 
 
-# the keys of each section that take only whole numbers
-_INTEGER_KEYS = {
-    "observation": ("gaussians_per_agent",),
-    "train": ("steps", "warmup_steps", "batch", "seed", "train_scenes", "holdout_scenes"),
-}
+def _section_defaults(name: str) -> dict:
+    defaults = {f.name: f.default for f in dataclasses.fields(_DEFAULTS[name])}
+    return {**defaults, **_TRAIN_DEFAULTS} if name == "train" else defaults
 
 
-def _whole_number(value):
-    """`value` as an int if it is an int or a float without a fractional
-    part (not a bool), else None."""
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, int):
+def _checked(key: str, value, default):
+    """`value` for the setting `key`, by the rule its default's type sets:
+    an int takes a whole number, a float any finite number, a str a string,
+    a tuple as many values as it holds (each by its own rule) and a list a
+    list of strings. Raises ValueError naming `key`."""
+    if default is None:                             # the two null defaults
+        if value is None:
+            return None
+        if key == "params":
+            return _checked(key, value, "")         # a path
+        if _checked(key, value, 0.0) < 0:           # budget_bytes
+            raise ValueError(f"budget_bytes must be a number >= 0 or null, not {value!r}")
         return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return None
+    if isinstance(default, int):
+        return whole_number(key, value)
+    if isinstance(default, float):
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{key} must be a finite number, not {value!r}")
+        return float(value)
+    if isinstance(default, str):
+        if not isinstance(value, str):
+            raise ValueError(f"{key} must be a string, not {value!r}")
+        return value
+    if isinstance(default, tuple):
+        if not isinstance(value, list) or len(value) != len(default):
+            raise ValueError(f"{key} must be a list of {len(default)} values, not {value!r}")
+        return tuple(_checked(key, v, d) for v, d in zip(value, default))
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list, not {value!r}")
+    return [_checked(key, v, "") for v in value]
+
+
+def _put(cfg: dict, section: str | None, key: str, value, where: str) -> None:
+    """Store `value` under `key` of `section` (None: the top level), checked
+    by `_checked`; an unknown key or a bad value is a ConfigError that
+    names `where` and the section."""
+    into, defaults = ((cfg, _DEFAULTS) if section is None
+                      else (cfg[section], _section_defaults(section)))
+    inside = f"{where}: section {section}: " if section else f"{where}: "
+    if key not in defaults:
+        raise ConfigError(f"{inside}unknown key {key!r}")
+    try:
+        into[key] = _checked(key, value, defaults[key])
+    except ValueError as exc:
+        raise ConfigError(f"{inside}{exc}") from exc
 
 
 def load_config(path: str | None) -> dict:
-    cfg = {k: (dict(v) if isinstance(v, dict) else v) for k, v in _DEFAULTS.items()}
+    """The settings of the YAML file at `path` (None: the defaults), every
+    value checked by `_checked`; the train section is filled with its
+    defaults. Raises ConfigError."""
+    cfg = {k: ({} if k in _SECTIONS else v) for k, v in _DEFAULTS.items()}
     if path:
         try:
             with open(path) as f:
@@ -118,66 +165,39 @@ def load_config(path: str | None) -> dict:
             raise ConfigError(f"cannot read {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
-        unknown = set(data) - set(_DEFAULTS)
-        if unknown:
-            raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-        for k, v in data.items():
-            cfg[k] = {} if v is None and k in _SECTION_KEYS else v     # an empty section
-        for name, keys in _SECTION_KEYS.items():
-            if not isinstance(cfg[name], dict):
-                raise ConfigError(f"{path}: section {name}: must be a mapping, not {cfg[name]!r}")
-            unknown = set(cfg[name]) - keys
-            if unknown:
-                raise ConfigError(f"{path}: section {name}: unknown keys {sorted(unknown)}")
-            for key in set(cfg[name]) & set(_INTEGER_KEYS.get(name, ())):
-                whole = _whole_number(cfg[name][key])
-                if whole is None:
-                    raise ConfigError(f"{path}: section {name}: {key} must be an integer, "
-                                      f"not {cfg[name][key]!r}")
-                cfg[name][key] = whole
-    cfg["train"] = {**_field_defaults(TrainConfig), **_TRAIN_DEFAULTS, **cfg["train"]}
+        for key, value in data.items():
+            if key not in _SECTIONS:
+                _put(cfg, None, key, value, path)
+                continue
+            value = {} if value is None else value      # an empty section
+            if not isinstance(value, dict):
+                raise ConfigError(f"{path}: section {key}: must be a mapping, not {value!r}")
+            for k, v in value.items():
+                _put(cfg, key, k, v, path)
+    cfg["train"] = {**_section_defaults("train"), **cfg["train"]}
     return cfg
 
 
-def _apply_flag_overrides(cfg: dict, args: argparse.Namespace) -> dict:
-    if getattr(args, "modes", None):
-        cfg["modes"] = [m.strip() for m in args.modes.split(",") if m.strip()]
-    for flag, key in (("seed", "seed"), ("out", "out"), ("precision", "precision"),
-                      ("budget_bytes", "budget_bytes"), ("params", "params"),
-                      ("scenes", "scenes"), ("agents", "agents")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            cfg[key] = val
-    if getattr(args, "gaussians", None) is not None:
-        cfg["observation"]["gaussians_per_agent"] = args.gaussians
-    if getattr(args, "rho", None) is not None:
-        cfg["fusion"]["radius_rho"] = args.rho
-    if getattr(args, "pooling", None) is not None:
-        cfg["fusion"]["pooling"] = args.pooling
-    if getattr(args, "steps", None) is not None:
-        cfg["train"]["steps"] = args.steps
-    if getattr(args, "train_mode", None) is not None:
-        cfg["train"]["mode"] = args.train_mode
-    return cfg
-
-
-def _from_section(name: str, build, values: dict):
-    """build(values) for config section `name`; a value of the wrong type
-    or out of range is a ConfigError that names the section."""
-    try:
-        return build(values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"section {name}: {exc}") from exc
-
-
-def _build_components(cfg: dict):
-    model = _from_section("observation", model_from_dict, cfg["observation"])
-    fusion_cfg = _from_section("fusion", lambda v: FusionConfig(**v), cfg["fusion"])
-    splat_cfg = _from_section("splat", lambda v: SplatConfig(**v), cfg["splat"])
-    if cfg["precision"] not in ("fp16", "fp32"):
+def _settings(args) -> tuple:
+    """The config file's settings with the flags given applied on top; the
+    ObservationModel, FusionConfig, SplatConfig and TrainConfig built once
+    from its sections; and the wire precision code."""
+    cfg = load_config(args.config)
+    for flag, (section, key) in _FLAGS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            _put(cfg, section, key, value, "command line")
+    if cfg["precision"] not in _PRECISIONS:
         raise ConfigError("precision must be fp16 or fp32")
-    precision = PRECISION_FP16 if cfg["precision"] == "fp16" else PRECISION_FP32
-    return model, fusion_cfg, splat_cfg, precision
+    built = []
+    for name in _SECTIONS:
+        kind = _DEFAULTS[name]
+        fields = {f.name for f in dataclasses.fields(kind)}
+        try:
+            built.append(kind(**{k: v for k, v in cfg[name].items() if k in fields}))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"section {name}: {exc}") from exc
+    return cfg, *built, _PRECISIONS[cfg["precision"]]
 
 
 def _scenes_for(cfg: dict, purpose_seed: int, count: int):
@@ -194,9 +214,8 @@ def _scenes_for(cfg: dict, purpose_seed: int, count: int):
                 raise ConfigError(f"bad scene file {p}: {exc}") from exc
         return scenes
     return [generate_scene(derive_scene_seed(purpose_seed, i),
-                           num_agents=int(cfg["agents"]),
-                           world_half_xy=float(cfg["world_half_xy"]),
-                           grid_dims=tuple(cfg["grid_dims"]))
+                           num_agents=cfg["agents"], world_half_xy=cfg["world_half_xy"],
+                           grid_dims=cfg["grid_dims"])
             for i in range(count)]
 
 
@@ -205,6 +224,8 @@ def _load_any_params(path: str):
         return load_params(path)
     except ValueError:
         return load_calibration(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +233,7 @@ def _load_any_params(path: str):
 # ---------------------------------------------------------------------------
 
 def cmd_run(args) -> int:
-    cfg = _apply_flag_overrides(load_config(args.config), args)
-    model, fusion_cfg, splat_cfg, precision = _build_components(cfg)
+    cfg, model, fusion_cfg, splat_cfg, _, precision = _settings(args)
     modes = cfg["modes"]
     for m in modes:
         if m not in MODES:
@@ -224,7 +244,7 @@ def cmd_run(args) -> int:
 
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    scenes = _scenes_for(cfg, int(cfg["seed"]), int(cfg["scenes"]))
+    scenes = _scenes_for(cfg, cfg["seed"], cfg["scenes"])
 
     report_rows = []
     comm_rows = []
@@ -235,13 +255,8 @@ def cmd_run(args) -> int:
         for a in range(spec.num_agents):
             save_voxg(episode.gt.collaborative[a], out / f"scene{si}_agent{a}_gt.voxg")
         for mode in modes:
-            mode_params = None
-            if mode == "learned":
-                mode_params = params
-            elif mode == "naive" and isinstance(params, Calibration):
-                mode_params = params
             sink = [] if args.dump_messages else None
-            res = run_episode(spec, model, mode, params=mode_params, episode=episode,
+            res = run_episode(spec, model, mode, params=params, episode=episode,
                               splat_cfg=splat_cfg, fusion_cfg=fusion_cfg,
                               precision=precision, budget_bytes=cfg["budget_bytes"],
                               message_sink=sink)
@@ -305,26 +320,20 @@ def _mean_miou(scenes, episodes, results) -> float:
 
 
 def cmd_train(args) -> int:
-    cfg = _apply_flag_overrides(load_config(args.config), args)
-    model, fusion_cfg, splat_cfg, precision = _build_components(cfg)
+    cfg, model, fusion_cfg, splat_cfg, train_cfg, precision = _settings(args)
     tr = cfg["train"]
-    # each field is cast to its default's type (int or float)
-    train_cfg = _from_section("train", lambda t: TrainConfig(
-        **{k: type(v)(t[k]) for k, v in _field_defaults(TrainConfig).items()}), tr)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
 
-    train_scenes = _scenes_for(cfg, derive_scene_seed(int(cfg["seed"]), 0xA11CE),
-                               int(tr["train_scenes"]))
+    train_scenes = _scenes_for(cfg, derive_scene_seed(cfg["seed"], 0xA11CE), tr["train_scenes"])
     mode = tr["mode"]
     if mode == "learned":
         examples = [make_training_example(s, model, ego=0, precision=precision)
                     for s in train_scenes]
-        params0 = FusionParams.init(seed=int(tr["seed"]))
-        params, curve = train(params0, examples, train_cfg, fusion_cfg=fusion_cfg,
-                              splat_cfg=splat_cfg, log_every=args.log_every)
-        save_params(params, out / "params.fprm")
-        trained = params
+        params0 = FusionParams.init(seed=train_cfg.seed)
+        trained, curve = train(params0, examples, train_cfg, fusion_cfg=fusion_cfg,
+                               splat_cfg=splat_cfg, log_every=args.log_every)
+        save_params(trained, out / "params.fprm")
     elif mode == "naive":
         examples = []
         for s in train_scenes:
@@ -341,10 +350,8 @@ def cmd_train(args) -> int:
     if curve:
         print(f"loss: first {curve[0][3]:.4f}  last {curve[-1][3]:.4f}")
 
-    holdout = int(tr["holdout_scenes"])
-    if holdout > 0:
-        scenes = _scenes_for(cfg, derive_scene_seed(int(cfg["seed"]), 0xE7A1),
-                             holdout)
+    if tr["holdout_scenes"] > 0:
+        scenes = _scenes_for(cfg, derive_scene_seed(cfg["seed"], 0xE7A1), tr["holdout_scenes"])
         episodes = [prepare_episode(s, model) for s in scenes]
         zero = [run_episode(s, model, "zero_shot", episode=e, splat_cfg=splat_cfg,
                             fusion_cfg=fusion_cfg, precision=precision)
@@ -364,9 +371,12 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_export(args) -> int:
-    grid = load_voxg(args.grid)
+    try:
+        grid = load_voxg(args.grid)
+        out = open(args.out, "w", newline="") if args.out else sys.stdout
+    except OSError as exc:
+        raise ConfigError(f"cannot open {exc.filename}: {exc.strerror}") from exc
     geom = grid.geometry
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         w = csv.writer(out)
         w.writerow(["# dims", *geom.dims])
@@ -386,10 +396,8 @@ def cmd_export(args) -> int:
             w.writerow(["# payload", "channels"])
             w.writerow(["x", "y", "z", *[f"c{k}" for k in range(geom.num_classes)]])
             ch = grid.channels
-            for x in range(geom.dims[0]):
-                for y in range(geom.dims[1]):
-                    for z in range(geom.dims[2]):
-                        w.writerow([x, y, z, *(f"{v:.8g}" for v in ch[x, y, z])])
+            for x, y, z in np.ndindex(*geom.dims):
+                w.writerow([x, y, z, *(f"{v:.8g}" for v in ch[x, y, z])])
     finally:
         if args.out:
             out.close()
@@ -406,36 +414,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Collaborative semantic occupancy with Gaussian messages")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run collaboration modes over scenes")
-    run.add_argument("--config", help="YAML experiment config")
-    run.add_argument("--modes", help="comma-separated mode list")
-    run.add_argument("--gaussians", type=int, help="gaussians per agent")
-    run.add_argument("--precision", choices=["fp16", "fp32"])
+    # the flags `run` and `train` share
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="YAML experiment config")
+    common.add_argument("--gaussians", type=int, help="gaussians per agent")
+    common.add_argument("--precision", choices=["fp16", "fp32"])
+    common.add_argument("--rho", type=float, help="fusion neighborhood radius")
+    common.add_argument("--pooling", choices=["mean", "attention"])
+    common.add_argument("--seed", type=int)
+    common.add_argument("--scenes", type=int)
+    common.add_argument("--agents", type=int)
+    common.add_argument("--out")
+
+    run = sub.add_parser("run", parents=[common], help="run collaboration modes over scenes")
+    run.add_argument("--modes", help="comma-separated mode list",
+                     type=lambda text: [m.strip() for m in text.split(",") if m.strip()])
     run.add_argument("--budget-bytes", dest="budget_bytes", type=int)
-    run.add_argument("--rho", type=float, help="fusion neighborhood radius")
-    run.add_argument("--pooling", choices=["mean", "attention"])
-    run.add_argument("--seed", type=int)
-    run.add_argument("--scenes", type=int)
-    run.add_argument("--agents", type=int)
     run.add_argument("--params", help="FPRM parameter file")
-    run.add_argument("--out")
     run.add_argument("--dump-channels", action="store_true")
     run.add_argument("--dump-messages", action="store_true",
                      help="also write accepted GMSG wire messages")
     run.set_defaults(fn=cmd_run)
 
-    tr = sub.add_parser("train", help="train fusion parameters")
-    tr.add_argument("--config")
+    tr = sub.add_parser("train", parents=[common], help="train fusion parameters")
     tr.add_argument("--mode", dest="train_mode", choices=["learned", "naive"])
     tr.add_argument("--steps", type=int)
-    tr.add_argument("--gaussians", type=int)
-    tr.add_argument("--rho", type=float)
-    tr.add_argument("--pooling", choices=["mean", "attention"])
-    tr.add_argument("--precision", choices=["fp16", "fp32"])
-    tr.add_argument("--seed", type=int)
-    tr.add_argument("--scenes", type=int)
-    tr.add_argument("--agents", type=int)
-    tr.add_argument("--out")
     tr.add_argument("--log-every", type=int, default=0)
     tr.set_defaults(fn=cmd_train)
 

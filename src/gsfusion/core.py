@@ -43,6 +43,8 @@ per-thread setter, every `_each` runs inline with BLAS untouched.
 from __future__ import annotations
 
 import ctypes
+import dataclasses
+import numbers
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
@@ -547,6 +549,30 @@ def _whole_runs(sizes: np.ndarray, bound: int):
         stop = max(int(np.searchsorted(ends, before + bound, "right")), start + 1)
         yield start, stop, before, int(ends[stop - 1])
         start = stop
+
+
+# ---------------------------------------------------------------------------
+# whole-number settings
+# ---------------------------------------------------------------------------
+
+def whole_number(name: str, value) -> int:
+    """`value` as an int if it is a whole number: an integer, or a float
+    without a fractional part. A bool, a fraction or anything else is a
+    ValueError that names the setting `name`."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
+def check_int_fields(config) -> None:
+    """Apply `whole_number` to every field of the dataclass `config` whose
+    default is an int, storing the int; called by `__post_init__`, so it
+    also holds for frozen dataclasses."""
+    for f in dataclasses.fields(config):
+        if type(f.default) is int:
+            object.__setattr__(config, f.name, whole_number(f.name, getattr(config, f.name)))
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,7 @@ from gsfusion.core import (
     _each,
     _each_folded,
     _whole_runs,
+    check_int_fields,
 )
 
 FPRM_MAGIC = b"FPRM"
@@ -66,6 +67,10 @@ FPRM_VERSION = 1
 HIDDEN_DIM = 128
 PROJ_DIM = 32
 SCALE_FLOOR = 1e-4
+# the largest proposal scale: every pooled scale then lies within a ratio of
+# 5e5 of the floor, so a fused covariance's condition number stays below the
+# splat's 1e12 with room for the pooled sums' rounding
+SCALE_CEIL = 50.0
 _FUSE_BLOCK = 1 << 12                  # pairs per block of whole segments
 _ROW_TILE = 64                         # every product runs over a multiple of this many rows
 
@@ -78,6 +83,7 @@ class FusionConfig:
     max_neighbors: int = 64
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.radius_rho <= 0:
             raise ValueError("radius_rho must be positive")
         if self.epsilon <= 0:
@@ -369,7 +375,7 @@ def _mlp_forward(z_tiles: np.ndarray, params: FusionParams) -> np.ndarray:
 def _activate(raw: np.ndarray, num_classes: int):
     """Map raw MLP outputs onto valid proposal fields."""
     dm = raw[:, 0:3]
-    s = _softplus(raw[:, 3:6]) + SCALE_FLOOR
+    s = np.minimum(_softplus(raw[:, 3:6]) + SCALE_FLOOR, SCALE_CEIL)
     rraw = raw[:, 6:10].copy()
     rraw[:, 0] += 1.0                     # offset keeps the norm away from zero
     rnorm = np.linalg.norm(rraw, axis=1)
@@ -473,16 +479,17 @@ def confidence(v: np.ndarray, epsilon: float = 1e-8) -> float:
 
 @dataclass
 class FusionBlock:
-    """What the analytic backward needs from one block of whole segments;
-    `starts` index the block's own pairs. The hidden activations are not
-    kept: `fusion_backward` recomputes them from `z_tiles`."""
+    """What the analytic backward needs from one block of whole segments.
+    Nothing is kept that a kept field holds: the segments start at the
+    block's own `cumsum(counts) - counts`, the proposals' mean offsets are
+    `raw[:, 0:3]` and the ego semantics the last columns of `e_feats`. The
+    hidden activations are not kept either: `fusion_backward` recomputes
+    them from `z_tiles`."""
 
     seg_egos: np.ndarray        # ego rows of the block's segments
-    starts: np.ndarray
     counts: np.ndarray
     z_tiles: np.ndarray         # pair features, zero rows up to whole row tiles
     raw: np.ndarray
-    dm: np.ndarray
     s: np.ndarray
     r: np.ndarray
     a: np.ndarray
@@ -498,7 +505,6 @@ class FusionBlock:
     alpha: np.ndarray
     conf_ego: np.ndarray
     conf_pool: np.ndarray
-    ego_sem: np.ndarray
 
     @property
     def z(self) -> np.ndarray:
@@ -611,11 +617,10 @@ def _fuse_block(fused: GaussianSet, ego_set: GaussianSet, e_all: np.ndarray,
     fused.semantics[seg_egos] = sem_hat
 
     return FusionBlock(
-        seg_egos=seg_egos, starts=starts, counts=counts, z_tiles=z_tiles, raw=raw,
-        dm=dm, s=s, r=r, a=a, c=c, rnorm=rnorm, w=w, sigma=sigma,
+        seg_egos=seg_egos, counts=counts, z_tiles=z_tiles, raw=raw,
+        s=s, r=r, a=a, c=c, rnorm=rnorm, w=w, sigma=sigma,
         e_feats=e_feats, pooled_c=pooled_c, rbar_norm=rbar_norm, rbar=rbar,
         canon_sign=canon_sign, alpha=alpha, conf_ego=conf_ego, conf_pool=conf_pool,
-        ego_sem=ego_sem,
     )
 
 
@@ -673,8 +678,10 @@ def _raw_output_grads(tape: FusionTape, blk: FusionBlock, grad_fused: dict[str, 
     the pooling and the activations; sets the block's attention projection
     gradients in its own dict `grads` on the way."""
     p = tape.params
-    seg = blk.seg_egos
-    starts, counts = blk.starts, blk.counts
+    seg, counts = blk.seg_egos, blk.counts
+    starts = np.cumsum(counts) - counts
+    dm = blk.raw[:, 0:3]
+    ego_sem = blk.e_feats[:, -blk.pooled_c.shape[1]:]
     rep = lambda x: np.repeat(x, counts, axis=0)
 
     d_pooled_dm = grad_fused["means"][seg]
@@ -684,7 +691,7 @@ def _raw_output_grads(tape: FusionTape, blk: FusionBlock, grad_fused: dict[str, 
     d_sem_hat = grad_fused["semantics"][seg]
 
     # semantic blend: sem_hat = alpha * ego + (1 - alpha) * pooled_c
-    d_alpha = np.sum(d_sem_hat * (blk.ego_sem - blk.pooled_c), axis=1)
+    d_alpha = np.sum(d_sem_hat * (ego_sem - blk.pooled_c), axis=1)
     d_pooled_c = (1.0 - blk.alpha)[:, None] * d_sem_hat
     denom = blk.conf_ego + blk.conf_pool
     d_conf_pool = d_alpha * (-blk.conf_ego / denom**2)
@@ -699,7 +706,7 @@ def _raw_output_grads(tape: FusionTape, blk: FusionBlock, grad_fused: dict[str, 
     d_rbar_raw = (d_rbar - blk.rbar * dot[:, None]) / blk.rbar_norm[:, None]
 
     # per-pair shares of the pooled sums
-    d_w = np.sum(rep(d_pooled_dm) * blk.dm, axis=1)
+    d_w = np.sum(rep(d_pooled_dm) * dm, axis=1)
     d_dm = rep(d_pooled_dm) * blk.w[:, None]
     d_w += np.sum(rep(d_pooled_s) * blk.s, axis=1)
     d_s = rep(d_pooled_s) * blk.w[:, None]
@@ -728,7 +735,7 @@ def _raw_output_grads(tape: FusionTape, blk: FusionBlock, grad_fused: dict[str, 
     # activation maps back to raw MLP outputs
     d_raw = np.zeros_like(blk.raw)
     d_raw[:, 0:3] = d_dm
-    d_raw[:, 3:6] = d_s * _sigmoid(blk.raw[:, 3:6])
+    d_raw[:, 3:6] = np.where(blk.s < SCALE_CEIL, d_s * _sigmoid(blk.raw[:, 3:6]), 0.0)
     rdot = np.sum(blk.r * d_r, axis=1)
     d_raw[:, 6:10] = (d_r - blk.r * rdot[:, None]) / blk.rnorm[:, None]
     d_raw[:, 10] = d_a * blk.a * (1.0 - blk.a)

@@ -23,7 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gsfusion.core import GaussianSet, GridGeometry, _each, _halves, _two_threads
+from gsfusion.core import (
+    GaussianSet,
+    GridGeometry,
+    _each,
+    _halves,
+    _two_threads,
+    check_int_fields,
+)
 from gsfusion.fusion import (
     FusionConfig,
     FusionParams,
@@ -261,6 +268,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.steps < 0:
             raise ValueError("steps must be non-negative")
         if self.peak_lr < 0:

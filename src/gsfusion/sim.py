@@ -25,6 +25,7 @@ from gsfusion.core import (
     VoxelGrid,
     _each,
     _two_threads,
+    check_int_fields,
 )
 from gsfusion.comms import (
     GaussianMessage,
@@ -167,6 +168,7 @@ class ObservationModel:
     empty_gaussian_scale: float = 20.0
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.gaussians_per_agent <= 0:
             raise ValueError("gaussians_per_agent must be positive")
         if self.semantic_weight <= 0:
@@ -805,10 +807,3 @@ def scene_from_dict(data: dict) -> SceneSpec:
     except KeyError as exc:
         raise SceneSpecError(f"missing scene field: {exc}") from exc
 
-
-def model_from_dict(data: dict) -> ObservationModel:
-    allowed = {f.name for f in ObservationModel.__dataclass_fields__.values()}
-    unknown = set(data) - allowed
-    if unknown:
-        raise SceneSpecError(f"unknown observation fields: {sorted(unknown)}")
-    return ObservationModel(**data)

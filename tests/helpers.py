@@ -33,6 +33,7 @@ from gsfusion.core import (
 )
 from gsfusion import fusion, learn, sim
 from gsfusion.fusion import (
+    SCALE_CEIL,
     SCALE_FLOOR,
     FusionConfig,
     FusionParams,
@@ -391,12 +392,12 @@ def _softplus(x):
 
 def _proposal_oracle(raw, num_classes):
     """Raw MLP outputs mapped onto proposal fields: mean shift, softplus
-    scale above SCALE_FLOOR, unit quaternion with +1 on its scalar part,
+    scale above SCALE_FLOOR and capped at SCALE_CEIL, unit quaternion with +1 on its scalar part,
     sigmoid opacity, softplus class weights."""
     q = raw[6:10].copy()
     q[0] += 1.0
     return (raw[0:3],
-            np.array([_softplus(x) + SCALE_FLOOR for x in raw[3:6]]),
+            np.array([min(_softplus(x) + SCALE_FLOOR, SCALE_CEIL) for x in raw[3:6]]),
             q / math.sqrt(math.fsum(q * q)),
             1.0 / (1.0 + math.exp(-raw[10])),
             np.array([_softplus(x) for x in raw[11:11 + num_classes]]))

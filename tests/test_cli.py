@@ -1,15 +1,18 @@
+import argparse
 import csv
 import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from gsfusion.cli import load_config, main
-from gsfusion.fusion import FusionParams, load_params
-from gsfusion.learn import load_calibration
-from gsfusion.splat import load_voxg
+from gsfusion.cli import _settings, load_config, main
+from gsfusion.fusion import FusionConfig, FusionParams, load_params
+from gsfusion.learn import TrainConfig, load_calibration
+from gsfusion.sim import ObservationModel
+from gsfusion.splat import SplatConfig, load_voxg
 
 from helpers import prepare_with_undecodable_message
 
@@ -64,8 +67,9 @@ class TestConfig:
         ("observation", 5),
         ("train", 5),
         ("train", {"stpes": 3}),
+        ("observation", {"nope": 3}),
     ], ids=["fusion_unknown_key", "splat_not_mapping", "observation_not_mapping",
-            "train_not_mapping", "train_unknown_key"])
+            "train_not_mapping", "train_unknown_key", "observation_unknown_key"])
     def test_bad_section_rejected(self, tmp_path, capsys, section, value):
         p, _ = small_config(tmp_path, **{section: value})
         assert main(["run", "--config", str(p)]) == 2
@@ -108,6 +112,69 @@ class TestConfig:
         assert load_config(str(p))["train"]["steps"] == 2
         assert type(load_config(str(p))["train"]["steps"]) is int
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "fusion", {"max_neighbors": 2.5}),
+        ("run", "budget_bytes", "abc"),
+        ("run", "budget_bytes", -1),
+        ("run", "grid_dims", 5),
+        ("run", "grid_dims", [40, 40]),
+        ("run", "scenes", 1.5),
+        ("run", "agents", 2.7),
+        ("run", "modes", "single"),
+        ("run", "out", 5),
+        ("run", "world_half_xy", float("inf")),
+        ("run", "fusion", {"radius_rho": float("nan")}),
+        ("run", "budget_bytes", 10 ** 400),
+    ], ids=["max_neighbors", "budget_bytes_text", "budget_bytes_negative", "grid_dims_scalar",
+            "grid_dims_short", "scenes", "agents", "modes_scalar", "out_number",
+            "world_half_xy_inf", "radius_rho_nan", "budget_bytes_past_float"])
+    def test_value_against_its_default_rejected(self, tmp_path, capsys, command, key, value):
+        p, _ = small_config(tmp_path, **{key: value})
+        assert main([command, "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        shown = next(iter(value)) if isinstance(value, dict) else key
+        assert err.startswith("error:") and f"{shown} must be" in err
+
+    def test_flag_checked_like_the_file(self, tmp_path, capsys):
+        p, _ = small_config(tmp_path)
+        assert main(["run", "--config", str(p), "--budget-bytes", "-1"]) == 2
+        assert "command line: budget_bytes must be" in capsys.readouterr().err
+
+    def test_whole_float_neighbor_cap_runs_as_int(self, tmp_path):
+        # 3.0 is stored as 3, so training gives the bits of `max_neighbors: 3`
+        digests = []
+        for cap in (3, 3.0):
+            p, cfg = small_config(tmp_path, fusion={"max_neighbors": cap},
+                                  out=str(tmp_path / f"out{cap!r}"))
+            assert main(["train", "--config", str(p), "--steps", "1"]) == 0
+            digests.append(dir_hashes(cfg["out"]))
+        assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("build", [
+        lambda: FusionConfig(max_neighbors=2.5),
+        lambda: ObservationModel(gaussians_per_agent=10.5),
+        lambda: TrainConfig(steps=2.5),
+        lambda: TrainConfig(batch=True),
+    ], ids=["max_neighbors", "gaussians_per_agent", "steps", "batch"])
+    def test_dataclass_rejects_non_integer_count(self, build):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build()
+
+    def test_dataclass_stores_whole_float_as_int(self):
+        assert type(FusionConfig(max_neighbors=3.0).max_neighbors) is int
+        assert type(TrainConfig(steps=np.int64(4)).steps) is int
+
+    def test_readme_example_builds(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme[readme.index("### Config file"):]
+        example = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
+        p = tmp_path / "readme.yaml"
+        p.write_text(example)
+        cfg, *built, _ = _settings(argparse.Namespace(config=str(p)))
+        kinds = [ObservationModel, FusionConfig, SplatConfig, TrainConfig]
+        assert [type(b) for b in built] == kinds
+        assert set(yaml.safe_load(example)) == set(cfg)
+
     def test_empty_section_takes_defaults(self, tmp_path):
         p, _ = small_config(tmp_path, fusion=None, train=None)
         cfg = load_config(str(p))
@@ -118,6 +185,14 @@ class TestConfig:
     def test_bad_mode(self, tmp_path):
         p, _ = small_config(tmp_path, modes=["warp"])
         assert main(["run", "--config", str(p)]) == 2
+
+    def test_missing_params_named(self, tmp_path, capsys):
+        p, _ = small_config(tmp_path)
+        missing = tmp_path / "nope.fprm"
+        assert main(["run", "--config", str(p), "--modes", "learned",
+                     "--params", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(missing) in err
 
     def test_learned_needs_params(self, tmp_path):
         p, _ = small_config(tmp_path, modes=["learned"])
@@ -277,6 +352,12 @@ class TestExport:
         x, y, z = map(int, rows[7][:3])
         got = np.array([float(v) for v in rows[7][3:]])
         assert np.allclose(got, grid.channels[x, y, z], rtol=1e-6)
+
+    def test_missing_grid_named(self, tmp_path, capsys):
+        missing = tmp_path / "nope.voxg"
+        assert main(["export", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(missing) in err
 
     def test_bad_grid_path(self, tmp_path, capsys):
         bad = tmp_path / "nope.voxg"

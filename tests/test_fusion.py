@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from gsfusion import fusion
-from gsfusion.core import GaussianSet, SemanticGaussian
+from gsfusion.comms import GaussianMessage, deserialize_message, serialize_message
+from gsfusion.core import GaussianSet, GridGeometry, SemanticGaussian
 from gsfusion.fusion import (
+    SCALE_CEIL,
     _build_pairs,
     FusionConfig,
     FusionParams,
@@ -28,6 +30,7 @@ from gsfusion.fusion import (
     save_params,
     scene_neighbors,
 )
+from gsfusion.splat import splat
 
 from helpers import (
     ORACLE_TOL,
@@ -247,7 +250,7 @@ class TestPropose:
         (block,) = tape.blocks
         for i in range(block.z.shape[0]):
             p = propose(block.z[i], params)
-            assert np.array_equal(p.delta_mean, block.dm[i]), i
+            assert np.array_equal(p.delta_mean, block.raw[i, 0:3]), i
             assert np.array_equal(p.scale_star, block.s[i]), i
             assert np.array_equal(p.rot_star, block.r[i]), i
             assert p.opacity_star == block.a[i], i
@@ -451,7 +454,7 @@ class TestFuseScene:
             assert np.array_equal(getattr(tape_a, name), getattr(tape_b, name))
         assert len(tape_a.blocks) == len(tape_b.blocks)
         for block_a, block_b in zip(tape_a.blocks, tape_b.blocks):
-            for name in ("seg_egos", "starts", "counts", "z", "raw", "w"):
+            for name in ("seg_egos", "counts", "z", "raw", "w"):
                 assert np.array_equal(getattr(block_a, name), getattr(block_b, name))
         # the given lists are the ones used: none given, nothing is fused
         untouched = fuse_scene(ego, rec, cfg, params, neighbors=(np.empty(0, np.int64),) * 4)
@@ -513,6 +516,27 @@ class TestFusionBackward:
         grads = fusion_backward(tape, zeros)
         for v in grads.values():
             assert np.all(v == 0.0)
+
+    def test_capped_scale_splats_and_passes_no_gradient(self):
+        # a huge class weight drives one scale output far past the others; the
+        # uncapped proposal's condition number (6.6e12) was more than the
+        # splat takes
+        sem = np.zeros((1, C))
+        sem[0, 11] = 31622.77660168
+        ego = GaussianSet([[-1.0, -1.0, -1.0]], [[0.01] * 3], [[0.0, 0.0, 0.0, 1.0]], [0.0], sem)
+        rec = deserialize_message(serialize_message(GaussianMessage(1, 0, 0, ego))).gaussians
+        fused, tape = fuse_scene(ego, [rec], FusionConfig(), FusionParams.init(seed=0),
+                                 record=True)
+        capped = fused.scales[0] == SCALE_CEIL
+        assert capped.tolist() == [True, False, False]
+        splat(fused, GridGeometry(np.array([-4.0, -4.0, -1.6]), 0.4, (20, 20, 8)))
+        upstream = {"means": np.zeros((1, 3)), "scales": np.ones((1, 3)),
+                    "rotations": np.zeros((1, 4)), "opacities": np.zeros(1),
+                    "semantics": np.zeros((1, C))}
+        # the capped output's raw value saturates softplus, so without the cap
+        # its gradient would be the upstream 1
+        grads = fusion_backward(tape, upstream)
+        assert grads["b3"][3] == 0.0 and np.all(grads["w3"][3] == 0.0)
 
     def test_mean_pooling_dead_projections(self):
         ego, rec, cfg, params = self._fixture("mean")

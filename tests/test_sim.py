@@ -27,7 +27,6 @@ from gsfusion.sim import (
     derive_scene_seed,
     empty_space_gaussian,
     generate_scene,
-    model_from_dict,
     observe,
     observe_world,
     prepare_episode,
@@ -683,10 +682,6 @@ class TestSceneSerialization:
     def test_missing_field(self):
         with pytest.raises(SceneSpecError, match="missing"):
             scene_from_dict({"seed": 1})
-
-    def test_model_from_dict_rejects_unknown(self):
-        with pytest.raises(SceneSpecError, match="unknown"):
-            model_from_dict({"nope": 3})
 
     def test_agent_count_bounds(self):
         with pytest.raises(SceneSpecError):
