@@ -33,7 +33,6 @@ from gsfusion.metrics import iou_3d
 from gsfusion.sim import (
     MODES,
     ObservationModel,
-    SceneSpecError,
     derive_scene_seed,
     generate_scene,
     make_training_example,
@@ -210,9 +209,11 @@ def _scenes_for(cfg: dict, purpose_seed: int, count: int):
                     scenes.append(scene_from_dict(yaml.safe_load(f)))
             except yaml.YAMLError as exc:
                 raise ConfigError(f"cannot parse scene {p}: {exc}") from exc
-            except (OSError, SceneSpecError, KeyError) as exc:
+            except (OSError, ValueError, KeyError) as exc:
                 raise ConfigError(f"bad scene file {p}: {exc}") from exc
         return scenes
+    if count == 0:
+        raise ConfigError("no scenes: give scene_files or a scene count above 0")
     return [generate_scene(derive_scene_seed(purpose_seed, i),
                            num_agents=cfg["agents"], world_half_xy=cfg["world_half_xy"],
                            grid_dims=cfg["grid_dims"])
@@ -454,7 +455,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, SceneSpecError, ValueError) as exc:
+    except ValueError as exc:                 # ConfigError and SceneSpecError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

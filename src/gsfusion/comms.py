@@ -21,12 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from gsfusion.core import (
-    DegenerateGaussianError,
     GaussianSet,
     RigidTransform,
     Roi,
     SemanticGaussian,
-    _check_conditioning,
     canonicalize_quaternion,
     quat_multiply,
 )
@@ -159,11 +157,14 @@ def serialize_message(msg: GaussianMessage) -> bytes:
 def deserialize_message(data: bytes, num_classes: int = 13) -> GaussianMessage:
     """Decode GMSG bytes back into a message.
 
-    Quaternions are renormalized and re-canonicalized and opacities clipped
-    into [0, 1] so the decoded Gaussians satisfy the core invariants despite
-    quantization. Malformed inputs raise a DecodeError subclass; so does a
-    covariance whose condition number the quantized scales push above
-    1e12 (CorruptFieldError), since the splat cannot take it.
+    Quaternions are renormalized and re-canonicalized and finite opacities
+    clipped into [0, 1], so the decoded Gaussians satisfy the core
+    invariants despite quantization. Malformed inputs raise a DecodeError
+    subclass. A decoded set that `GaussianSet.validate` refuses is a
+    CorruptFieldError carrying its message: a non-finite field, a scale
+    <= 0, a zero quaternion, a negative semantic weight, or a covariance
+    whose condition number the quantized scales push above 1e12, since
+    the splat cannot take it.
 
     The header holds no class count, so `num_classes` is trusted: a wrong
     one is caught only by the length check, as a TruncatedPayloadError,
@@ -188,29 +189,18 @@ def deserialize_message(data: bytes, num_classes: int = 13) -> GaussianMessage:
     dtype = "<f2" if precision == PRECISION_FP16 else "<f4"
     flat = np.frombuffer(data, dtype=dtype, offset=HEADER_SIZE).astype(np.float64)
     flat = flat.reshape(count, 11 + num_classes)
-    if not np.all(np.isfinite(flat)):
-        raise CorruptFieldError("non-finite field in payload")
-    scales = flat[:, 3:6]
-    if np.any(scales <= 0.0):
-        raise CorruptFieldError("non-positive scale in payload")
+    opacities = flat[:, 10]
     try:
-        _check_conditioning(scales)
-    except DegenerateGaussianError as exc:
+        # an inf quaternion component turns NaN here, which validate()
+        # refuses, so numpy's warning about it would only be noise
+        with np.errstate(invalid="ignore"):
+            rotations = canonicalize_quaternion(flat[:, 6:10])
+        gs = GaussianSet(flat[:, 0:3], flat[:, 3:6], rotations,
+                         np.where(np.isfinite(opacities), np.clip(opacities, 0.0, 1.0), np.nan),
+                         flat[:, 11:])
+        gs.validate()
+    except ValueError as exc:
         raise CorruptFieldError(f"decoded {exc}") from exc
-    rot_raw = flat[:, 6:10]
-    if np.any(np.linalg.norm(rot_raw, axis=1) == 0.0):
-        raise CorruptFieldError("zero quaternion in payload")
-    rot = canonicalize_quaternion(rot_raw)
-    sem = flat[:, 11:]
-    if np.any(sem < 0.0):
-        raise CorruptFieldError("negative semantic weight in payload")
-    gs = GaussianSet(
-        means=flat[:, 0:3],
-        scales=scales,
-        rotations=rot,
-        opacities=np.clip(flat[:, 10], 0.0, 1.0),
-        semantics=sem,
-    )
     return GaussianMessage(sender, receiver, frame, gs, precision)
 
 

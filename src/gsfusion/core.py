@@ -200,9 +200,8 @@ class SemanticGaussian:
     semantics (C,) non-negative class weights, last channel = empty class
 
     The constructor canonicalizes the quaternion sign and absorbs norm
-    drift up to 1e-6; gross invariant violations raise ValueError, and a
-    covariance the splat rejects (condition number above 1e12) raises
-    DegenerateGaussianError, as `GaussianSet.validate` does.
+    drift up to 1e-6; every other invariant is `GaussianSet.validate`'s,
+    checked on the one-row set, so a violation raises what it raises.
     """
 
     mean: np.ndarray
@@ -220,20 +219,8 @@ class SemanticGaussian:
             raise ValueError("bad field shapes for SemanticGaussian")
         if semantics.ndim != 1:
             raise ValueError("semantics must be a 1-d class-weight vector")
-        if not np.all(scale > 0.0):
-            raise ValueError("scale components must be strictly positive")
-        norm = np.linalg.norm(rotation)
-        if abs(norm - 1.0) > _QUAT_NORM_TOL:
-            raise ValueError("rotation quaternion is not unit norm within 1e-6")
         op = float(self.opacity)
-        if not (0.0 <= op <= 1.0):
-            raise ValueError("opacity must lie in [0, 1]")
-        if np.any(semantics < 0.0):
-            raise ValueError("semantics components must be non-negative")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(scale))
-                and np.all(np.isfinite(rotation)) and np.all(np.isfinite(semantics))):
-            raise ValueError("non-finite field in SemanticGaussian")
-        _check_conditioning(scale)
+        GaussianSet(mean, scale, rotation, op, semantics).validate()
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "rotation", _frozen(canonicalize_quaternion(rotation)))
@@ -252,7 +239,9 @@ class GaussianSet:
     means (N,3), scales (N,3), rotations (N,4), opacities (N,),
     semantics (N,C). The batch form is what splatting, packaging and
     fusion operate on; convert with from_gaussians / to_gaussians when a
-    single primitive is needed.
+    single primitive is needed. The constructor checks the shape (every
+    field has one row per Gaussian, else ValueError); `validate` checks
+    the values.
     """
 
     means: np.ndarray
@@ -270,6 +259,10 @@ class GaussianSet:
         if sem.ndim != 2:
             sem = sem.reshape(len(self.means), -1)
         self.semantics = sem
+        rows = [len(a) for a in (self.means, self.scales, self.rotations, self.opacities, sem)]
+        if len(set(rows)) > 1:
+            raise ValueError("ragged GaussianSet: means, scales, rotations, opacities and "
+                             "semantics have {}, {}, {}, {} and {} rows".format(*rows))
 
     def __len__(self) -> int:
         return self.means.shape[0]
@@ -279,9 +272,15 @@ class GaussianSet:
         return self.semantics.shape[1]
 
     def validate(self) -> None:
-        """Raise ValueError unless every row satisfies the type invariants,
-        including the splat's: a covariance condition number above 1e12
-        raises DegenerateGaussianError."""
+        """Raise ValueError unless every row satisfies the type invariants:
+        finite fields, positive scales, unit quaternions (within 1e-6),
+        opacities in [0, 1] and non-negative semantics; and the splat's,
+        a covariance condition number above 1e12 raising
+        DegenerateGaussianError. Finiteness comes first, so a NaN is
+        reported as non-finite."""
+        for a in (self.means, self.scales, self.rotations, self.opacities, self.semantics):
+            if not np.all(np.isfinite(a)):
+                raise ValueError("non-finite value in GaussianSet")
         if not np.all(self.scales > 0.0):
             raise ValueError("scale components must be strictly positive")
         norms = np.linalg.norm(self.rotations, axis=1)
@@ -291,9 +290,6 @@ class GaussianSet:
             raise ValueError("opacities must lie in [0, 1]")
         if np.any(self.semantics < 0.0):
             raise ValueError("semantics must be non-negative")
-        for a in (self.means, self.scales, self.rotations, self.opacities, self.semantics):
-            if not np.all(np.isfinite(a)):
-                raise ValueError("non-finite value in GaussianSet")
         _check_conditioning(self.scales)
 
     def canonicalized(self) -> "GaussianSet":
@@ -360,8 +356,10 @@ class RigidTransform:
         t = _frozen(self.translation)
         if q.shape != (4,) or t.shape != (3,):
             raise ValueError("bad field shapes for RigidTransform")
-        if abs(np.linalg.norm(q) - 1.0) > _QUAT_NORM_TOL:
+        if not abs(np.linalg.norm(q) - 1.0) <= _QUAT_NORM_TOL:
             raise ValueError("rotation_q is not unit norm within 1e-6")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("translation must be finite")
         object.__setattr__(self, "rotation_q", _frozen(canonicalize_quaternion(q)))
         object.__setattr__(self, "translation", t)
 
@@ -401,8 +399,10 @@ class Roi:
         h = _frozen(self.half_extents)
         if c.shape != (3,) or h.shape != (3,):
             raise ValueError("bad field shapes for Roi")
-        if not np.all(h > 0.0):
-            raise ValueError("half_extents must be strictly positive")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("center must be finite")
+        if not np.all((h > 0.0) & (h < np.inf)):
+            raise ValueError("half_extents must be strictly positive and finite")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "half_extents", h)
 
@@ -425,10 +425,10 @@ class GridGeometry:
 
     def __post_init__(self):
         o = _frozen(self.origin)
-        if o.shape != (3,):
-            raise ValueError("origin must be a 3-vector")
-        if self.voxel_size <= 0:
-            raise ValueError("voxel_size must be positive")
+        if o.shape != (3,) or not np.all(np.isfinite(o)):
+            raise ValueError("origin must be a finite 3-vector")
+        if not 0.0 < self.voxel_size < np.inf:
+            raise ValueError("voxel_size must be positive and finite")
         dims = tuple(int(d) for d in self.dims)
         if len(dims) != 3 or any(d <= 0 for d in dims):
             raise ValueError("dims must be three positive counts")
@@ -468,7 +468,8 @@ class VoxelGrid:
     """Dense grid holding either per-class channels or hard labels.
 
     channels: (X, Y, Z, C) non-negative aggregated evidence, or None.
-    labels:   (X, Y, Z) integer class ids in [0, C-1], or None.
+    labels:   (X, Y, Z) integer class ids in [0, C-1], or None; stored as
+              uint8, so a class id past 255 is out of range too.
     """
 
     geometry: GridGeometry
@@ -486,6 +487,10 @@ class VoxelGrid:
             self.labels = np.asarray(self.labels)
             if self.labels.shape != (x, y, z):
                 raise ValueError("label buffer does not match geometry")
+            if not np.issubdtype(self.labels.dtype, np.integer):
+                raise ValueError(f"labels must be integers, not {self.labels.dtype}")
+            if np.any((self.labels < 0) | (self.labels >= min(c, 256))):
+                raise ValueError("label out of range")
             self.labels = self.labels.astype(np.uint8)
 
 
@@ -514,26 +519,30 @@ def _check_conditioning(scales: np.ndarray) -> None:
         )
 
 
+def _mahalanobis_rows(delta: np.ndarray, rots: np.ndarray, scales: np.ndarray):
+    """(local, q) of each row: local = R^T delta, q = sum_j (local_j / s_j)**2,
+    for (P, 3) offsets from the means, (P, 3, 3) rotations and (P, 3)
+    scales. The one arithmetic for q: `density` and the splat share it,
+    and the tests' brute-force pair oracle spells it out, so all three
+    agree bit for bit."""
+    local = np.einsum("pk,pkj->pj", delta, rots)
+    q = sum((local[:, j] / scales[:, j]) ** 2 for j in range(3))
+    return local, q
+
+
 def density(g: SemanticGaussian, x: np.ndarray) -> np.ndarray:
     """Semantic contribution of one Gaussian at a point.
 
-    Returns opacity * exp(-0.5 * mahalanobis^2) * semantics as a C-vector.
-    The covariance solve goes through a Cholesky factor with a 1e-12
-    diagonal jitter fallback; near-singular covariances (condition number
-    above 1e12) raise DegenerateGaussianError.
+    Returns opacity * exp(-0.5 * q) * semantics as a C-vector, q being the
+    squared Mahalanobis distance of x from the mean. q is formed by
+    `_mahalanobis_rows`, the splat's own row arithmetic, so at a voxel
+    center this is the splat's value of the Gaussian there, bit for bit.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (3,):
         raise ValueError("x must be a 3-vector")
-    _check_conditioning(g.scale)
-    cov = covariance(g)
-    delta = x - g.mean
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        chol = np.linalg.cholesky(cov + 1e-12 * np.eye(3))
-    y = np.linalg.solve(chol, delta)
-    q = float(y @ y)
+    rot = _quat_to_rotmat_unchecked(g.rotation)
+    _, q = _mahalanobis_rows((x - g.mean)[None], rot[None], g.scale[None])
     return g.opacity * np.exp(-0.5 * q) * g.semantics
 
 
@@ -556,14 +565,14 @@ def _whole_runs(sizes: np.ndarray, bound: int):
 # ---------------------------------------------------------------------------
 
 def whole_number(name: str, value) -> int:
-    """`value` as an int if it is a whole number: an integer, or a float
-    without a fractional part. A bool, a fraction or anything else is a
-    ValueError that names the setting `name`."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be an integer, not {value!r}")
+    """`value` as an int if it is a whole number >= 0 (every int setting is
+    a count or a seed): an integer, or a float without a fractional part.
+    A bool, a fraction, a negative value or anything else is a ValueError
+    that names the setting `name`."""
+    number = int(value) if isinstance(value, float) and value.is_integer() else value
+    if isinstance(number, numbers.Integral) and not isinstance(number, bool) and number >= 0:
+        return int(number)
+    raise ValueError(f"{name} must be an integer >= 0, not {value!r}")
 
 
 def check_int_fields(config) -> None:

@@ -269,8 +269,6 @@ class TrainConfig:
 
     def __post_init__(self):
         check_int_fields(self)
-        if self.steps < 0:
-            raise ValueError("steps must be non-negative")
         if self.peak_lr < 0:
             raise ValueError("peak_lr must be non-negative")
         if self.batch < 1:

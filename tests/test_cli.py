@@ -11,10 +11,10 @@ import yaml
 from gsfusion.cli import _settings, load_config, main
 from gsfusion.fusion import FusionConfig, FusionParams, load_params
 from gsfusion.learn import TrainConfig, load_calibration
-from gsfusion.sim import ObservationModel
+from gsfusion.sim import ObservationModel, generate_scene
 from gsfusion.splat import SplatConfig, load_voxg
 
-from helpers import prepare_with_undecodable_message
+from helpers import prepare_with_undecodable_message, scene_to_dict
 
 
 def small_config(tmp_path, **overrides):
@@ -96,8 +96,11 @@ class TestConfig:
         ("train", "train", {"seed": 1.5}),
         ("train", "train", {"train_scenes": 1.5}),
         ("train", "train", {"holdout_scenes": True}),
+        ("train", "train", {"holdout_scenes": -2}),
+        ("train", "train", {"warmup_steps": -3}),
     ], ids=["gaussians_per_agent", "steps", "warmup_steps", "batch", "seed",
-            "train_scenes", "holdout_scenes"])
+            "train_scenes", "holdout_scenes", "holdout_scenes_negative",
+            "warmup_steps_negative"])
     def test_non_integer_count_rejected(self, tmp_path, capsys, command, section, value):
         p, cfg = small_config(tmp_path)
         p, _ = small_config(tmp_path, **{section: {**cfg[section], **value}})
@@ -125,9 +128,11 @@ class TestConfig:
         ("run", "world_half_xy", float("inf")),
         ("run", "fusion", {"radius_rho": float("nan")}),
         ("run", "budget_bytes", 10 ** 400),
+        ("run", "scenes", -1),
     ], ids=["max_neighbors", "budget_bytes_text", "budget_bytes_negative", "grid_dims_scalar",
             "grid_dims_short", "scenes", "agents", "modes_scalar", "out_number",
-            "world_half_xy_inf", "radius_rho_nan", "budget_bytes_past_float"])
+            "world_half_xy_inf", "radius_rho_nan", "budget_bytes_past_float",
+            "scenes_negative"])
     def test_value_against_its_default_rejected(self, tmp_path, capsys, command, key, value):
         p, _ = small_config(tmp_path, **{key: value})
         assert main([command, "--config", str(p)]) == 2
@@ -155,7 +160,8 @@ class TestConfig:
         lambda: ObservationModel(gaussians_per_agent=10.5),
         lambda: TrainConfig(steps=2.5),
         lambda: TrainConfig(batch=True),
-    ], ids=["max_neighbors", "gaussians_per_agent", "steps", "batch"])
+        lambda: TrainConfig(warmup_steps=-3),
+    ], ids=["max_neighbors", "gaussians_per_agent", "steps", "batch", "warmup_steps_negative"])
     def test_dataclass_rejects_non_integer_count(self, build):
         with pytest.raises(ValueError, match="must be an integer"):
             build()
@@ -181,6 +187,27 @@ class TestConfig:
         assert cfg["fusion"] == {}
         assert cfg["train"] == load_config(None)["train"]
         assert cfg["train"]["steps"] == 300 and cfg["train"]["holdout_scenes"] == 8
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("run", {"scenes": 0}),
+        ("train", {"train": {"steps": 2, "train_scenes": 0, "holdout_scenes": 0}}),
+    ], ids=["run", "train"])
+    def test_zero_generated_scenes_rejected(self, tmp_path, capsys, command, overrides):
+        p, cfg = small_config(tmp_path, **overrides)
+        assert main([command, "--config", str(p)]) == 2
+        assert capsys.readouterr().err.startswith("error: no scenes")
+        assert not (Path(cfg["out"]) / "summary.csv").exists()
+
+    def test_scene_file_with_nan_pose_named(self, tmp_path, capsys):
+        data = scene_to_dict(generate_scene(5, num_agents=2, world_half_xy=10.0,
+                                            grid_dims=(40, 40, 8)))
+        data["agents"][1]["rotation"] = [float("nan"), 0.0, 0.0, 0.0]
+        scene = tmp_path / "scene.yaml"
+        scene.write_text(yaml.safe_dump(data))
+        p, _ = small_config(tmp_path, scene_files=[str(scene)])
+        assert main(["run", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad scene file {scene}: ") and "rotation_q" in err
 
     def test_bad_mode(self, tmp_path):
         p, _ = small_config(tmp_path, modes=["warp"])

@@ -12,6 +12,7 @@ from gsfusion.core import (
     RigidTransform,
     Roi,
     SemanticGaussian,
+    VoxelGrid,
     canonicalize_quaternion,
     covariance,
     density,
@@ -19,6 +20,8 @@ from gsfusion.core import (
     quat_to_rotmat,
     quat_to_rotmat_jacobian,
 )
+
+from gsfusion.splat import SplatConfig, splat
 
 from helpers import density_oracle, random_gaussian, random_unit_quaternion, rotmat_from_quat
 
@@ -176,6 +179,18 @@ class TestDensity:
             g = make_gaussian(scale=np.array([1.0, 1.0, 1e-7]))
             density(g, np.zeros(3))
 
+    def test_equals_the_splat_of_the_gaussian_bit_for_bit(self):
+        # a truncation wider than the grid and floor 0, so every voxel holds
+        # the Gaussian's value, summed onto +0.0
+        rng = np.random.default_rng(3)
+        geom = GridGeometry(np.array([-2.0, -2.0, -1.2]), 0.4, (10, 10, 6))
+        centers = geom.voxel_centers().reshape(-1, 3)
+        cfg = SplatConfig(truncation_sigma=50.0, min_contribution=0.0)
+        for _ in range(10):
+            g = random_gaussian(rng, center_span=2.0)
+            grid = splat(GaussianSet.from_gaussians([g]), geom, cfg).channels.reshape(-1, 13)
+            assert np.array_equal(np.stack([density(g, c) for c in centers]), grid)
+
 
 class TestTypes:
     def test_gaussian_invariants_enforced(self):
@@ -230,6 +245,32 @@ class TestTypes:
 
             VoxelGrid(geom, channels=np.zeros((2, 2, 2, 4)))
 
+    @pytest.mark.parametrize("labels", [
+        np.full((2, 2, 2), 1.0),
+        np.full((2, 2, 2), 3),
+        np.full((2, 2, 2), 300),
+        np.full((2, 2, 2), -1),
+    ], ids=["float", "num_classes", "past_uint8", "negative"])
+    def test_grid_rejects_bad_labels(self, labels):
+        geom = GridGeometry(np.zeros(3), 0.4, (2, 2, 2), num_classes=3)
+        with pytest.raises(ValueError, match="labels must be integers|label out of range"):
+            VoxelGrid(geom, labels=labels)
+        grid = VoxelGrid(geom, labels=np.full((2, 2, 2), 2, dtype=np.int64))
+        assert grid.labels.dtype == np.uint8 and np.all(grid.labels == 2)
+
+    @pytest.mark.parametrize("build", [
+        lambda: RigidTransform(np.array([np.nan, 0.0, 0.0, 0.0]), np.zeros(3)),
+        lambda: RigidTransform(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, np.nan, 0.0])),
+        lambda: GridGeometry(np.zeros(3), np.nan, (2, 2, 2)),
+        lambda: GridGeometry(np.zeros(3), np.inf, (2, 2, 2)),
+        lambda: GridGeometry(np.array([0.0, -np.inf, 0.0]), 0.4, (2, 2, 2)),
+        lambda: Roi(np.array([np.nan, 0.0, 0.0]), np.ones(3)),
+    ], ids=["rigid_quaternion", "rigid_translation", "voxel_size_nan", "voxel_size_inf",
+            "grid_origin", "roi_center"])
+    def test_non_finite_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
     def test_gaussian_set_roundtrip(self):
         singles = [random_gaussian(RNG) for _ in range(5)]
         gs = GaussianSet.from_gaussians(singles)
@@ -245,6 +286,26 @@ class TestTypes:
         bad.opacities[1] = 2.0
         with pytest.raises(ValueError):
             bad.validate()
+
+    @pytest.mark.parametrize("field", ["means", "scales", "rotations", "opacities",
+                                       "semantics"])
+    def test_ragged_set_rejected_at_construction(self, field):
+        gs = GaussianSet.from_gaussians([random_gaussian(RNG) for _ in range(5)])
+        fields = {f: getattr(gs, f) for f in ("means", "scales", "rotations", "opacities",
+                                              "semantics")}
+        fields[field] = fields[field][:4]
+        with pytest.raises(ValueError, match="^ragged GaussianSet: "):
+            GaussianSet(**fields)
+
+    @pytest.mark.parametrize("field", ["means", "scales", "rotations", "opacities",
+                                       "semantics"])
+    def test_nan_reported_as_non_finite(self, field):
+        gs = GaussianSet.from_gaussians([random_gaussian(RNG) for _ in range(3)])
+        getattr(gs, field)[1] = np.nan
+        with pytest.raises(ValueError, match="^non-finite value in GaussianSet$"):
+            gs.validate()
+        with pytest.raises(ValueError, match="^non-finite value in GaussianSet$"):
+            gs.to_gaussians()
 
     def test_gaussian_set_validate_enforces_the_splat_conditioning(self):
         # a set that passes validate() must splat: condition number <= 1e12

@@ -590,6 +590,23 @@ class TestVoxg:
         vals = np.frombuffer(data[41:], dtype="<f4")
         assert np.array_equal(vals, np.arange(8, dtype=np.float32))
 
+    @pytest.mark.parametrize("offset, value", [
+        (36, np.nan), (36, np.inf), (36, 0.0), (28, np.nan), (32, -np.inf),
+    ], ids=["voxel_size_nan", "voxel_size_inf", "voxel_size_zero", "origin_nan", "origin_inf"])
+    def test_header_geometry_must_be_finite(self, offset, value):
+        geom = GridGeometry(np.zeros(3), 1.0, (1, 1, 1), num_classes=2)
+        data = bytearray(write_voxg(VoxelGrid(geom, labels=np.zeros((1, 1, 1), np.uint8))))
+        data[offset:offset + 4] = np.float32(value).tobytes()
+        with pytest.raises(ValueError, match="voxel_size|origin"):
+            read_voxg(bytes(data))
+
+    def test_label_out_of_range_rejected(self):
+        geom = GridGeometry(np.zeros(3), 1.0, (1, 1, 2), num_classes=2)
+        data = write_voxg(VoxelGrid(geom, labels=np.array([[[0, 1]]], np.uint8)))
+        assert read_voxg(data).labels.tolist() == [[[0, 1]]]
+        with pytest.raises(ValueError, match="label out of range"):
+            read_voxg(data[:-1] + b"\x02")
+
     def test_decode_errors(self):
         geom = GridGeometry(np.zeros(3), 1.0, (1, 1, 1), num_classes=2)
         data = write_voxg(VoxelGrid(geom, channels=np.zeros((1, 1, 1, 2))))

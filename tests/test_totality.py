@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from gsfusion.comms import (
+    HEADER_SIZE,
     PRECISION_FP16,
     PRECISION_FP32,
     CorruptFieldError,
@@ -89,3 +90,67 @@ def test_valid_sets_survive_every_stage(precision):
         splat(received, GEOMETRY)
 
     survives()
+
+
+FIELDS = ("means", "scales", "rotations", "opacities", "semantics")
+
+
+@st.composite
+def corrupted_fields(draw):
+    """A kind of corruption and the fields of a drawn valid fp32 set with
+    one value (or, for "ragged", one field's row count) made invalid."""
+    gs = draw(gaussian_sets(PRECISION_FP32).filter(len))
+    fields = {f: getattr(gs, f).copy() for f in FIELDS}
+    kind = draw(st.sampled_from(["non_finite", "scale", "quaternion", "opacity", "weight",
+                                 "ragged"]))
+    row = draw(st.integers(0, len(gs) - 1))
+    if kind == "non_finite":
+        cells = fields[draw(st.sampled_from(FIELDS))].reshape(len(gs), -1)
+        col = draw(st.integers(0, cells.shape[1] - 1))
+        cells[row, col] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    elif kind == "scale":
+        fields["scales"][row, draw(st.integers(0, 2))] = draw(
+            st.sampled_from([0.0, -0.0]) | st.floats(-1e30, -1e-30))
+    elif kind == "quaternion":
+        fields["rotations"][row] *= draw(st.floats(0.5, 0.99) | st.floats(1.01, 2.0))
+    elif kind == "opacity":
+        fields["opacities"][row] = draw(st.floats(-10.0, -1e-6) | st.floats(1.001, 10.0))
+    elif kind == "weight":
+        fields["semantics"][row, draw(st.integers(0, NUM_CLASSES - 1))] = -draw(
+            st.floats(1e-30, 1e30))
+    else:
+        field = draw(st.sampled_from(FIELDS))
+        fields[field] = np.delete(fields[field], row, axis=0)
+    return gs, kind, fields
+
+
+def test_invalid_sets_rejected_at_the_boundary():
+    """A corrupted set is a ValueError from the type (never an IndexError or
+    a numpy error from a stage), and the same corruption written into an
+    fp32 payload is a CorruptFieldError; the decoder clips opacities and
+    renormalizes quaternions by design, so those two decode valid."""
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(drawn=corrupted_fields())
+    def rejected(drawn):
+        gs, kind, fields = drawn
+        with pytest.raises(ValueError) as info:
+            GaussianSet(**fields).validate()
+        assert type(info.value) is ValueError
+        if kind == "ragged":
+            return
+        try:
+            clean = serialize_message(GaussianMessage(1, 0, 0, gs, PRECISION_FP32))
+            deserialize_message(clean)
+        except (EncodeRangeError, CorruptFieldError):
+            return                 # fp32 cannot carry the valid set itself
+        rows = [fields["means"], fields["scales"], fields["rotations"],
+                fields["opacities"][:, None], fields["semantics"]]
+        data = clean[:HEADER_SIZE] + np.concatenate(rows, axis=1).astype("<f4").tobytes()
+        if kind in ("opacity", "quaternion"):
+            deserialize_message(data).gaussians.validate()
+        else:
+            with pytest.raises(CorruptFieldError):
+                deserialize_message(data)
+
+    rejected()
