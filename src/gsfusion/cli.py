@@ -29,7 +29,7 @@ from gsfusion.learn import (
     train_calibration,
     write_loss_curve,
 )
-from gsfusion.metrics import iou_3d
+from gsfusion.metrics import iou_3d, mean_defined
 from gsfusion.sim import (
     MODES,
     ObservationModel,
@@ -299,12 +299,12 @@ def cmd_run(args) -> int:
                     "gaussians_sent"])
         for mode in modes:
             s = summary[mode]
-            w.writerow([mode, f"{np.mean(s['iou']):.6f}", f"{np.mean(s['miou']):.6f}",
+            w.writerow([mode, f"{np.mean(s['iou']):.6f}", f"{mean_defined(s['miou']):.6f}",
                         s["bytes"], s["messages"], s["gaussians"]])
     for mode in modes:
         s = summary[mode]
         print(f"{mode:10s} mean IoU {np.mean(s['iou']):.4f}  "
-              f"mean mIoU {np.mean(s['miou']):.4f}  bytes {s['bytes']}")
+              f"mean mIoU {mean_defined(s['miou']):.4f}  bytes {s['bytes']}")
     return 0
 
 
@@ -317,7 +317,7 @@ def _mean_miou(scenes, episodes, results) -> float:
     for spec, episode, res in zip(scenes, episodes, results):
         for a in range(spec.num_agents):
             vals.append(iou_3d(res.labels[a], episode.gt.collaborative[a]).miou)
-    return float(np.mean(vals))
+    return mean_defined(vals)
 
 
 def cmd_train(args) -> int:

@@ -89,11 +89,17 @@ def transform_set(gs: GaussianSet, t: RigidTransform) -> GaussianSet:
 
 def cull_to_roi(gaussians: GaussianSet, t: RigidTransform, roi: Roi) -> GaussianSet:
     """Transform into the receiver frame and keep Gaussians whose transformed
-    means fall inside the ROI box (closed bounds)."""
-    moved = transform_set(gaussians, t)
-    if len(moved) == 0:
-        return moved
-    return moved.take(roi.contains(moved.means))
+    means fall inside the ROI box (closed bounds).
+
+    Only the kept rows are rotated: the quaternion product and its
+    canonicalization are row-wise, so the result equals `transform_set`
+    then `take` bit for bit."""
+    means = t.apply(gaussians.means)
+    kept = roi.contains(means)
+    rot = canonicalize_quaternion(quat_multiply(t.rotation_q[None, :],
+                                                gaussians.rotations[kept]))
+    return GaussianSet(means[kept], gaussians.scales[kept], rot,
+                       gaussians.opacities[kept], gaussians.semantics[kept])
 
 
 def stack(ego: GaussianSet, received: list[GaussianSet]) -> GaussianSet:

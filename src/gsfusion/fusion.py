@@ -706,16 +706,18 @@ def _raw_output_grads(tape: FusionTape, blk: FusionBlock, grad_fused: dict[str, 
     d_rbar_raw = (d_rbar - blk.rbar * dot[:, None]) / blk.rbar_norm[:, None]
 
     # per-pair shares of the pooled sums
-    d_w = np.sum(rep(d_pooled_dm) * dm, axis=1)
-    d_dm = rep(d_pooled_dm) * blk.w[:, None]
-    d_w += np.sum(rep(d_pooled_s) * blk.s, axis=1)
-    d_s = rep(d_pooled_s) * blk.w[:, None]
-    d_w += rep(d_pooled_a) * blk.a
-    d_a = rep(d_pooled_a) * blk.w
-    d_w += np.sum(rep(d_pooled_c) * blk.c, axis=1)
-    d_c = rep(d_pooled_c) * blk.w[:, None]
-    d_w += blk.sigma * np.sum(rep(d_rbar_raw) * blk.r, axis=1)
-    d_r = (blk.w * blk.sigma)[:, None] * rep(d_rbar_raw)
+    p_dm, p_s, p_a, p_c, p_r = map(rep, (d_pooled_dm, d_pooled_s, d_pooled_a,
+                                         d_pooled_c, d_rbar_raw))
+    d_w = np.sum(p_dm * dm, axis=1)
+    d_dm = p_dm * blk.w[:, None]
+    d_w += np.sum(p_s * blk.s, axis=1)
+    d_s = p_s * blk.w[:, None]
+    d_w += p_a * blk.a
+    d_a = p_a * blk.w
+    d_w += np.sum(p_c * blk.c, axis=1)
+    d_c = p_c * blk.w[:, None]
+    d_w += blk.sigma * np.sum(p_r * blk.r, axis=1)
+    d_r = (blk.w * blk.sigma)[:, None] * p_r
 
     # attention softmax and projection gradients
     if tape.pooling == "attention":

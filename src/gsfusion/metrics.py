@@ -67,6 +67,14 @@ def iou_3d(pred: VoxelGrid, gt: VoxelGrid) -> EvalReport:
     return EvalReport(iou=float(occ), miou=miou, per_class_iou=per_class, bev_iou=bev)
 
 
+def mean_defined(values) -> float:
+    """Mean of the values that are not NaN (a frame's mIoU is NaN when no
+    class appears in either grid), or NaN when none is."""
+    values = np.asarray(values, dtype=np.float64)
+    values = values[~np.isnan(values)]
+    return float(np.mean(values)) if values.size else float("nan")
+
+
 def bev_iou(pred: VoxelGrid, gt: VoxelGrid) -> dict[str, float]:
     """2D IoU after projecting voxels onto the ground plane.
 

@@ -75,6 +75,7 @@ CLASS_SCALES = {
     CLASS_TRAFFIC_SIGN: (0.15, 0.06, 0.15),
     CLASS_BRIDGE: (0.35, 0.35, 0.15),
 }
+_SCALE_TABLE = np.array([CLASS_SCALES[c] for c in range(len(CLASS_SCALES))])
 
 MODES = ("single", "zero_shot", "naive", "learned")
 
@@ -466,7 +467,7 @@ def observe_world(spec: SceneSpec, agent_id: int, model: ObservationModel,
     sem = np.zeros((n, NUM_CLASSES))
     sem[np.arange(n), cls] = model.semantic_weight
 
-    base = np.array([CLASS_SCALES[c] for c in cls])
+    base = _SCALE_TABLE[cls]
     if model.scale_jitter > 0:
         base = base * np.exp(rng.normal(0.0, model.scale_jitter, size=(n, 1)))
 

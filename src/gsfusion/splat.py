@@ -12,22 +12,32 @@ Bounded blocks. The forward enumerates candidate voxels over runs of
 whole Gaussians whose bounding boxes hold at most `_BLOCK` cells
 together (a Gaussian whose box holds more is a block on its own), so its
 temporaries are bounded by the block, not by the set, apart from such a
-Gaussian (the empty-space prior's box is the whole grid). With
-record=True the splat also keeps each block's pairs on a tape, one record
-per block as `fuse_scene` keeps its tape, and `splat_backward` walks those
-records block by block, writing each block's rows. Every sum of the
-backward bins by Gaussian, and a Gaussian's pairs all lie in one block in
-their canonical order, so the blocks change no gradient bit. On a team
-(see the `gsfusion.core` docstring) the forward makes two blocks' pairs
-and entries at a time, one on each thread, and the calling thread adds
-both into the grid, in block order, before the next two start; the
-backward runs its blocks on either thread.
+Gaussian (the empty-space prior's box is the whole grid). The bound
+changes no bit and is 2^14 for speed: a block's candidate temporaries,
+a few dozen 8-byte values a candidate, then stay near a core's L2 cache.
+In a sweep from 2^11 to 2^17 over single and zero_shot episodes of both
+benchmark workloads (2-core x86_64, 2 MiB L2 a core), 2^14 was fastest
+or tied with 2^15; 2^17 was 19-43% slower and 2^11 2.0-2.2x slower.
+
+With record=True the splat also keeps each block's pairs on a tape, one
+record per block as `fuse_scene` keeps its tape, and `splat_backward`
+walks those records block by block, writing each block's rows. An
+unrecorded splat keeps no tape fields: its blocks never gather the
+pairs' delta and local. Every sum of the backward bins by Gaussian, and
+a Gaussian's pairs all lie in one block in their canonical order, so the
+blocks change no gradient bit. On a team (see the `gsfusion.core`
+docstring) the forward makes two blocks' pairs and entries at a time,
+one on each thread, and the calling thread adds both into the grid, in
+block order, before the next two start; the backward runs its blocks on
+either thread.
 
 Nonzero accumulation. Each block's per-channel weights go straight into
 the zeroed grid with `np.add.at`, keeping only the entries at or above
 min_contribution (the nonzero ones, for a floor of 0). An observed
 Gaussian carries one-hot semantics, so most (pair, channel) entries are
-zero and never reach the grid.
+zero and never reach the grid. When no Gaussian of the set carries more
+than one class, the weights are formed as one column a pair, with each
+pair's channel, and the zero channels are never formed at all.
 
 Why this is exact. `np.add.at(out, idx, w)` does `out[idx[i]] += w[i]`
 in input order, so with `out` zeroed each bin is the left-to-right sum
@@ -79,7 +89,7 @@ _HEADER = struct.Struct("<4sIIIII3ffB")
 
 # the most candidate cells one block of the splat forward enumerates,
 # unless a single Gaussian's box holds more
-_BLOCK = 1 << 15
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -103,7 +113,8 @@ class Pairs(NamedTuple):
 
     gauss, voxel: (P,) Gaussian index and flat voxel index of each pair;
     e: (P,) the Gaussian exponential at the voxel center;
-    delta: (P, 3) voxel center minus mean; local: (P, 3) R^T delta.
+    delta: (P, 3) voxel center minus mean; local: (P, 3) R^T delta, both
+    None in an unrecorded splat.
     """
 
     gauss: np.ndarray
@@ -144,12 +155,13 @@ class SparseChannels(NamedTuple):
         return channels
 
 
-def _pair_blocks(gaussians: GaussianSet, geometry: GridGeometry,
-                 cfg: SplatConfig) -> tuple[int, Callable[[int], SplatBlock]]:
+def _pair_blocks(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfig,
+                 record: bool = True) -> tuple[int, Callable[[int], SplatBlock]]:
     """All (gaussian, voxel) pairs inside the truncation ellipsoids, ordered
     by (gaussian, flat voxel index), in blocks of whole Gaussians: returns
     the block count and a function that gives block k's SplatBlock, to be
-    called from any thread.
+    called from any thread. Without `record` the pairs' delta and local,
+    which only the backward reads, are None.
 
     Candidates are the voxels whose centers lie in each ellipsoid's
     axis-aligned bounding box, of half-extent t * sqrt(Sigma_ii) on axis
@@ -172,16 +184,17 @@ def _pair_blocks(gaussians: GaussianSet, geometry: GridGeometry,
     def block(k):
         start, stop, _, _ = runs[k]
         b = slice(start, stop)
-        pairs = _box_pairs(gaussians.take(b), geometry, t, rots[b], lo[b], ext[b])
+        pairs = _box_pairs(gaussians.take(b), geometry, t, rots[b], lo[b], ext[b], record)
         return SplatBlock(start, stop, pairs._replace(gauss=pairs.gauss + start))
 
     return len(runs), block
 
 
 def _box_pairs(gaussians: GaussianSet, geometry: GridGeometry, t: float,
-               rots: np.ndarray, lo: np.ndarray, ext: np.ndarray) -> Pairs:
+               rots: np.ndarray, lo: np.ndarray, ext: np.ndarray, record: bool) -> Pairs:
     """The pairs among the candidates of the boxes with lowest corner `lo`
-    and extent `ext`, one box per Gaussian of `gaussians` (indexed from 0)."""
+    and extent `ext`, one box per Gaussian of `gaussians` (indexed from 0);
+    their delta and local are gathered only to `record` them."""
     h = geometry.voxel_size
     _, ny, nz = geometry.dims
     vol = np.prod(ext, axis=1)
@@ -204,23 +217,47 @@ def _box_pairs(gaussians: GaussianSet, geometry: GridGeometry, t: float,
     local, q = _mahalanobis_rows(delta, per_candidate(rots), scales)
     kept = np.flatnonzero(q <= t**2)
     flat = (vox[0].take(kept) * ny + vox[1].take(kept)) * nz + vox[2].take(kept)
-    return Pairs(g.take(kept), flat, np.exp(-0.5 * q.take(kept)),
-                 delta.take(kept, axis=0), local.take(kept, axis=0))
+    if record:
+        delta, local = delta.take(kept, axis=0), local.take(kept, axis=0)
+    else:
+        delta = local = None
+    return Pairs(g.take(kept), flat, np.exp(-0.5 * q.take(kept)), delta, local)
 
 
-def _entries(gaussians: GaussianSet, pairs: Pairs, min_contribution: float):
+def _one_hot(semantics: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(channel, weight) of each row's one nonzero channel (channel 0 and
+    weight 0 for an all-zero row), or None when some row carries more or
+    there is no channel."""
+    if semantics.shape[1] == 0 or np.any(np.count_nonzero(semantics, axis=1) > 1):
+        return None
+    channel = np.argmax(semantics != 0.0, axis=1)
+    return channel, semantics[np.arange(channel.size), channel]
+
+
+def _entries(gaussians: GaussianSet, pairs: Pairs, min_contribution: float,
+             one_hot: tuple[np.ndarray, np.ndarray] | None):
     """(index, value) of the pairs' per-channel weights that reach
     `min_contribution` (that are nonzero, for a floor of 0), as indices
-    into the flat (V * C,) grid, in pair order, then channel order."""
+    into the flat (V * C,) grid, in pair order, then channel order.
+
+    With `one_hot` (see `_one_hot`) each pair has a single weight column:
+    its other channels are 0 * w = +0.0, which neither floor keeps."""
     num_classes = gaussians.num_classes
-    weights = gaussians.semantics.take(pairs.gauss, axis=0)      # (P, C)
+    base = pairs.voxel * num_classes
+    if one_hot is None:
+        weights = gaussians.semantics.take(pairs.gauss, axis=0)  # (P, C)
+    else:
+        channel, carried = one_hot
+        weights = carried.take(pairs.gauss)[:, None]              # (P, 1)
+        base += channel.take(pairs.gauss)
+    width = weights.shape[1]
     weights *= (gaussians.opacities.take(pairs.gauss) * pairs.e)[:, None]
     weights = weights.reshape(-1)
     entry = np.flatnonzero(weights >= min_contribution if min_contribution > 0.0
                            else weights != 0.0)
-    # entry = pair * C + channel lands in voxel[pair] * C + channel
-    shift = (pairs.voxel - np.arange(pairs.voxel.size)) * num_classes
-    index = shift.take(entry // num_classes)
+    # entry = pair * width + column lands in base[pair] + column
+    shift = base - np.arange(pairs.voxel.size) * width
+    index = shift.take(entry // width)
     index += entry
     # add.at leaves its fast path (about 10x slower) for a float64 dtype
     # equal to, but not the same object as, the canonical one, as an
@@ -246,13 +283,14 @@ def splat(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfig | Non
     # allocated before the pair temporaries: a caller that keeps the grid
     # keeps it below them in the heap, not above the hole they leave
     out = np.zeros(geometry.num_voxels * num_classes)
-    count, pair_block = _pair_blocks(gaussians, geometry, cfg)
+    count, pair_block = _pair_blocks(gaussians, geometry, cfg, record)
+    one_hot = _one_hot(gaussians.semantics)
     blocks = []
 
     def block(k):
         blk = pair_block(k)
         kept = blk if record and blk.pairs.gauss.size else None
-        return kept, _entries(gaussians, blk.pairs, cfg.min_contribution)
+        return kept, _entries(gaussians, blk.pairs, cfg.min_contribution, one_hot)
 
     def fold(item):
         kept, (index, value) = item
@@ -357,9 +395,11 @@ def labels_from_channels(grid: VoxelGrid, min_contribution: float = 1e-4) -> Vox
     where every channel is below min_contribution become the empty class."""
     if grid.channels is None:
         raise ValueError("grid has no channel payload")
-    ch = grid.channels
-    labels = np.argmax(ch, axis=-1).astype(np.uint8)
-    untouched = np.all(ch < min_contribution, axis=-1)
+    top = np.argmax(grid.channels, axis=-1)[..., None]
+    # the largest channel is below the floor exactly when all are; argmax
+    # picks the first NaN, and a NaN is not below the floor
+    untouched = np.take_along_axis(grid.channels, top, axis=-1)[..., 0] < min_contribution
+    labels = top[..., 0].astype(np.uint8)
     labels[untouched] = grid.geometry.num_classes - 1
     return VoxelGrid(grid.geometry, labels=labels)
 

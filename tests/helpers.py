@@ -687,6 +687,14 @@ def bincount_splat(gaussians: GaussianSet, geometry, cfg) -> VoxelGrid:
     return VoxelGrid(geometry, channels=out.reshape(geometry.dims + (num_classes,)))
 
 
+def two_pass_labels(channels: np.ndarray, floor: float) -> np.ndarray:
+    """`labels_from_channels` as defined: the argmax label, replaced by the
+    empty class wherever every channel is below `floor`."""
+    labels = np.argmax(channels, axis=-1).astype(np.uint8)
+    labels[np.all(channels < floor, axis=-1)] = channels.shape[-1] - 1
+    return labels
+
+
 def resample_agent_grid_oracle(spec, world, mask, pose):
     """The world labels under `mask` (empty elsewhere) at the voxel centers
     of the agent grid placed by `pose`, one mask per call."""

@@ -243,6 +243,27 @@ class TestRun:
         assert int(rows["zero_shot"]["bytes_sent"]) > 0
         assert len(rows) == 2
 
+    def test_frame_without_classes_left_out_of_mean_miou(self, tmp_path, capsys):
+        data = scene_to_dict(generate_scene(5, num_agents=2, world_half_xy=10.0,
+                                            grid_dims=(40, 40, 8)))
+        files = {"generated": data, "empty": dict(data, objects=[])}
+        for name, scene in files.items():
+            (tmp_path / f"{name}.yaml").write_text(yaml.safe_dump(scene))
+
+        def summary(*names):
+            out = tmp_path / "_".join(names)
+            p, _ = small_config(tmp_path, out=str(out),
+                                scene_files=[str(tmp_path / f"{n}.yaml") for n in names])
+            assert main(["run", "--config", str(p)]) == 0
+            with open(out / "summary.csv") as f:
+                return {r["mode"]: r["mean_miou"] for r in csv.DictReader(f)}
+
+        alone = summary("generated")
+        assert summary("empty") == {"single": "nan", "zero_shot": "nan"}
+        assert summary("generated", "empty") == alone
+        assert all(float(v) > 0.0 for v in alone.values())
+        assert "nan" not in capsys.readouterr().out.split("mean mIoU")[-1]
+
     def test_comm_csv_counts_rejections_per_link(self, tmp_path, monkeypatch):
         # agent 1's message to agent 0 fails to decode
         monkeypatch.setattr("gsfusion.cli.prepare_episode", prepare_with_undecodable_message)

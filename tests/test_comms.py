@@ -130,6 +130,25 @@ class TestCull:
         assert len(out) == int(np.sum(roi.contains(moved.means)))
         assert len(out) <= len(gs)
 
+    @pytest.mark.parametrize("case", ["some_culled", "all_culled", "empty"])
+    def test_equals_transform_then_take(self, case):
+        rng = np.random.default_rng(23)
+        gs = {"some_culled": random_gaussian_set(rng, 300, center_span=6.0),
+              "all_culled": random_gaussian_set(rng, 40, center_span=6.0),
+              "empty": GaussianSet.empty(13)}[case]
+        t = random_rigid_transform(rng, span=2.0)
+        half = np.full(3, 1e-3 if case == "all_culled" else 3.0)
+        roi = Roi(np.array([50.0, 0.0, 0.0]) if case == "all_culled" else np.zeros(3), half)
+        moved = transform_set(gs, t)
+        want = moved.take(roi.contains(moved.means))
+        got = cull_to_roi(gs, t, roi)
+        if case == "some_culled":
+            assert 0 < len(got) < len(gs)
+        for field in ("means", "scales", "rotations", "opacities", "semantics"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.shape == b.shape, field
+            assert a.tobytes() == b.tobytes(), field
+
 
 class TestStack:
     def test_no_neighbors(self):

@@ -38,6 +38,7 @@ from helpers import (
     random_unit_quaternion,
     repeat_pair_lists,
     splat_pairs_oracle,
+    two_pass_labels,
 )
 
 RNG = np.random.default_rng(777)
@@ -305,10 +306,19 @@ def mixed_set(rng, n, geom, scale_lo, scale_hi):
     return GaussianSet.concat([gs, floor])
 
 
+def one_hot_set(rng, n, geom, scale_lo, scale_hi):
+    """`mixed_set` with its dense rows zeroed: no row carries more than one
+    class, as in an observed set, so the splat forms one weight a pair."""
+    gs = mixed_set(rng, n, geom, scale_lo, scale_hi)
+    gs.semantics[1:n:3] = 0.0
+    return gs
+
+
 BIG_GEOM = GridGeometry(np.array([-8.0, -8.0, -1.6]), 0.4, (40, 40, 8), num_classes=C)
 PRIOR_GEOM = GridGeometry(np.array([-20.0, -20.0, -1.6]), 0.4, (100, 100, 8), num_classes=C)
 BLOCK_SETS = {
     "mixed": lambda: mixed_set(np.random.default_rng(5), 40, PAIR_GEOM, 0.1, 0.8),
+    "one_hot": lambda: one_hot_set(np.random.default_rng(5), 40, PAIR_GEOM, 0.1, 0.8),
     "many_blocks": lambda: mixed_set(np.random.default_rng(6), 300, BIG_GEOM, 0.4, 1.2),
     "prior": lambda: empty_space_gaussian(),
     "empty": lambda: GaussianSet.empty(C),
@@ -343,7 +353,7 @@ class TestBlocks:
         got = (got[0] if record else got).channels
         want = bincount_splat(gs, geom, cfg).channels
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        if case == "mixed":             # the row at the floor is kept, the one below it is not
+        if case in ("mixed", "one_hot"):  # the row at the floor is kept, the one below it is not
             alone = splat(gs.take(slice(-2, None)), geom, cfg).channels
             assert alone[1, 2, 1, 4] == 1e-4
             assert alone[9, 8, 4, 4] == (np.nextafter(1e-4, 0.0) if floor == 0.0 else 0.0)
@@ -370,18 +380,25 @@ class TestBlocks:
         gs, geom = BLOCK_SETS[case](), BLOCK_GEOMS.get(case, PAIR_GEOM)
         cfg = SplatConfig(min_contribution=floor)
         up = np.random.default_rng(8).normal(size=geom.dims + (C,))
-        runs = []
-        for bound in (1 << 62, 1):      # one block, then a block per Gaussian
+        oracle = bincount_splat(gs, geom, cfg).channels.tobytes()
+        runs = {}
+        # one block, a block per Gaussian, then bounds about the default
+        for bound in (1 << 62, 1, 1 << 10, 1 << 14, 1 << 15):
             monkeypatch.setattr(splat_module, "_BLOCK", bound)
             grid, tape = splat(gs, geom, cfg, record=True)
-            runs.append((grid.channels, tape.blocks, splat_backward(tape, up)))
-        (want_ch, one, want), (got_ch, many, got) = runs
+            unrecorded = splat(gs, geom, cfg).channels.tobytes()
+            assert grid.channels.tobytes() == unrecorded == oracle, bound
+            runs[bound] = (tape.blocks, splat_backward(tape, up))
+        count, block = _pair_blocks(gs, geom, cfg, record=False)
+        for pairs in (block(k).pairs for k in range(count)):
+            assert pairs.delta is None and pairs.local is None
+        (one, want), (many, _) = runs[1 << 62], runs[1]
         with_pairs = np.unique(one[0].pairs.gauss).size if one else 0
         assert len(one) <= 1 and len(many) == with_pairs
-        assert got_ch.tobytes() == want_ch.tobytes()
-        for field, a in want.items():
-            assert got[field].shape == a.shape == (len(gs),) + a.shape[1:], field
-            assert got[field].tobytes() == a.tobytes(), field
+        for bound, (_, got) in runs.items():
+            for field, a in want.items():
+                assert got[field].shape == a.shape == (len(gs),) + a.shape[1:], field
+                assert got[field].tobytes() == a.tobytes(), (bound, field)
 
     def test_splat_peak_memory_is_bounded(self):
         gs, geom = BLOCK_SETS["many_blocks"](), BIG_GEOM
@@ -517,6 +534,28 @@ class TestLabels:
         ch = np.full((1, 1, 1, C), 5e-5)
         labels = labels_from_channels(VoxelGrid(geom, channels=ch), min_contribution=1e-4)
         assert labels.labels[0, 0, 0] == C - 1
+
+    @pytest.mark.parametrize("floor", [0.0, 1e-4])
+    def test_one_pass_equals_two_pass_definition(self, floor):
+        rng = np.random.default_rng(31)
+        geom = small_geom(dims=(4, 3, 2))
+        ch = rng.uniform(0.0, 2e-4, size=geom.dims + (C,))
+        ch[0, 0, 0] = 0.0                           # all zero
+        ch[0, 0, 1, [2, 7]] = 5e-4                  # a tie for the largest channel
+        ch[0, 1, 0] = np.nextafter(floor, -1.0)     # every channel just below it
+        ch[0, 1, 1] = np.nextafter(floor, -1.0)
+        ch[0, 1, 1, 5] = floor                      # one channel exactly at it
+        ch[0, 2, 0, 3] = np.nan                     # a NaN after smaller channels
+        ch[0, 2, 1] = 0.0
+        ch[0, 2, 1, [1, 9]] = np.nan                # NaNs in an all-below voxel
+        ch[1, 0, 0, 4] = np.inf
+        ch[1, 0, 1, 0] = np.nan
+        ch[1, 0, 1, 6] = 1.0                        # a NaN before the largest channel
+        got = labels_from_channels(VoxelGrid(geom, channels=ch), floor).labels
+        want = two_pass_labels(ch, floor)
+        assert got.dtype == want.dtype == np.uint8 and got.tobytes() == want.tobytes()
+        assert got[0, 0, 1] == 2 and got[0, 1, 0] == C - 1 and got[0, 1, 1] == 5
+        assert got[0, 2, 0] == 3 and got[0, 2, 1] == 1 and got[1, 0, 1] == 0
 
 
 class TestSplatBackward:
