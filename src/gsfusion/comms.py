@@ -25,6 +25,7 @@ from gsfusion.core import (
     RigidTransform,
     Roi,
     SemanticGaussian,
+    _ill_conditioned,
     canonicalize_quaternion,
     quat_multiply,
 )
@@ -40,8 +41,9 @@ _HEADER = struct.Struct("<4sHHIIII")  # magic, version, precision, sender, recei
 
 class EncodeRangeError(ValueError):
     """A Gaussian the wire precision cannot carry: a field that would
-    overflow to inf, or a scale that would round to 0 (in fp16, above
-    65 504 or below about 3e-8). Raised before any bytes are made."""
+    overflow to inf, a scale that would round to 0 (in fp16, above 65 504
+    or below about 3e-8), or scales whose rounding pushes the covariance's
+    condition number past 1e12. Raised before any bytes are made."""
 
 
 class DecodeError(ValueError):
@@ -139,8 +141,11 @@ def record_size(precision: int, num_classes: int = 13) -> int:
 
 def serialize_message(msg: GaussianMessage) -> bytes:
     """The GMSG bytes of a message. Raises EncodeRangeError when a Gaussian
-    would not survive the precision's rounding, so the receiver is never
-    sent a record it must reject."""
+    would not survive the precision's rounding: a field that overflows, a
+    scale that rounds to 0, or rounded scales whose covariance condition
+    number passes the splat's 1e12 (`gsfusion.core._ill_conditioned`, the
+    rule the decoder's `validate()` applies to the same values). So the
+    receiver is never sent a record it must reject."""
     gs = msg.gaussians
     header = _HEADER.pack(GMSG_MAGIC, GMSG_VERSION, msg.precision,
                           msg.sender_id, msg.receiver_id, msg.frame_tag, msg.count)
@@ -152,11 +157,13 @@ def serialize_message(msg: GaussianMessage) -> bytes:
     dtype = "<f2" if msg.precision == PRECISION_FP16 else "<f4"
     with np.errstate(over="ignore"):
         payload = np.ascontiguousarray(flat, dtype=dtype)
-    bad = ~np.all(np.isfinite(payload), axis=1) | np.any(payload[:, 3:6] <= 0.0, axis=1)
+    bad = ~np.all(np.isfinite(payload), axis=1) | _ill_conditioned(
+        payload[:, 3:6].astype(np.float64))
     if np.any(bad):
         raise EncodeRangeError(
-            f"{int(bad.sum())} of {msg.count} Gaussians overflow or lose a scale in "
-            f"{np.dtype(dtype).name}, first at row {int(np.argmax(bad))}")
+            f"{int(bad.sum())} of {msg.count} Gaussians overflow, lose a scale or pass "
+            f"the 1e12 condition number in {np.dtype(dtype).name}, first at row "
+            f"{int(np.argmax(bad))}")
     return header + payload.tobytes()
 
 

@@ -504,18 +504,27 @@ def covariance(g: SemanticGaussian) -> np.ndarray:
     return (r * g.scale**2) @ r.T
 
 
-def _check_conditioning(scales: np.ndarray) -> None:
-    """Reject the first of the (..., 3) `scales` with a non-positive axis or
-    a covariance condition number (smax / smin)**2 above 1e12."""
-    scales = np.reshape(scales, (-1, 3))
+def _ill_conditioned(scales: np.ndarray) -> np.ndarray:
+    """Which rows of the (N, 3) `scales` have a non-positive axis or a
+    covariance condition number (smax / smin)**2 above 1e12: the splat's
+    rule, which the encoder also applies to the scales it rounds."""
     smax = np.max(scales, axis=1)
     smin = np.min(scales, axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        bad = (smin <= 0.0) | ((smax / smin) ** 2 > _DEGENERATE_CONDITION)
-        shown = (smax / np.maximum(smin, 1e-300)) ** 2
+        return (smin <= 0.0) | ((smax / smin) ** 2 > _DEGENERATE_CONDITION)
+
+
+def _check_conditioning(scales: np.ndarray) -> None:
+    """Reject the first of the (..., 3) `scales` that `_ill_conditioned`
+    flags."""
+    scales = np.reshape(scales, (-1, 3))
+    bad = _ill_conditioned(scales)
     if np.any(bad):
+        first = scales[np.argmax(bad)]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            shown = (first.max() / max(first.min(), 1e-300)) ** 2
         raise DegenerateGaussianError(
-            f"covariance condition number {shown[np.argmax(bad)]:.3e} exceeds 1e12"
+            f"covariance condition number {shown:.3e} exceeds 1e12"
         )
 
 
@@ -546,18 +555,39 @@ def density(g: SemanticGaussian, x: np.ndarray) -> np.ndarray:
     return g.opacity * np.exp(-0.5 * q) * g.semantics
 
 
-def _whole_runs(sizes: np.ndarray, bound: int):
-    """(first item, end item, first unit, end unit) of each run of whole
-    items holding at most `bound` units together, or of one item holding
-    more; item i holds `sizes[i]` units. Fusion runs its blocks over
-    segments of pairs, the splat over Gaussians' candidate cells."""
-    ends = np.cumsum(sizes)
-    start = 0
-    while start < sizes.size:
-        before = int(ends[start - 1]) if start else 0
-        stop = max(int(np.searchsorted(ends, before + bound, "right")), start + 1)
-        yield start, stop, before, int(ends[stop - 1])
-        start = stop
+def _whole_runs(sizes: np.ndarray, bound: int, even: bool = False) -> list:
+    """(first item, end item, first unit, end unit) of each of k near-equal
+    runs of whole items, item i holding `sizes[i]` units. Fusion runs its
+    blocks over segments of pairs, the splat over Gaussians' candidate
+    cells.
+
+    The j-th cut is the item edge nearest j * total / k (the lower one on a
+    tie), and an item of more than `bound` units is cut out as a run of its
+    own. k starts at ceil(total / bound), so a run holds about total / k
+    units, within one item of it, and is raised while a run of two or more
+    items would hold more than `bound`. With `even`, k is even when above
+    one and is raised by two: two threads taking alternate runs
+    (`_each`) then both have work to the last pair. Two cuts merge only
+    where an item holds total / k units or more, which can leave fewer than
+    k runs. The runs depend on `sizes` alone."""
+    edges = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+    n, total = sizes.size, int(edges[-1])
+    if total <= bound:              # one run; a tiny scene pays for every numpy call
+        return [(0, n, 0, total)] if n else []
+    big = np.flatnonzero(sizes > bound)
+    step = 2 if even else 1
+    k = -(-total // bound)          # 2 or more here
+    k += -k % step
+    while True:
+        aim = np.arange(1, k, dtype=np.int64) * total         # k times j * total / k
+        right = np.searchsorted(edges * k, aim)                 # first edge at or past it
+        lower = aim - k * edges[right - 1] <= k * edges[right] - aim
+        cuts = np.unique(np.concatenate([[0, n], right - lower, big, big + 1]))
+        units = np.diff(edges[cuts])
+        if np.all((units <= bound) | (np.diff(cuts) == 1)):
+            return [(int(a), int(b), int(edges[a]), int(edges[b]))
+                    for a, b in zip(cuts[:-1], cuts[1:])]
+        k += step
 
 
 # ---------------------------------------------------------------------------

@@ -24,24 +24,35 @@ bits and the gradients are those of a backward over kept layers
 (checkpointing, Chen et al. 2016, arXiv:1604.06174).
 
 Bounded blocks. A segment is one ego's neighbour list. `fuse_scene` runs
-every stage over blocks of whole segments holding at most `_FUSE_BLOCK`
-pairs together (a longer segment is a block of its own), writes a
-block's fused rows, and without a tape drops the block's per-pair
-arrays before the next block starts, so its memory no longer grows with
-the pair count. The fused output is bit-identical to one whole-scene
-pass: segments are never split, so the softmax, pooling and blend see
-the same numbers in the same order, and every other stage is computed
-row by row. The gemms are row by row too: every product runs over a
-multiple of `_ROW_TILE` rows (`_pad_rows`), and over whole tiles a
-row's bits depend only on its own inputs, whatever the block, on every
-OpenBLAS kernel and thread count `tests/test_fusion.py` covers. The
-tape keeps one record per block, and `fusion_backward` sums the blocks'
-parameter gradients in block order; that sum is the one place where the
-summation order differs from a single-block backward. On an idle team
-(see the `gsfusion.core` docstring) the forward's blocks run on either
-thread, each writing only its own fused rows, and the backward forms two
-blocks' gradients at a time, each in its own dict, still summed in block
-order, so the bits are those of the inline run.
+every stage over blocks of whole segments, writes a block's fused rows,
+and without a tape drops the block's per-pair arrays before the next
+block starts, so its memory no longer grows with the pair count. The
+blocks are k near-equal runs of whole segments (`core._whole_runs`):
+k is ceil(pairs / `_FUSE_BLOCK`), rounded up to an even number when
+above one and raised by two while a block would hold more than
+`_FUSE_BLOCK` pairs (a longer segment is a block of its own), and each
+block lies within one segment of pairs / k. The count is even because a
+team's two threads take alternate blocks: greedy packing's odd count and
+short last block, [4096, 4096, 2678] pairs on the `paper_infer` training
+example, left one thread idle through the last block of the forward and
+of the backward.
+
+The fused output is bit-identical to one whole-scene pass: segments are
+never split, so the softmax, pooling and blend see the same numbers in
+the same order, and every other stage is computed row by row. The gemms
+are row by row too: every product runs over a multiple of `_ROW_TILE`
+rows (`_pad_rows`), and over whole tiles a row's bits depend only on its
+own inputs, whatever the block, on every OpenBLAS kernel and thread
+count `tests/test_fusion.py` covers. The tape keeps one record per
+block, and `fusion_backward` sums the blocks' parameter gradients in
+block order; that sum is the one place where the summation order
+differs from a single-block backward, so it is the only output that
+moves when the cuts move (by under 2e-13 relative in any trained
+parameter of the benchmark's runs). On an idle team (see the
+`gsfusion.core` docstring) the forward's blocks run on either thread,
+each writing only its own fused rows, and the backward forms two
+blocks' gradients at a time, each in its own dict, still summed in
+block order, so the bits are those of the inline run.
 """
 
 from __future__ import annotations
@@ -71,7 +82,7 @@ SCALE_FLOOR = 1e-4
 # 5e5 of the floor, so a fused covariance's condition number stays below the
 # splat's 1e12 with room for the pooled sums' rounding
 SCALE_CEIL = 50.0
-_FUSE_BLOCK = 1 << 12                  # pairs per block of whole segments
+_FUSE_BLOCK = 1 << 12                  # the most pairs a block of several segments holds
 _ROW_TILE = 64                         # every product runs over a multiple of this many rows
 
 
@@ -562,7 +573,7 @@ def fuse_scene(ego_set: GaussianSet, received_sets: list[GaussianSet],
         return (fused, None) if record else fused
 
     e_all = ego_features(ego_set)
-    runs = list(_whole_runs(counts, _FUSE_BLOCK))
+    runs = _whole_runs(counts, _FUSE_BLOCK, even=True)
 
     def block(k):
         a, b, p0, p1 = runs[k]

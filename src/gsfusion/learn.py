@@ -91,25 +91,25 @@ def _voxel_labels(values: np.ndarray, labels, name: str) -> np.ndarray:
 
 def softmax_probs(channels: np.ndarray) -> np.ndarray:
     """Per-voxel softmax over the class axis (the last one), in two halves
-    of the voxels on an idle team (`gsfusion.core._halves`)."""
+    of the voxels on an idle team (`gsfusion.core._halves`). The row max
+    is a fold of `np.maximum` over the class columns, and the subtract,
+    exp and normalize run in place in the output."""
     ch = np.asarray(channels, dtype=np.float64)
     flat = ch.reshape(-1, ch.shape[-1])
     out = np.empty(flat.shape)
     halves = _halves(flat.shape[0])
 
     def half(k):
-        rows = flat[halves[k]]
-        ex = np.exp(rows - np.max(rows, axis=-1, keepdims=True))
-        np.divide(ex, np.sum(ex, axis=-1, keepdims=True), out=out[halves[k]])
+        rows, o = flat[halves[k]], out[halves[k]]
+        top = rows[:, 0].copy()
+        for column in rows.T[1:]:
+            np.maximum(top, column, out=top)
+        np.subtract(rows, top[:, None], out=o)
+        np.exp(o, out=o)
+        o /= np.sum(o, axis=-1, keepdims=True)
 
     _each(half, len(halves))
     return out.reshape(ch.shape)
-
-
-def softmax_vjp(probs: np.ndarray, grad_probs: np.ndarray) -> np.ndarray:
-    """Chain a gradient w.r.t. probabilities back to the channel logits."""
-    inner = np.sum(probs * grad_probs, axis=-1, keepdims=True)
-    return probs * (grad_probs - inner)
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray):
@@ -177,16 +177,18 @@ def _stable_descending_order(x: np.ndarray) -> np.ndarray:
     return order
 
 
-def _lovasz_class(row: np.ndarray, fg: np.ndarray) -> float:
-    """Lovasz loss of one present class; overwrites `row`, that class's
-    probabilities, with the loss gradient w.r.t. them."""
-    err = fg - row
+def _lovasz_class(p: np.ndarray, fg: np.ndarray, classes: int, out: np.ndarray) -> float:
+    """Lovasz loss of one present class, from its probabilities `p` and
+    foreground `fg`; writes the loss gradient w.r.t. `p`, divided by the
+    count of present `classes`, into `out`."""
+    err = fg - p
     np.abs(err, out=err)
     order = _stable_descending_order(err)
     g = _lovasz_grad_sorted(fg[order])
     loss = float(err[order] @ g)
-    row[order] = g
-    np.negative(row, out=row, where=fg)         # d|fg - p|/dp = -1 on fg
+    err[order] = g                              # spent: now the gradient
+    np.negative(err, out=err, where=fg)         # d|fg - p|/dp = -1 on fg
+    np.divide(err, classes, out=out)
     return loss
 
 
@@ -206,27 +208,24 @@ def lovasz_softmax(probs: np.ndarray, labels: np.ndarray):
     sort has one result whichever algorithm makes it, and it is the
     stable order. The errors, the Jaccard counts and the sign flip round
     as a per-class loop over a stable sort does, so loss and gradient are
-    bit-identical to it. The work runs class-major: each present class
-    copies its column of `probs` into its own row, which becomes its
-    gradient row, and the present classes split even and odd
-    (`gsfusion.core._each`).
+    bit-identical to it. Each present class writes its gradient column,
+    already divided by the present-class count, straight into the
+    voxel-major gradient, and the present classes split even and odd
+    (`gsfusion.core._each`); an absent class's column stays zero.
     """
     num_classes = probs.shape[-1]
     flat_l = _voxel_labels(probs, labels, "lovasz_softmax")
     flat_p = probs.reshape(-1, num_classes)
-    rows = np.zeros((num_classes, flat_l.size))
+    grad = np.zeros(flat_p.shape)
     per_class = np.zeros(num_classes)
     present = np.flatnonzero(np.bincount(flat_l, minlength=num_classes))
 
-    def present_class(k):               # writes only its own row and entry
+    def present_class(k):               # writes only its own column and entry
         c = present[k]
-        rows[c] = flat_p[:, c]
-        per_class[c] = _lovasz_class(rows[c], flat_l == c)
+        per_class[c] = _lovasz_class(flat_p[:, c], flat_l == c, present.size, grad[:, c])
 
     _each(present_class, present.size)
     loss = float(per_class[present].mean())
-    grad = np.empty(rows.shape[::-1])
-    np.divide(rows.T, present.size, out=grad)
     return loss, grad.reshape(probs.shape), per_class
 
 
@@ -236,7 +235,9 @@ def total_loss(channels: np.ndarray, labels: np.ndarray):
     Returns (LossReport, gradient w.r.t. channels). On an idle team the
     softmax, the cross-entropy's per-voxel terms and the softmax VJP run
     over two halves of the voxels, the Lovasz classes even and odd
-    (`gsfusion.core._each`).
+    (`gsfusion.core._each`). The VJP, probs * (g - sum(probs * g)) for
+    the Lovasz gradient g, works in place in g's buffer and is added to
+    the cross-entropy gradient.
     """
     _voxel_labels(channels, labels, "total_loss")
     probs = softmax_probs(channels)
@@ -245,9 +246,11 @@ def total_loss(channels: np.ndarray, labels: np.ndarray):
     rows = [a.reshape(-1, probs.shape[-1]) for a in (grad, probs, grad_lov_p)]
     halves = _halves(rows[0].shape[0])
 
-    def half(k):                        # grad += softmax_vjp(probs, grad_lov_p)
+    def half(k):
         g, p, g_lov = (a[halves[k]] for a in rows)
-        g += softmax_vjp(p, g_lov)
+        g_lov -= np.sum(p * g_lov, axis=-1, keepdims=True)
+        g_lov *= p
+        g += g_lov
 
     _each(half, len(halves))
     report = LossReport(ce=ce, lovasz=lov, total=ce + lov, per_class_lovasz=per_class)

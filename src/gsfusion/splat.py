@@ -8,8 +8,8 @@ voxel) pairs are enumerated and accumulated in canonical order, ascending
 gaussian index then ascending flat voxel index, so the output is bit-exact
 for fixed inputs on a fixed platform.
 
-Bounded blocks. The forward enumerates candidate voxels over runs of
-whole Gaussians whose bounding boxes hold at most `_BLOCK` cells
+Bounded blocks. The forward enumerates candidate voxels over near-equal
+runs of whole Gaussians whose bounding boxes hold at most `_BLOCK` cells
 together (a Gaussian whose box holds more is a block on its own), so its
 temporaries are bounded by the block, not by the set, apart from such a
 Gaussian (the empty-space prior's box is the whole grid). The bound
@@ -149,9 +149,12 @@ class SparseChannels(NamedTuple):
     value: np.ndarray
 
     def add_to(self, channels: np.ndarray) -> np.ndarray:
-        """Add into the C-contiguous `channels` in place and return it."""
-        flat = channels.reshape(-1)
-        flat[self.index] += self.value
+        """Add into the C-contiguous `channels` in place and return it.
+        The indices are unique, so `np.add.at` gives the bits of
+        `flat[index] += value` in one pass instead of three; it gets the
+        canonical float64 dtype, as in `_entries`, so that an unpickled
+        render stays on its fast path."""
+        np.add.at(channels.reshape(-1), self.index, self.value.view(np.float64))
         return channels
 
 
@@ -166,9 +169,10 @@ def _pair_blocks(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfi
     Candidates are the voxels whose centers lie in each ellipsoid's
     axis-aligned bounding box, of half-extent t * sqrt(Sigma_ii) on axis
     i, widened by 1e-9 voxel against rounding and clipped to the grid; the
-    Mahalanobis test q <= t**2 alone decides membership. A block is a run
-    of Gaussians whose boxes hold at most _BLOCK cells together, or one
-    Gaussian whose box holds more.
+    Mahalanobis test q <= t**2 alone decides membership. The blocks are
+    near-equal runs of whole Gaussians (`gsfusion.core._whole_runs`) whose
+    boxes hold at most _BLOCK cells together, or one Gaussian whose box
+    holds more.
     """
     dims = np.array(geometry.dims)
     h = geometry.voxel_size
@@ -179,7 +183,7 @@ def _pair_blocks(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfi
     hi = np.floor((gaussians.means + half - geometry.origin) / h - 0.5 + 1e-9)
     lo = np.clip(lo, 0, dims).astype(np.int64)
     ext = np.maximum(np.clip(hi, -1, dims - 1).astype(np.int64) - lo + 1, 0)
-    runs = list(_whole_runs(np.prod(ext, axis=1), _BLOCK))
+    runs = _whole_runs(np.prod(ext, axis=1), _BLOCK)
 
     def block(k):
         start, stop, _, _ = runs[k]

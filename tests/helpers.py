@@ -5,10 +5,10 @@ not by calling the library paths it checks. The exceptions are
 references that keep an earlier composition of library kernels, which a
 rewrite of that composition must reproduce bit for bit
 (`concat_scene_loss_and_grads`, `per_channel_splat`, `repeat_pair_lists`,
-`bincount_splat`, `lovasz_softmax_oracle`, `kept_hidden_fusion_backward`,
-`sequential_train`, `sequential_episode`), and `HashGrid`, a per-query
-adapter over the library's neighbour search that tests check against
-`linear_scan_neighborhood`.
+`bincount_splat`, `lovasz_softmax_oracle`, `two_pass_total_loss`,
+`kept_hidden_fusion_backward`, `sequential_train`, `sequential_episode`),
+and `HashGrid`, a per-query adapter over the library's neighbour search
+that tests check against `linear_scan_neighborhood`.
 """
 
 import hashlib
@@ -19,7 +19,14 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from gsfusion.comms import PRECISION_FP16, CommStats, stack, transform_set
+from gsfusion.comms import (
+    HEADER_SIZE,
+    PRECISION_FP16,
+    CommStats,
+    serialize_message,
+    stack,
+    transform_set,
+)
 from gsfusion.core import (
     EMPTY_CLASS,
     GaussianSet,
@@ -294,6 +301,56 @@ def lovasz_softmax_oracle(probs, labels):
     loss = float(per_class[present].mean())
     grad /= present.size
     return loss, grad.reshape(probs.shape), per_class
+
+
+def two_pass_softmax(channels):
+    """The earlier `softmax_probs`: the row max by `np.max`, then exp and
+    divide into fresh arrays."""
+    ch = np.asarray(channels, dtype=np.float64)
+    ex = np.exp(ch - np.max(ch, axis=-1, keepdims=True))
+    return ex / np.sum(ex, axis=-1, keepdims=True)
+
+
+def softmax_vjp(probs, grad_probs):
+    """The earlier `softmax_vjp`: a gradient w.r.t. probabilities chained
+    back to the channel logits, into fresh arrays."""
+    inner = np.sum(probs * grad_probs, axis=-1, keepdims=True)
+    return probs * (grad_probs - inner)
+
+
+def class_rows_lovasz(probs, labels):
+    """The earlier `lovasz_softmax`: each present class overwrites its copy
+    of its probability column, in a (C, V) buffer, with its gradient, and
+    the buffer is divided by the present-class count as it is transposed."""
+    num_classes = probs.shape[-1]
+    flat_p = probs.reshape(-1, num_classes)
+    flat_l = np.asarray(labels).reshape(-1)
+    rows = np.zeros((num_classes, flat_l.size))
+    per_class = np.zeros(num_classes)
+    present = np.flatnonzero(np.bincount(flat_l, minlength=num_classes))
+    for c in present:
+        row, fg = rows[c], flat_l == c
+        row[:] = flat_p[:, c]
+        err = np.abs(fg - row)
+        order = learn._stable_descending_order(err)
+        g = learn._lovasz_grad_sorted(fg[order])
+        per_class[c] = float(err[order] @ g)
+        row[order] = g
+        np.negative(row, out=row, where=fg)
+    grad = np.empty(rows.shape[::-1])
+    np.divide(rows.T, present.size, out=grad)
+    return float(per_class[present].mean()), grad.reshape(probs.shape), per_class
+
+
+def two_pass_total_loss(channels, labels):
+    """The earlier `total_loss`: `two_pass_softmax`, the library's
+    cross-entropy, `class_rows_lovasz` and `softmax_vjp` added to the
+    cross-entropy gradient. The library must reproduce it bit for bit."""
+    probs = two_pass_softmax(channels)
+    ce, grad = learn.cross_entropy(probs, labels)
+    lov, grad_lov, per_class = class_rows_lovasz(probs, labels)
+    grad += softmax_vjp(probs, grad_lov)
+    return learn.LossReport(ce=ce, lovasz=lov, total=ce + lov, per_class_lovasz=per_class), grad
 
 
 def central_difference(f, x0, eps=1e-6):
@@ -727,12 +784,12 @@ def episode42_metrics() -> dict:
     return out
 
 
-def prepare_with_undecodable_message(spec, model, scales=(3.01e-7, 0.3, 0.3)):
+def prepare_with_scales(spec, model, scales):
     """`prepare_episode`, then give agent 1 a Gaussian inside agent 0's ROI
-    with the given `scales`, valid as they are. The default's condition
-    number is 0.99e12, and 1.01e12 once fp16 has rounded the scales, so
-    agent 1's message to agent 0 is sent but fails to decode. A scale of
-    1e-8 instead underflows to 0 in fp16, so the message is not sent."""
+    with the given `scales`, valid as they are. (3.01e-7, 0.3, 0.3) has
+    condition number 0.99e12, and 1.01e12 once fp16 has rounded the
+    scales; a scale of 1e-8 underflows to 0 in fp16. Either way the fp16
+    encoder refuses agent 1's message to agent 0, so it is not sent."""
     episode = prepare_episode(spec, model)
     obs = episode.observations[1].copy()
     moved = transform_set(obs, spec.agents[0].inverse().compose(spec.agents[1]))
@@ -740,6 +797,19 @@ def prepare_with_undecodable_message(spec, model, scales=(3.01e-7, 0.3, 0.3)):
     obs.validate()
     episode.observations[1] = obs
     return episode
+
+
+def undecodable_from(sender, receiver):
+    """A `serialize_message` whose messages from `sender` to `receiver`
+    carry a NaN over their first mean coordinate, as if corrupted on the
+    way: they are sent, and their receiver fails to decode them."""
+    def serialize(msg):
+        data = serialize_message(msg)
+        if (msg.sender_id, msg.receiver_id) != (sender, receiver) or msg.count == 0:
+            return data
+        nan = np.array([np.nan], dtype="<f2" if msg.precision == PRECISION_FP16 else "<f4")
+        return data[:HEADER_SIZE] + nan.tobytes() + data[HEADER_SIZE + nan.itemsize:]
+    return serialize
 
 
 def platform_description() -> dict[str, str]:

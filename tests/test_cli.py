@@ -14,7 +14,7 @@ from gsfusion.learn import TrainConfig, load_calibration
 from gsfusion.sim import ObservationModel, generate_scene
 from gsfusion.splat import SplatConfig, load_voxg
 
-from helpers import prepare_with_undecodable_message, scene_to_dict
+from helpers import scene_to_dict, undecodable_from
 
 
 def small_config(tmp_path, **overrides):
@@ -266,7 +266,7 @@ class TestRun:
 
     def test_comm_csv_counts_rejections_per_link(self, tmp_path, monkeypatch):
         # agent 1's message to agent 0 fails to decode
-        monkeypatch.setattr("gsfusion.cli.prepare_episode", prepare_with_undecodable_message)
+        monkeypatch.setattr("gsfusion.sim.serialize_message", undecodable_from(1, 0))
         p, cfg = small_config(tmp_path)
         assert main(["run", "--config", str(p)]) == 0
         with open(Path(cfg["out"]) / "comm.csv") as f:

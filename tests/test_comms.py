@@ -249,15 +249,30 @@ class TestWireFormat:
 
     def test_quantization_past_the_condition_limit_is_corrupt(self):
         # condition 0.99e12 in fp64; fp16 rounds 3.01e-7 to 2.98e-7 and 0.3
-        # to 0.29999, which gives 1.01e12, past what the splat can take
+        # to 0.29999, which gives 1.01e12, past what the splat can take. The
+        # encoder refuses the set, so the bytes are written here by hand
         gs = random_gaussian_set(RNG, 3)
         gs.scales[1] = [0.3, 3.01e-7, 0.3]
         gs.validate()
+        header = serialize_message(GaussianMessage(0, 1, 0, GaussianSet.empty()))
+        header = header[:-4] + (3).to_bytes(4, "little")       # the Gaussian count
+        rows = [gs.means, gs.scales, gs.rotations, gs.opacities[:, None], gs.semantics]
+        data = header + np.concatenate(rows, axis=1).astype("<f2").tobytes()
+        with pytest.raises(CorruptFieldError, match="condition number 1.01.e\\+12 exceeds"):
+            deserialize_message(data)
+
+    def test_fp16_encoder_refuses_scales_its_rounding_makes_ill_conditioned(self):
+        # the same set: fp16's rounding pushes row 1 past 1e12, fp32's does not
+        gs = random_gaussian_set(RNG, 3)
+        gs.scales[1] = [3.01e-7, 0.3, 0.3]
+        gs.validate()
+        with pytest.raises(EncodeRangeError, match="1 of 3 Gaussians .* condition number "
+                                                   "in float16, first at row 1"):
+            serialize_message(GaussianMessage(0, 1, 0, gs))
         back = deserialize_message(serialize_message(GaussianMessage(0, 1, 0, gs,
                                                                      PRECISION_FP32)))
         back.gaussians.validate()
-        with pytest.raises(CorruptFieldError, match="condition number 1.01.e\\+12 exceeds"):
-            deserialize_message(serialize_message(GaussianMessage(0, 1, 0, gs)))
+        assert np.array_equal(back.gaussians.scales, gs.scales.astype("<f4"))
 
     @pytest.mark.parametrize("field, col, fits, lost", [
         ("scales", 1, 2.0**-24, 2.0**-25),       # the least fp16 subnormal; its half rounds to 0

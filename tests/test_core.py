@@ -372,6 +372,20 @@ class TestTwoThreads:
         assert folded == list(range(7))
 
     @needs_setter
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_each_folded_odd_count_runs_its_last_item_on_the_caller(self, n):
+        caller, ran, folded = threading.current_thread(), {}, []
+
+        def make(i):
+            ran[i] = threading.current_thread()
+            return i * i
+
+        with core._two_threads():
+            core._each_folded(make, n, folded.append)
+        assert folded == [i * i for i in range(n)]
+        assert [ran[i] is caller for i in range(n)] == [i % 2 == 0 for i in range(n)]
+
+    @needs_setter
     def test_many_teams_at_once(self):
         # four callers, each with its own team (eight threads on this
         # machine's cores), switching threads as often as the interpreter
@@ -402,3 +416,76 @@ class TestTwoThreads:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and not failures
         assert np.all(out == 20 * np.arange(n) + 1)
+
+
+def _segment_counts(seed, n, longest=64):
+    """`n` neighbour-list lengths of 1..`longest` pairs, as fusion cuts."""
+    return np.random.default_rng(seed).integers(1, longest + 1, size=n)
+
+
+class TestWholeRuns:
+    """`core._whole_runs`: near-equal runs of whole items under a bound."""
+
+    @staticmethod
+    def _check_cover(runs, sizes):
+        edges = np.concatenate([[0], np.cumsum(sizes)])
+        assert runs[0][0] == 0 and runs[-1][1] == sizes.size
+        for (a, b, u0, u1), nxt in zip(runs, runs[1:] + [None]):
+            assert b > a and (u0, u1) == (edges[a], edges[b])
+            assert nxt is None or nxt[0] == b
+
+    @pytest.mark.parametrize("bound", [256, 1000, 4096])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 300, 1000])
+    def test_fusion_blocks_even_above_the_bound(self, n, bound):
+        # segments of at most 64 pairs (`max_neighbors`' default), a
+        # quarter of the bound or less, never make cuts merge
+        counts = _segment_counts(n * bound, n)
+        runs = core._whole_runs(counts, bound, even=True)
+        self._check_cover(runs, counts)
+        if counts.sum() > bound:
+            assert len(runs) % 2 == 0
+        else:
+            assert len(runs) == 1
+
+    @pytest.mark.parametrize("even", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_runs_within_one_segment_of_equal(self, seed, even):
+        counts = _segment_counts(seed, 200 + 37 * seed)
+        bound = int(counts.sum()) // (3 + seed)
+        runs = core._whole_runs(counts, bound, even)
+        self._check_cover(runs, counts)
+        share = counts.sum() / len(runs)
+        assert all(abs((u1 - u0) - share) <= counts.max() for _, _, u0, u1 in runs)
+        assert all(u1 - u0 <= bound for _, _, u0, u1 in runs)
+        assert len(runs) >= -(-counts.sum() // bound)
+
+    @pytest.mark.parametrize("even", [False, True])
+    def test_only_a_single_item_passes_the_bound(self, even):
+        rng = np.random.default_rng(77)
+        for _ in range(200):
+            sizes = rng.integers(0, 300, size=rng.integers(1, 80))
+            sizes[rng.integers(sizes.size, size=3)] = rng.integers(0, 3000, size=3)
+            bound = int(rng.integers(1, 600))
+            runs = core._whole_runs(sizes, bound, even)
+            self._check_cover(runs, sizes)
+            for a, b, u0, u1 in runs:
+                assert u1 - u0 <= bound or b - a == 1, (sizes, bound, runs)
+            for i in np.flatnonzero(sizes > bound):     # a run of its own
+                assert (i, i + 1) in [(a, b) for a, b, _, _ in runs]
+
+    def test_edge_cases(self):
+        assert core._whole_runs(np.zeros(0, dtype=np.int64), 8) == []
+        assert core._whole_runs(np.zeros(5, dtype=np.int64), 8) == [(0, 5, 0, 0)]
+        assert core._whole_runs(np.array([3, 5]), 8, even=True) == [(0, 2, 0, 8)]
+        assert core._whole_runs(np.array([3, 6]), 8, even=True) == [(0, 1, 0, 3), (1, 2, 3, 9)]
+        # the splat's empty-space prior: one box of the whole grid
+        assert core._whole_runs(np.array([80_000]), 1 << 14) == [(0, 1, 0, 80_000)]
+
+    @needs_setter
+    def test_runs_depend_only_on_the_sizes(self):
+        counts = _segment_counts(5, 500)
+        alone = core._whole_runs(counts, 1000, even=True)
+        with core._two_threads():
+            assert core._whole_runs(counts, 1000, even=True) == alone
+            assert core._each(lambda i: core._whole_runs(counts, 1000, even=True), 2) == \
+                [alone, alone]

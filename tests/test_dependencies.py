@@ -1,17 +1,23 @@
 """The package imports nothing beyond the standard library and the
-dependencies `pyproject.toml` declares (numpy, pyyaml)."""
+dependencies `pyproject.toml` declares (numpy, pyyaml), and the tests
+nothing beyond those, its `test` extra (pytest, hypothesis), the package
+and their own modules."""
 
 import ast
 import pathlib
 import sys
 
 DECLARED = {"numpy", "yaml", "gsfusion"}
+TEST_EXTRA = {"pytest", "hypothesis"}
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "gsfusion"
+TESTS = pathlib.Path(__file__).resolve().parent
 
 
-def test_package_imports_only_declared_dependencies():
-    paths = sorted(PACKAGE.glob("*.py"))
-    assert paths, f"no modules found under {PACKAGE}"
+def _undeclared_imports(paths, allowed):
+    """`file:line imports module` for every absolute import in `paths`
+    whose top-level name is neither in the standard library nor in
+    `allowed`."""
+    assert paths, "no modules found"
     undeclared = []
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -22,7 +28,20 @@ def test_package_imports_only_declared_dependencies():
             else:
                 continue
             undeclared += [f"{path.name}:{node.lineno} imports {m}" for m in modules
-                           if m.split(".")[0] not in sys.stdlib_module_names | DECLARED]
+                           if m.split(".")[0] not in sys.stdlib_module_names | allowed]
+    return undeclared
+
+
+def test_package_imports_only_declared_dependencies():
+    undeclared = _undeclared_imports(sorted(PACKAGE.glob("*.py")), DECLARED)
+    assert not undeclared, undeclared
+
+
+def test_tests_import_only_declared_dependencies():
+    # scipy, say, is often installed but is not declared
+    paths = sorted(TESTS.glob("*.py"))
+    own = {path.stem for path in paths}
+    undeclared = _undeclared_imports(paths, DECLARED | TEST_EXTRA | own)
     assert not undeclared, undeclared
 
 

@@ -631,6 +631,22 @@ class TestFusionBlocks:
         assert np.array_equal(tape.counts, want_tape.counts)
         assert np.array_equal(np.concatenate([b.seg_egos for b in tape.blocks]), tape.seg_egos)
 
+    @pytest.mark.parametrize("parts", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("run", ["golden", "cap5"])
+    def test_block_count_even_above_the_bound(self, run, parts, monkeypatch):
+        # near-equal runs: an even count when the pairs pass the bound, so
+        # the two threads of a team both have a block to the last pair
+        ego, rec, cfg, params = _block_runs()[run]
+        counts = scene_neighbors(ego, rec, cfg)[3]
+        want = fusion_digest(fuse_scene(ego, rec, cfg, params))     # one block
+        monkeypatch.setattr(fusion, "_FUSE_BLOCK", -(-int(counts.sum()) // parts))
+        fused, tape = fuse_scene(ego, rec, cfg, params, record=True)
+        sizes = [int(b.counts.sum()) for b in tape.blocks]
+        assert len(sizes) == 1 if parts == 1 else len(sizes) % 2 == 0 and len(sizes) >= parts
+        assert all(abs(n - counts.sum() / len(sizes)) <= counts.max() for n in sizes)
+        assert max(sizes) <= fusion._FUSE_BLOCK
+        assert fusion_digest(fused) == want
+
     @pytest.mark.parametrize("bound", [1, 7, "below_longest", "above_all"])
     @pytest.mark.parametrize("run", ["golden", "mean", "cap5", "tiny"])
     def test_blocked_backward_matches_one_block(self, run, bound, monkeypatch):

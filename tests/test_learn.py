@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -30,7 +31,6 @@ from gsfusion.learn import (
     save_calibration,
     scene_loss_and_grads,
     softmax_probs,
-    softmax_vjp,
     total_loss,
     train,
     train_calibration,
@@ -45,6 +45,8 @@ from helpers import (
     lovasz_softmax_oracle,
     random_gaussian_set,
     sequential_train,
+    softmax_vjp,
+    two_pass_total_loss,
 )
 
 RNG = np.random.default_rng(60601)
@@ -288,6 +290,92 @@ class TestLovaszExactOrder:
         probs = softmax_probs(channels)
         assert probs.shape == (100, 100, 8, C)
         _assert_lovasz_matches_oracle(probs, example.gt_labels)
+
+
+def _assert_loss_bits(got, want):
+    """Report and gradient of `total_loss` byte-equal to `want`'s."""
+    (report, grad), (want_report, want_grad) = got, want
+    for name in ("ce", "lovasz", "total", "per_class_lovasz"):
+        assert np.asarray(getattr(report, name)).tobytes() == \
+            np.asarray(getattr(want_report, name)).tobytes(), name
+    assert grad.shape == want_grad.shape and grad.flags.c_contiguous
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+def _on_team_and_inline(channels, labels):
+    """`total_loss` inline, then on an idle team (where a per-thread BLAS
+    setter exists), each checked against the two-pass oracle at the same
+    BLAS thread count: a team holds BLAS to one thread, and a long Lovasz
+    dot product's bits follow that count."""
+    _assert_loss_bits(total_loss(channels, labels), two_pass_total_loss(channels, labels))
+    if core._set_blas_threads is None:
+        return
+    previous = core._set_blas_threads(1)
+    try:
+        want = two_pass_total_loss(channels, labels)
+    finally:
+        core._set_blas_threads(previous)
+    with core._two_threads():
+        _assert_loss_bits(total_loss(channels, labels), want)
+
+
+class TestTotalLossEqualsTwoPass:
+    """`total_loss` (folded row max, in-place softmax, gradient columns
+    written per class, in-place VJP) against `two_pass_total_loss`."""
+
+    @pytest.mark.parametrize("shape", [(18, 13), (4, 2), (300, 13), (6, 5, 4, 13), (1, 3)])
+    @pytest.mark.parametrize("kind", ["smooth", "quantized", "saturated", "uniform"])
+    def test_equals_oracle(self, shape, kind):
+        rng = np.random.default_rng([len(shape), shape[-1], len(kind), 1])
+        ch = rng.normal(size=shape) * (60.0 if kind == "saturated" else 2.0)
+        if kind == "uniform":
+            ch[:] = 1.0
+        elif kind == "quantized":
+            ch = np.round(ch * 2) / 2
+        labels = rng.integers(0, max(shape[-1] - 1, 1), size=shape[:-1])
+        _on_team_and_inline(ch, labels)
+        _on_team_and_inline(ch, np.full(shape[:-1], shape[-1] - 1))
+
+    def test_equals_oracle_on_paper_training_example(self):
+        example = _paper_training_example()
+        fused = fuse_scene(example.fusion_input, example.received, FusionConfig(),
+                           FusionParams.init(seed=0), record=False)
+        channels = splat_sparse(example.fixed, example.geometry, SplatConfig()).add_to(
+            splat(fused, example.geometry, SplatConfig()).channels)
+        _on_team_and_inline(channels, example.gt_labels)
+
+    def test_signed_zero_and_infinite_rows(self):
+        rng = np.random.default_rng(4)
+        ch = rng.normal(size=(64, C)) * 3
+        ch[0], ch[1], ch[2, ::2] = 0.0, -0.0, -0.0
+        ch[3, 5], ch[4, 2], ch[5], ch[6] = np.inf, -np.inf, np.inf, -np.inf
+        ch[7, [1, 3]], ch[8, [0, 12]] = [np.inf, -np.inf], [np.inf, np.inf]
+        with np.errstate(invalid="ignore"):
+            _on_team_and_inline(ch, rng.integers(0, C, size=64))
+
+    def test_nan_rows(self):
+        # `np.max` returns a NaN whose sign and payload depend on the SIMD
+        # lane it falls in, so only NaN's place is pinned; every other
+        # entry keeps its bits
+        rng = np.random.default_rng(5)
+        ch = rng.normal(size=(64, C)) * 3
+        ch[0, 4], ch[1], ch[2, [1, 5]], ch[3, 7] = np.nan, np.nan, [np.nan, np.inf], -np.nan
+        labels = rng.integers(0, C, size=64)
+        with np.errstate(invalid="ignore"):
+            want = two_pass_total_loss(ch, labels)      # 64 voxels: a one-thread dot
+            for team in (False, True):
+                with core._two_threads() if team else contextlib.nullcontext():
+                    got = total_loss(ch, labels)
+                for g, w in zip(_loss_fields(got), _loss_fields(want)):
+                    assert np.array_equal(np.isnan(g), np.isnan(w))
+                    assert np.asarray(g)[~np.isnan(g)].tobytes() == \
+                        np.asarray(w)[~np.isnan(w)].tobytes()
+        assert np.isnan(want[0].total)
+
+
+def _loss_fields(result):
+    report, grad = result
+    return [np.asarray(report.ce), np.asarray(report.lovasz), report.per_class_lovasz, grad]
 
 
 class TestTotalLoss:
@@ -773,8 +861,7 @@ class TestStagesOnTwoThreads:
         ex = _threaded_fixture()[0]
         params = FusionParams.init(seed=1)
         counts = fusion.scene_neighbors(ex.fusion_input, ex.received, FusionConfig())[3]
-        monkeypatch.setattr(fusion, "_FUSE_BLOCK", _odd_bound(
-            lambda b: len(list(core._whole_runs(counts, b))), int(counts.sum()) // 5))
+        monkeypatch.setattr(fusion, "_FUSE_BLOCK", int(counts.sum()) // 5)
         fused = fuse_scene(ex.fusion_input, ex.received, FusionConfig(), params)
 
         def splat_blocks(bound):
@@ -796,7 +883,7 @@ class TestStagesOnTwoThreads:
         with core._two_threads():
             got = _stage_outputs(ex, params, mark)
         _assert_same_bits(got, want)
-        assert len(want[1]) >= 5 and len(want[1]) % 2 == 1      # fusion blocks
+        assert len(want[1]) >= 4 and len(want[1]) % 2 == 0      # fusion blocks
         assert len(want[3]) >= 5                                  # splat blocks with pairs
         done = 0
         for stage, count in marks:          # every stage handed work to the worker

@@ -43,10 +43,11 @@ from gsfusion.splat import SplatConfig, splat
 from helpers import (
     lockstep_raycast_oracle,
     noiseless_model,
-    prepare_with_undecodable_message,
+    prepare_with_scales,
     resample_agent_grid_oracle,
     scene_to_dict,
     sequential_episode,
+    undecodable_from,
 )
 
 
@@ -425,12 +426,13 @@ class TestEpisode:
                                       single.channels[a].channels), mode
                 assert np.array_equal(res.labels[a].labels, single.labels[a].labels)
 
-    def test_undecodable_message_rejected_on_its_link(self):
+    def test_undecodable_message_rejected_on_its_link(self, monkeypatch):
         # agent 1's message to agent 0 fails to decode; the episode goes on
         # without it
         spec = self._spec()
         model = self._model()
-        episode = prepare_with_undecodable_message(spec, model)
+        episode = prepare_episode(spec, model)
+        monkeypatch.setattr(sim, "serialize_message", undecodable_from(1, 0))
         single = run_episode(spec, model, "single", episode=episode)
         for mode, p in (("zero_shot", None), ("learned", FusionParams.init(seed=3))):
             res = run_episode(spec, model, mode, params=p, episode=episode)
@@ -447,7 +449,7 @@ class TestEpisode:
         # is not sent but counted as rejected on its link; fp32 carries it
         spec = self._spec()
         model = self._model()
-        episode = prepare_with_undecodable_message(spec, model, scales=1e-8)
+        episode = prepare_with_scales(spec, model, 1e-8)
         single = run_episode(spec, model, "single", episode=episode)
         for mode, p in (("zero_shot", None), ("learned", FusionParams.init(seed=3))):
             res = run_episode(spec, model, mode, params=p, episode=episode)
@@ -463,17 +465,22 @@ class TestEpisode:
 
     def test_quantized_ill_conditioned_message_rejected_on_its_link(self):
         # condition 0.99e12 in agent 1's frame, 1.01e12 once fp16 has rounded
-        # the scales: the decoder drops the message instead of the splat raising
+        # the scales: the encoder refuses the message, so no bytes are sent
+        # and the splat never sees it; fp32 carries it
         spec = self._spec()
         model = self._model()
-        episode = prepare_with_undecodable_message(spec, model, scales=(3.01e-7, 0.3, 0.3))
+        episode = prepare_with_scales(spec, model, (3.01e-7, 0.3, 0.3))
         episode.observations[1].validate()
         single = run_episode(spec, model, "single", episode=episode)
         for mode, p in (("zero_shot", None), ("learned", FusionParams.init(seed=3))):
             res = run_episode(spec, model, mode, params=p, episode=episode)
             links = res.comm.per_link
-            assert (links[(1, 0)].rejected, links[(0, 1)].rejected) == (1, 0)
+            assert (links[(1, 0)].rejected, links[(1, 0)].messages, links[(1, 0)].bytes) \
+                == (1, 0, 0)
+            assert (links[(0, 1)].rejected, res.comm.messages_sent) == (0, 1)
             assert np.array_equal(res.channels[0].channels, single.channels[0].channels)
+        wide = run_episode(spec, model, "zero_shot", episode=episode, precision=PRECISION_FP32)
+        assert (wide.comm.messages_rejected, wide.comm.messages_sent) == (0, 2)
 
     @pytest.mark.parametrize("mode", ["single", "zero_shot", "naive", "learned"])
     def test_channels_equal_splat_of_concatenation_with_prior(self, mode):

@@ -473,6 +473,23 @@ class TestFixedRender:
         got = render.add_to(splat(gs, PAIR_GEOM, cfg).channels)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("pickled", [False, True], ids=["fresh", "unpickled"])
+    def test_add_to_equals_the_fancy_index_add(self, pickled):
+        # the render's indices are unique, so add.at gives the bits of
+        # flat[index] += value, on a grid that is nonzero where it adds
+        geom = small_geom()
+        fixed = tight_set(np.random.default_rng(13), 6, geom)
+        render = splat_sparse(fixed, geom)
+        if pickled:
+            render = pickle.loads(pickle.dumps(render))
+        grid = np.random.default_rng(14).random(geom.dims + (C,)) * 3
+        want = grid.copy()
+        want.reshape(-1)[render.index] += render.value
+        got = grid.copy()
+        assert render.add_to(got) is got
+        assert render.index.size > 0 and np.all(grid.reshape(-1)[render.index] != 0.0)
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("case", ["prior", "two_classes", "no_class", "empty"])
     def test_sparse_render_holds_the_nonzero_entries(self, case):
         geom = small_geom()

@@ -1,11 +1,11 @@
 """Totality: every GaussianSet that passes `validate()` survives the wire
 (encode, decode, `validate()`), `fuse_scene` and `splat` without raising.
 
-The two documented refusals are the only exceptions allowed: the encoder's
-`EncodeRangeError` for a value the precision cannot carry, and the
-decoder's `CorruptFieldError` when rounding pushes a covariance's
-condition number past 1e12. The draws are derandomized, so the test is
-deterministic.
+The one documented refusal is the only exception allowed: the encoder's
+`EncodeRangeError` for a value the precision cannot carry, which includes
+scales whose rounding pushes a covariance's condition number past 1e12.
+Whatever the encoder sends decodes. The draws are derandomized, so the
+test is deterministic.
 """
 
 import numpy as np
@@ -79,11 +79,7 @@ def test_valid_sets_survive_every_stage(precision):
             data = serialize_message(GaussianMessage(1, 0, 0, gs, precision))
         except EncodeRangeError:
             return
-        try:
-            received = deserialize_message(data).gaussians
-        except CorruptFieldError as exc:
-            assert "condition number" in str(exc)
-            return
+        received = deserialize_message(data).gaussians
         received.validate()
         fused = fuse_scene(gs, [received], FusionConfig(), PARAMS)
         splat(fused, GEOMETRY)
