@@ -591,7 +591,7 @@ def _whole_runs(sizes: np.ndarray, bound: int, even: bool = False) -> list:
 
 
 # ---------------------------------------------------------------------------
-# whole-number settings
+# whole-number settings and index sets
 # ---------------------------------------------------------------------------
 
 def whole_number(name: str, value) -> int:
@@ -603,6 +603,21 @@ def whole_number(name: str, value) -> int:
     if isinstance(number, numbers.Integral) and not isinstance(number, bool) and number >= 0:
         return int(number)
     raise ValueError(f"{name} must be an integer >= 0, not {value!r}")
+
+
+def index_set(name: str, values, n: int) -> np.ndarray:
+    """`values` as an ascending set of indices into n rows: a 1-D integer
+    array, strictly increasing, each in range(n). Anything else is a
+    ValueError that names `name`."""
+    index = np.asarray(values)
+    if index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
+        raise ValueError(f"{name} must be a 1-D integer array, not {index.dtype} "
+                         f"of shape {index.shape}")
+    if np.any(index[1:] <= index[:-1]):
+        raise ValueError(f"{name} must be strictly increasing")
+    if index.size and (index[0] < 0 or index[-1] >= n):
+        raise ValueError(f"{name} must lie in range({n})")
+    return index
 
 
 def check_int_fields(config) -> None:

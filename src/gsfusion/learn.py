@@ -4,8 +4,12 @@ The objective is voxel-wise cross-entropy plus the Lovasz-Softmax
 surrogate of the Jaccard loss, evaluated on softmax probabilities of the
 splatted channel grid. Gradients flow analytically from the loss through
 splatting into the fusion network parameters; Gaussian attributes coming
-out of the simulator are constants. The trainer is a deterministic
-AdamW loop with linear warmup and cosine decay.
+out of the simulator are constants. Only the ego rows fusion refines
+depend on the weights, so a training step differentiates only those:
+the splat records only their pairs, and the loss forms its gradient only
+at the voxels those pairs touch, each row with the bits of the whole
+gradient's row (see `scene_loss_and_grads`). The trainer is a
+deterministic AdamW loop with linear warmup and cosine decay.
 
 Concurrency. `train` and `train_calibration` hold a two-thread team for
 their whole call (see the `gsfusion.core` docstring). A step with a
@@ -30,6 +34,7 @@ from gsfusion.core import (
     _halves,
     _two_threads,
     check_int_fields,
+    index_set,
 )
 from gsfusion.fusion import (
     FusionConfig,
@@ -89,6 +94,18 @@ def _voxel_labels(values: np.ndarray, labels, name: str) -> np.ndarray:
     return flat_l
 
 
+def _gradient_rows(voxels, n: int, name: str):
+    """(row count, at) of a loss gradient over n voxels formed only at
+    `voxels`, where `at(rows)` gives the voxels of the gradient's rows
+    `rows`, a slice. With `voxels` None every voxel is a row, in order, and
+    `at` returns the slice itself, so a block of rows stays a view;
+    otherwise `voxels` must be an `index_set` of the n voxels."""
+    if voxels is None:
+        return n, lambda rows: rows
+    voxels = index_set(f"{name} voxels", voxels, n)
+    return voxels.size, voxels.__getitem__
+
+
 def softmax_probs(channels: np.ndarray) -> np.ndarray:
     """Per-voxel softmax over the class axis (the last one), in two halves
     of the voxels on an idle team (`gsfusion.core._halves`). The row max
@@ -112,33 +129,36 @@ def softmax_probs(channels: np.ndarray) -> np.ndarray:
     return out.reshape(ch.shape)
 
 
-def cross_entropy(probs: np.ndarray, labels: np.ndarray):
+def cross_entropy(probs: np.ndarray, labels: np.ndarray, voxels=None):
     """Mean negative log-probability of the true class.
 
     Returns (loss, gradient w.r.t. the channel logits), the gradient being
-    (probs - onehot) / n_voxels. The per-voxel terms and gradient rows are
-    formed in two halves of the voxels on an idle team, the mean once over
-    all terms.
+    (probs - onehot) / n_voxels: an array of probs.shape, or with `voxels`
+    (ascending flat voxel indices) only its rows at those voxels, a
+    (len(voxels), C) array. The per-voxel terms and the gradient rows are
+    formed in two halves each on an idle team, the mean once over all
+    terms.
     """
     flat_l = _voxel_labels(probs, labels, "cross_entropy")
     flat_p = probs.reshape(-1, probs.shape[-1])
     n = flat_l.size
+    m, at = _gradient_rows(voxels, n, "cross_entropy")
     nll = np.empty(n)
-    grad = np.empty_like(flat_p)
-    halves = _halves(n)
+    grad = np.empty((m, flat_p.shape[1]))
+    halves, row_halves = _halves(n), _halves(m)
 
     def half(k):
-        h = halves[k]
-        rows = np.arange(h.stop - h.start)
+        h, r = halves[k], row_halves[k]
         p = flat_p[h]
-        np.negative(np.log(np.maximum(p[rows, flat_l[h]], 1e-300)), out=nll[h])
-        g = grad[h]
-        g[...] = p
-        g[rows, flat_l[h]] -= 1.0
+        np.negative(np.log(np.maximum(p[np.arange(h.stop - h.start), flat_l[h]], 1e-300)),
+                    out=nll[h])
+        g, v = grad[r], at(r)
+        g[...] = flat_p[v]
+        g[np.arange(r.stop - r.start), flat_l[v]] -= 1.0
         g /= n
 
     _each(half, len(halves))
-    return float(np.mean(nll)), grad.reshape(probs.shape)
+    return float(np.mean(nll)), grad.reshape(probs.shape if voxels is None else grad.shape)
 
 
 def _lovasz_grad_sorted(fg_sorted: np.ndarray) -> np.ndarray:
@@ -177,28 +197,33 @@ def _stable_descending_order(x: np.ndarray) -> np.ndarray:
     return order
 
 
-def _lovasz_class(p: np.ndarray, fg: np.ndarray, classes: int, out: np.ndarray) -> float:
+def _lovasz_class(p: np.ndarray, fg: np.ndarray, classes: int, out: np.ndarray,
+                  rows) -> float:
     """Lovasz loss of one present class, from its probabilities `p` and
-    foreground `fg`; writes the loss gradient w.r.t. `p`, divided by the
-    count of present `classes`, into `out`."""
+    foreground `fg`; writes the loss gradient w.r.t. `p` at `rows` (an
+    index of p), divided by the count of present `classes`, into `out`."""
     err = fg - p
     np.abs(err, out=err)
     order = _stable_descending_order(err)
     g = _lovasz_grad_sorted(fg[order])
     loss = float(err[order] @ g)
     err[order] = g                              # spent: now the gradient
-    np.negative(err, out=err, where=fg)         # d|fg - p|/dp = -1 on fg
-    np.divide(err, classes, out=out)
+    grad, fg = err[rows], fg[rows]
+    np.negative(grad, out=grad, where=fg)       # d|fg - p|/dp = -1 on fg
+    np.divide(grad, classes, out=out)
     return loss
 
 
-def lovasz_softmax(probs: np.ndarray, labels: np.ndarray):
+def lovasz_softmax(probs: np.ndarray, labels: np.ndarray, voxels=None):
     """Lovasz extension of the per-class Jaccard loss, averaged over the
     classes present in `labels`.
 
     Returns (loss, gradient w.r.t. probs, per-class vector); the vector
     holds zeros for classes absent from the labels. The gradient is a
-    C-contiguous float64 array of `probs.shape`.
+    C-contiguous float64 array of `probs.shape`, or with `voxels`
+    (ascending flat voxel indices) of its rows at those voxels, a
+    (len(voxels), C) array: each class still sorts and scatters over
+    every voxel, then forms its column only at `voxels`.
 
     Each class sorts its errors in descending order with ties broken by
     ascending voxel index: the order of `np.argsort(-err, kind="stable")`.
@@ -216,38 +241,51 @@ def lovasz_softmax(probs: np.ndarray, labels: np.ndarray):
     num_classes = probs.shape[-1]
     flat_l = _voxel_labels(probs, labels, "lovasz_softmax")
     flat_p = probs.reshape(-1, num_classes)
-    grad = np.zeros(flat_p.shape)
+    m, at = _gradient_rows(voxels, flat_l.size, "lovasz_softmax")
+    rows = at(slice(None))
+    grad = np.zeros((m, num_classes))
     per_class = np.zeros(num_classes)
     present = np.flatnonzero(np.bincount(flat_l, minlength=num_classes))
 
     def present_class(k):               # writes only its own column and entry
         c = present[k]
-        per_class[c] = _lovasz_class(flat_p[:, c], flat_l == c, present.size, grad[:, c])
+        per_class[c] = _lovasz_class(flat_p[:, c], flat_l == c, present.size, grad[:, c],
+                                     rows)
 
     _each(present_class, present.size)
     loss = float(per_class[present].mean())
-    return loss, grad.reshape(probs.shape), per_class
+    return loss, grad.reshape(probs.shape if voxels is None else grad.shape), per_class
 
 
-def total_loss(channels: np.ndarray, labels: np.ndarray):
+def total_loss(channels: np.ndarray, labels: np.ndarray, voxels=None):
     """Cross-entropy plus Lovasz-Softmax on softmaxed channels.
 
-    Returns (LossReport, gradient w.r.t. channels). On an idle team the
-    softmax, the cross-entropy's per-voxel terms and the softmax VJP run
-    over two halves of the voxels, the Lovasz classes even and odd
+    Returns (LossReport, gradient w.r.t. channels). The report is always
+    over every voxel. The gradient is an array of channels.shape, or with
+    `voxels`, an ascending 1-D integer array of flat voxel indices
+    (checked: ValueError), only its rows at those voxels, a
+    (len(voxels), C) array: every gradient row is formed row-wise, so each
+    holds the bits of the same row of the whole gradient, and an empty
+    `voxels` forms no gradient. On an idle team the softmax, the
+    cross-entropy's per-voxel terms and gradient rows and the softmax VJP
+    run over two halves of their rows, the Lovasz classes even and odd
     (`gsfusion.core._each`). The VJP, probs * (g - sum(probs * g)) for
     the Lovasz gradient g, works in place in g's buffer and is added to
     the cross-entropy gradient.
     """
-    _voxel_labels(channels, labels, "total_loss")
+    flat_l = _voxel_labels(channels, labels, "total_loss")
+    m, at = _gradient_rows(voxels, flat_l.size, "total_loss")
     probs = softmax_probs(channels)
-    ce, grad = cross_entropy(probs, labels)
-    lov, grad_lov_p, per_class = lovasz_softmax(probs, labels)
-    rows = [a.reshape(-1, probs.shape[-1]) for a in (grad, probs, grad_lov_p)]
-    halves = _halves(rows[0].shape[0])
+    ce, grad = cross_entropy(probs, labels, voxels)
+    lov, grad_lov_p, per_class = lovasz_softmax(probs, labels, voxels)
+    num_classes = probs.shape[-1]
+    flat_p = probs.reshape(-1, num_classes)
+    grad_rows, lov_rows = (a.reshape(m, num_classes) for a in (grad, grad_lov_p))
+    halves = _halves(m)
 
     def half(k):
-        g, p, g_lov = (a[halves[k]] for a in rows)
+        h = halves[k]
+        g, g_lov, p = grad_rows[h], lov_rows[h], flat_p[at(h)]
         g_lov -= np.sum(p * g_lov, axis=-1, keepdims=True)
         g_lov *= p
         g += g_lov
@@ -388,25 +426,38 @@ def scene_loss_and_grads(example: TrainExample, fusion_cfg: FusionConfig,
     """Forward pass of one scene and, optionally, parameter gradients.
     `neighbors` is the example's `scene_neighbors` and `fixed_render` its
     `splat_sparse` of `example.fixed`; each is computed when not given.
-    Gradients flow back through the splat's tape and then the fusion's; a
-    loss-only call (want_grads=False) records neither tape."""
+
+    Gradients flow back through the splat's tape and then the fusion's,
+    and each stage forms only what the next one reads. Only the rows
+    fusion changed (the fusion tape's `seg_egos`) depend on `params`;
+    every other row is a constant. So the splat records only those rows'
+    pairs, the loss forms its gradient only at the voxels those pairs
+    touch (the splat tape's `voxels`), and `fusion_backward` reads only
+    those rows: the gradients keep the bits of a whole-set tape and a
+    whole-grid loss gradient. The loss itself is over every voxel. A
+    loss-only call (want_grads=False), or a call in which nothing is
+    fused, records no splat tape and forms no loss gradient."""
     fused = fuse_scene(example.fusion_input, example.received,
                        fusion_cfg, params, record=want_grads, neighbors=neighbors)
+    tape = None
     if want_grads:
         fused, tape = fused
     if fixed_render is None:
         fixed_render = splat_sparse(example.fixed, example.geometry, splat_cfg)
-    grid = splat(fused, example.geometry, splat_cfg, record=want_grads)
-    if want_grads:
+    grid = splat(fused, example.geometry, splat_cfg,
+                 record=False if tape is None else tape.seg_egos)
+    voxels = np.zeros(0, dtype=np.intp)
+    if tape is not None:
         grid, splat_tape = grid
+        voxels = splat_tape.voxels
     channels = fixed_render.add_to(grid.channels)
-    report, grad_ch = total_loss(channels, example.gt_labels)
+    report, grad_voxels = total_loss(channels, example.gt_labels, voxels)
     if not want_grads:
         return report, None
     if tape is None:
         grads = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
         return report, grads
-    return report, fusion_backward(tape, splat_backward(splat_tape, grad_ch))
+    return report, fusion_backward(tape, splat_backward(splat_tape, grad_voxels))
 
 
 def train(params0: FusionParams, dataset: list[TrainExample], cfg: TrainConfig,

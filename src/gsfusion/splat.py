@@ -19,17 +19,22 @@ In a sweep from 2^11 to 2^17 over single and zero_shot episodes of both
 benchmark workloads (2-core x86_64, 2 MiB L2 a core), 2^14 was fastest
 or tied with 2^15; 2^17 was 19-43% slower and 2^11 2.0-2.2x slower.
 
-With record=True the splat also keeps each block's pairs on a tape, one
-record per block as `fuse_scene` keeps its tape, and `splat_backward`
-walks those records block by block, writing each block's rows. An
-unrecorded splat keeps no tape fields: its blocks never gather the
-pairs' delta and local. Every sum of the backward bins by Gaussian, and
-a Gaussian's pairs all lie in one block in their canonical order, so the
-blocks change no gradient bit. On a team (see the `gsfusion.core`
-docstring) the forward makes two blocks' pairs and entries at a time,
-one on each thread, and the calling thread adds both into the grid, in
-block order, before the next two start; the backward runs its blocks on
-either thread.
+With `record` the splat also keeps a tape of the rows it names (True for
+every row, or an ascending array of row indices): one record per block,
+as `fuse_scene` keeps its tape, holding the pairs of the named rows in
+the block with their delta and local, which are gathered for those pairs
+only, and the sorted set of voxels those pairs touch. `splat_backward`
+walks the records block by block, writing each block's rows, and reads
+the loss gradient only at the tape's voxels. A row's gradient sums only
+that row's pairs, so leaving the other rows' pairs off the tape changes
+no bit of a named row's gradient; the rows it leaves off get zeros. An
+unrecorded splat keeps no tape fields. Every sum of the backward bins by
+Gaussian, and a Gaussian's pairs all lie in one block in their canonical
+order, so the blocks change no gradient bit. On a team (see the
+`gsfusion.core` docstring) the forward makes two blocks' pairs and
+entries at a time, one on each thread, and the calling thread adds both
+into the grid, in block order, before the next two start; the backward
+runs its blocks on either thread.
 
 Nonzero accumulation. Each block's per-channel weights go straight into
 the zeroed grid with `np.add.at`, keeping only the entries at or above
@@ -76,6 +81,7 @@ from gsfusion.core import (
     _mahalanobis_rows,
     _quat_to_rotmat_unchecked,
     _whole_runs,
+    index_set,
     quat_to_rotmat_jacobian,
 )
 
@@ -114,7 +120,7 @@ class Pairs(NamedTuple):
     gauss, voxel: (P,) Gaussian index and flat voxel index of each pair;
     e: (P,) the Gaussian exponential at the voxel center;
     delta: (P, 3) voxel center minus mean; local: (P, 3) R^T delta, both
-    None in an unrecorded splat.
+    None where no backward reads them.
     """
 
     gauss: np.ndarray
@@ -134,11 +140,15 @@ class SplatBlock(NamedTuple):
 
 class SplatTape(NamedTuple):
     """What `splat_backward` needs from one forward pass: the splatted set,
-    its floor (min_contribution), and the blocks that hold pairs, in order."""
+    its floor (min_contribution), the blocks that hold pairs of the
+    recorded rows, in order, with only those rows' pairs, and `voxels`,
+    the ascending flat indices of the voxels those pairs touch, which are
+    the rows of the loss gradient `splat_backward` reads."""
 
     gaussians: GaussianSet
     min_contribution: float
     blocks: list[SplatBlock]
+    voxels: np.ndarray
 
 
 class SparseChannels(NamedTuple):
@@ -159,12 +169,15 @@ class SparseChannels(NamedTuple):
 
 
 def _pair_blocks(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfig,
-                 record: bool = True) -> tuple[int, Callable[[int], SplatBlock]]:
+                 differentiate: np.ndarray | None = None
+                 ) -> tuple[int, Callable[[int], tuple[SplatBlock, SplatBlock | None]]]:
     """All (gaussian, voxel) pairs inside the truncation ellipsoids, ordered
     by (gaussian, flat voxel index), in blocks of whole Gaussians: returns
-    the block count and a function that gives block k's SplatBlock, to be
-    called from any thread. Without `record` the pairs' delta and local,
-    which only the backward reads, are None.
+    the block count and a function, to be called from any thread, that
+    gives block k's SplatBlock of every pair, with delta and local None,
+    and the SplatBlock of the pairs on the rows that `differentiate` (a
+    bool per row) marks, with their delta and local, which only the
+    backward reads; None without `differentiate`.
 
     Candidates are the voxels whose centers lie in each ellipsoid's
     axis-aligned bounding box, of half-extent t * sqrt(Sigma_ii) on axis
@@ -188,17 +201,25 @@ def _pair_blocks(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfi
     def block(k):
         start, stop, _, _ = runs[k]
         b = slice(start, stop)
-        pairs = _box_pairs(gaussians.take(b), geometry, t, rots[b], lo[b], ext[b], record)
-        return SplatBlock(start, stop, pairs._replace(gauss=pairs.gauss + start))
+        every, recorded = _box_pairs(gaussians.take(b), geometry, t, rots[b], lo[b], ext[b],
+                                     None if differentiate is None else differentiate[b])
+
+        def shifted(pairs):
+            return SplatBlock(start, stop, pairs._replace(gauss=pairs.gauss + start))
+
+        return shifted(every), None if recorded is None else shifted(recorded)
 
     return len(runs), block
 
 
 def _box_pairs(gaussians: GaussianSet, geometry: GridGeometry, t: float,
-               rots: np.ndarray, lo: np.ndarray, ext: np.ndarray, record: bool) -> Pairs:
+               rots: np.ndarray, lo: np.ndarray, ext: np.ndarray,
+               differentiate: np.ndarray | None) -> tuple[Pairs, Pairs | None]:
     """The pairs among the candidates of the boxes with lowest corner `lo`
-    and extent `ext`, one box per Gaussian of `gaussians` (indexed from 0);
-    their delta and local are gathered only to `record` them."""
+    and extent `ext`, one box per Gaussian of `gaussians` (indexed from 0),
+    without delta and local; then the pairs of the rows that
+    `differentiate` marks, the only pairs whose delta and local are
+    gathered, or None without it."""
     h = geometry.voxel_size
     _, ny, nz = geometry.dims
     vol = np.prod(ext, axis=1)
@@ -220,12 +241,15 @@ def _box_pairs(gaussians: GaussianSet, geometry: GridGeometry, t: float,
     scales = np.repeat(gaussians.scales.T, vol, axis=1).T
     local, q = _mahalanobis_rows(delta, per_candidate(rots), scales)
     kept = np.flatnonzero(q <= t**2)
+    gauss = g.take(kept)
     flat = (vox[0].take(kept) * ny + vox[1].take(kept)) * nz + vox[2].take(kept)
-    if record:
-        delta, local = delta.take(kept, axis=0), local.take(kept, axis=0)
-    else:
-        delta = local = None
-    return Pairs(g.take(kept), flat, np.exp(-0.5 * q.take(kept)), delta, local)
+    every = Pairs(gauss, flat, np.exp(-0.5 * q.take(kept)), None, None)
+    if differentiate is None:
+        return every, None
+    mine = np.flatnonzero(differentiate.take(gauss))
+    at = kept.take(mine)
+    return every, Pairs(gauss.take(mine), flat.take(mine), every.e.take(mine),
+                        delta.take(at, axis=0), local.take(at, axis=0))
 
 
 def _one_hot(semantics: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -270,44 +294,54 @@ def _entries(gaussians: GaussianSet, pairs: Pairs, min_contribution: float,
 
 
 def splat(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfig | None = None,
-          record: bool = False):
+          record: bool | np.ndarray = False):
     """Additively render `gaussians` into a channel grid.
 
     Contributions are evaluated at voxel centers and restricted to centers
     with Mahalanobis distance <= truncation_sigma; per-channel values below
     min_contribution are dropped. Accumulation is vectorized over
     (gaussian, voxel) pairs, block by block, and deterministic for fixed
-    inputs. With record=True also returns a SplatTape for `splat_backward`.
+    inputs. With `record` also returns a SplatTape for `splat_backward`
+    of the rows it names: True names every row, and an array names the
+    rows it holds, which must be ascending row indices (`index_set`).
     """
     cfg = cfg or SplatConfig()
     num_classes = geometry.num_classes
     if len(gaussians) and gaussians.num_classes != num_classes:
         raise ValueError("gaussian semantics width does not match grid classes")
     _check_conditioning(gaussians.scales)
+    differentiate = None
+    if record is True:
+        differentiate = np.ones(len(gaussians), dtype=bool)
+    elif record is not False:
+        differentiate = np.zeros(len(gaussians), dtype=bool)
+        differentiate[index_set("splat record rows", record, len(gaussians))] = True
     # allocated before the pair temporaries: a caller that keeps the grid
     # keeps it below them in the heap, not above the hole they leave
     out = np.zeros(geometry.num_voxels * num_classes)
-    count, pair_block = _pair_blocks(gaussians, geometry, cfg, record)
+    count, pair_block = _pair_blocks(gaussians, geometry, cfg, differentiate)
     one_hot = _one_hot(gaussians.semantics)
     blocks = []
+    touched = np.zeros(0 if differentiate is None else geometry.num_voxels, dtype=bool)
 
     def block(k):
-        blk = pair_block(k)
-        kept = blk if record and blk.pairs.gauss.size else None
-        return kept, _entries(gaussians, blk.pairs, cfg.min_contribution, one_hot)
+        every, recorded = pair_block(k)
+        kept = recorded if recorded is not None and recorded.pairs.gauss.size else None
+        return kept, _entries(gaussians, every.pairs, cfg.min_contribution, one_hot)
 
     def fold(item):
         kept, (index, value) = item
         np.add.at(out, index, value)
         if kept is not None:
             blocks.append(kept)
+            touched[kept.pairs.voxel] = True
 
     # pairs and entries on either thread; the grid sums on this one, in block order
     _each_folded(block, count, fold)
     grid = VoxelGrid(geometry, channels=out.reshape(geometry.dims + (num_classes,)))
-    if not record:
+    if differentiate is None:
         return grid
-    return grid, SplatTape(gaussians, cfg.min_contribution, blocks)
+    return grid, SplatTape(gaussians, cfg.min_contribution, blocks, np.flatnonzero(touched))
 
 
 def splat_sparse(gaussians: GaussianSet, geometry: GridGeometry,
@@ -329,17 +363,20 @@ def splat_sparse(gaussians: GaussianSet, geometry: GridGeometry,
     return SparseChannels(voxel * geometry.num_classes + cols[col], channels[voxel, col])
 
 
-def splat_backward(tape: SplatTape, grad_channels: np.ndarray) -> dict[str, np.ndarray]:
+def splat_backward(tape: SplatTape, grad_voxels: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of sum(grad_channels * splat(...)) w.r.t. every Gaussian field
-    of the set `tape` recorded.
+    of the rows `tape` recorded, given `grad_voxels`, the rows of the
+    (voxels, classes) gradient grad_channels at the tape's `voxels`, in
+    their order: a (len(tape.voxels), classes) array, which is checked
+    (ValueError).
 
     Walks the forward's recorded blocks, so it differentiates exactly the
     function `splat` evaluates (same truncation and floor masks), and holds
     one block's (pairs, classes) temporaries at a time. Returns arrays keyed
     means/scales/rotations/opacities/semantics, one row per Gaussian of the
-    set, zero for a row without pairs. A row's gradient sums only that
-    row's pairs, so a constant set rendered apart (and added to the
-    channels) needs no rows here and changes no other row's bits.
+    set, zero for a row without recorded pairs. A row's gradient sums only
+    that row's pairs, so a constant set rendered apart (and added to the
+    channels), or a row left off the tape, changes no recorded row's bits.
 
     `splat` is piecewise smooth: a contribution drops to zero where its
     (Gaussian, voxel) pair crosses the truncation_sigma surface or its
@@ -350,11 +387,18 @@ def splat_backward(tape: SplatTape, grad_channels: np.ndarray) -> dict[str, np.n
     gaussians = tape.gaussians
     n = len(gaussians)
     num_classes = gaussians.num_classes
+    grad_voxels = np.asarray(grad_voxels, dtype=np.float64)
+    expected = (tape.voxels.size, num_classes)
+    if grad_voxels.shape != expected:
+        raise ValueError(f"splat_backward needs the loss gradient at the tape's voxels, "
+                         f"of shape {expected}, not {grad_voxels.shape}")
     grads = {field: np.zeros(getattr(gaussians, field).shape)
              for field in ("means", "scales", "rotations", "opacities", "semantics")}
     if not tape.blocks:
         return grads
-    grad_flat = grad_channels.reshape(-1, num_classes)
+    # each flat voxel index's row in grad_voxels
+    slot = np.zeros(tape.voxels[-1] + 1, dtype=np.intp)
+    slot[tape.voxels] = np.arange(tape.voxels.size)
     # per-Gaussian sums over pairs that the geometry terms are formed from
     dq_ys = np.zeros((n, 3))
     dq_l2 = np.zeros((n, 3))
@@ -365,7 +409,7 @@ def splat_backward(tape: SplatTape, grad_channels: np.ndarray) -> dict[str, np.n
         rows, g, m = slice(start, stop), pg - start, stop - start
         w = gaussians.opacities[pg] * e
         sem = gaussians.semantics[pg]
-        up = grad_flat[pv]                                        # (P, C)
+        up = grad_voxels[slot.take(pv)]                           # (P, C)
         if tape.min_contribution > 0.0:
             up = up * ((w[:, None] * sem) >= tape.min_contribution)
 

@@ -573,7 +573,8 @@ def concat_scene_loss_and_grads(example, fusion_cfg, splat_cfg, params, want_gra
     report, grad_ch = total_loss(grid.channels, example.gt_labels)
     if not want_grads:
         return report, None
-    field_grads = splat_backward(splat_tape, grad_ch)
+    grad_voxels = grad_ch.reshape(-1, grad_ch.shape[-1])[splat_tape.voxels]
+    field_grads = splat_backward(splat_tape, grad_voxels)
     n = len(fused)
     return report, fusion_backward(tape, {k: v[:n] for k, v in field_grads.items()})
 

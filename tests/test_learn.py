@@ -142,6 +142,20 @@ class TestLossInputs:
             with pytest.raises(ValueError, match="needs at least one voxel"):
                 loss(np.zeros((0, C)), np.zeros(0, dtype=np.int64))
 
+    @LOSSES
+    @pytest.mark.parametrize("voxels,problem", [
+        (np.array([[0, 1]]), "1-D integer array"),
+        (np.array([0.0, 1.0]), "1-D integer array"),
+        (np.array([2, 1]), "strictly increasing"),
+        (np.array([1, 1]), "strictly increasing"),
+        (np.array([-1, 2]), r"range\(8\)"),
+        (np.array([3, 8]), r"range\(8\)"),
+    ], ids=["2-d", "float", "descending", "repeated", "negative", "past-the-end"])
+    def test_malformed_voxel_set_rejected(self, loss, voxels, problem):
+        probs = softmax_probs(RNG.normal(size=(2, 4, C)))
+        with pytest.raises(ValueError, match=problem):
+            loss(probs, RNG.integers(0, C, size=(2, 4)), voxels)
+
     def test_one_voxel(self):
         # total_loss runs over two halves of the voxels; here one is empty
         ch = RNG.normal(size=(1, 1, 1, C))
@@ -233,10 +247,12 @@ def _assert_lovasz_matches_oracle(probs, labels):
     assert np.array_equal(np.signbit(grad), np.signbit(want_grad))
 
 
-def _paper_training_example():
+@pytest.fixture(scope="module")
+def paper_example():
     """Ego 0's training example of the seed-42 paper layout (3 agents,
     100x100x8 at 0.4 m, 3 200 Gaussians/agent), its scene seed derived
-    from seed 42."""
+    from seed 42; built once for the tests of this module, which only
+    read it."""
     spec = generate_scene(42, num_agents=3, world_half_xy=20.0, grid_dims=(100, 100, 8))
     spec = replace(spec, seed=derive_scene_seed(42, 0))
     return make_training_example(spec, ObservationModel(gaussians_per_agent=3200), ego=0)
@@ -281,8 +297,8 @@ class TestLovaszExactOrder:
         _assert_lovasz_matches_oracle(probs, labels)
         _assert_lovasz_matches_oracle(probs, np.full(shape[:-1], num_classes - 1))
 
-    def test_equals_oracle_on_paper_training_example(self):
-        example = _paper_training_example()
+    def test_equals_oracle_on_paper_training_example(self, paper_example):
+        example = paper_example
         fused = fuse_scene(example.fusion_input, example.received, FusionConfig(),
                            FusionParams.init(seed=0), record=False)
         channels = splat_sparse(example.fixed, example.geometry, SplatConfig()).add_to(
@@ -336,8 +352,8 @@ class TestTotalLossEqualsTwoPass:
         _on_team_and_inline(ch, labels)
         _on_team_and_inline(ch, np.full(shape[:-1], shape[-1] - 1))
 
-    def test_equals_oracle_on_paper_training_example(self):
-        example = _paper_training_example()
+    def test_equals_oracle_on_paper_training_example(self, paper_example):
+        example = paper_example
         fused = fuse_scene(example.fusion_input, example.received, FusionConfig(),
                            FusionParams.init(seed=0), record=False)
         channels = splat_sparse(example.fixed, example.geometry, SplatConfig()).add_to(
@@ -494,10 +510,72 @@ class TestFixedRenderedApart:
         want, _ = scene_loss_and_grads(example, fusion_cfg, splat_cfg, params)
         got, grads = scene_loss_and_grads(example, fusion_cfg, splat_cfg, params,
                                           want_grads=False)
-        assert records == [("fuse_scene", True), ("splat", True),
-                           ("fuse_scene", False), ("splat", False)] and grads is None
+        # the gradient call records the fusion tape and the splat of the
+        # rows fusion changed; the loss-only call records neither
+        seg_egos = fusion.scene_neighbors(example.fusion_input, example.received,
+                                          fusion_cfg)[0]
+        assert [name for name, _ in records] == ["fuse_scene", "splat"] * 2
+        assert records[0][1] is True and np.array_equal(records[1][1], seg_egos)
+        assert records[2:] == [("fuse_scene", False), ("splat", False)] and grads is None
         assert (got.ce, got.lovasz, got.total) == (want.ce, want.lovasz, want.total)
         assert np.array_equal(got.per_class_lovasz, want.per_class_lovasz)
+
+    @pytest.mark.parametrize("source", ["toy", "generated"])
+    def test_nothing_fused_records_nothing(self, source, monkeypatch):
+        example, fusion_cfg, splat_cfg = self._case(source)
+        example = replace(example, received=[])
+        params = FusionParams.init(seed=77)
+        want, _ = concat_scene_loss_and_grads(example, fusion_cfg, splat_cfg, params,
+                                              want_grads=False)
+        records = []
+
+        def spy(fn, name, value):
+            def recording(*args, **kwargs):
+                records.append((name, value(*args, **kwargs)))
+                return fn(*args, **kwargs)
+            return recording
+
+        monkeypatch.setattr(learn, "splat", spy(splat, "splat", lambda *a, **k: k["record"]))
+        monkeypatch.setattr(learn, "total_loss",
+                            spy(total_loss, "voxels", lambda *a, **k: np.shape(a[2])))
+        report, grads = scene_loss_and_grads(example, fusion_cfg, splat_cfg, params)
+        assert records == [("splat", False), ("voxels", (0,))]
+        assert dataclasses.astuple(report)[:3] == dataclasses.astuple(want)[:3]
+        assert report.per_class_lovasz.tobytes() == want.per_class_lovasz.tobytes()
+        assert grads.keys() == params.as_dict().keys()
+        for k, v in params.as_dict().items():
+            assert grads[k].shape == v.shape and not np.any(grads[k]), k
+
+    @pytest.mark.parametrize("source", ["toy", "generated"])
+    def test_splat_tape_holds_the_fused_rows_pairs(self, source):
+        example, fusion_cfg, splat_cfg = self._case(source)
+        fused, tape = fuse_scene(example.fusion_input, example.received, fusion_cfg,
+                                 FusionParams.init(seed=77), record=True)
+        assert 0 < tape.seg_egos.size <= len(fused)
+        assert (tape.seg_egos.size < len(fused)) == (source == "generated")  # toy: all fused
+        _, whole = splat(fused, example.geometry, splat_cfg, record=True)
+        _, part = splat(fused, example.geometry, splat_cfg, record=tape.seg_egos)
+        every = [np.concatenate(f) for f in zip(*(b.pairs for b in whole.blocks))]
+        mine = np.isin(every[0], tape.seg_egos)
+        got = [np.concatenate(f) for f in zip(*(b.pairs for b in part.blocks))]
+        for field, g, w in zip(splat_module.Pairs._fields, got, every):
+            assert g.tobytes() == w[mine].tobytes(), field
+        assert np.array_equal(part.voxels, np.unique(got[1]))
+        assert part.voxels.size <= whole.voxels.size
+        for b in part.blocks:           # each block keeps the bounds of its run
+            assert b.pairs.gauss.size and np.all((b.start <= b.pairs.gauss)
+                                                 & (b.pairs.gauss < b.stop))
+
+    def test_bit_equal_to_concat_reference_on_paper_training_example(self, paper_example):
+        fusion_cfg, splat_cfg = FusionConfig(), SplatConfig()
+        params = FusionParams.init(seed=0)
+        want_report, want_grads = concat_scene_loss_and_grads(paper_example, fusion_cfg,
+                                                              splat_cfg, params)
+        report, grads = scene_loss_and_grads(paper_example, fusion_cfg, splat_cfg, params)
+        assert dataclasses.astuple(report)[:3] == dataclasses.astuple(want_report)[:3]
+        assert grads.keys() == want_grads.keys()
+        for k in want_grads:
+            assert grads[k].tobytes() == want_grads[k].tobytes(), k
 
 
 class TestPipelineGradient:
@@ -822,10 +900,10 @@ def _stage_outputs(ex, params, mark=lambda stage: None):
     fused, fusion_tape = fuse_scene(ex.fusion_input, ex.received, fusion_cfg, params,
                                     record=True)
     mark("fuse")
-    grid, splat_tape = splat(fused, ex.geometry, splat_cfg, record=True)
+    grid, splat_tape = splat(fused, ex.geometry, splat_cfg, record=fusion_tape.seg_egos)
     mark("splat")
     channels = splat_sparse(ex.fixed, ex.geometry, splat_cfg).add_to(grid.channels)
-    report, grad_ch = total_loss(channels, ex.gt_labels)
+    report, grad_ch = total_loss(channels, ex.gt_labels, splat_tape.voxels)
     mark("loss")
     field_grads = splat_module.splat_backward(splat_tape, grad_ch)
     mark("splat_backward")
@@ -834,6 +912,7 @@ def _stage_outputs(ex, params, mark=lambda stage: None):
     return [{k: getattr(fused, k) for k in GAUSSIAN_FIELDS},
             [dataclasses.astuple(b) for b in fusion_tape.blocks],
             channels, [(b.start, b.stop, *b.pairs) for b in splat_tape.blocks],
+            splat_tape.voxels,
             (report.ce, report.lovasz, report.total, report.per_class_lovasz), grad_ch,
             field_grads, grads]
 
@@ -902,6 +981,29 @@ class TestStagesOnTwoThreads:
         _assert_same_bits([dataclasses.astuple(got[0]), got[1]],
                           [dataclasses.astuple(want[0]), want[1]])
         assert np.isfinite(got[0].total)
+
+    @needs_setter
+    @pytest.mark.parametrize("voxels", [1, 2, 3, 64])
+    def test_loss_rows_at_voxels_equal_whole_gradient_rows(self, voxels):
+        rng = np.random.default_rng(voxels)
+        ch = rng.normal(size=(voxels, C)) * 3
+        labels = rng.integers(0, C, size=voxels)
+        probs = softmax_probs(ch)
+        subsets = [np.zeros(0, dtype=np.intp), np.array([voxels // 2]),
+                   np.flatnonzero(rng.random(voxels) < 0.5), np.arange(voxels)]
+        for team in (False, True):
+            with core._two_threads() if team else contextlib.nullcontext():
+                want = total_loss(ch, labels)
+                whole = [loss(probs, labels) for loss in (cross_entropy, lovasz_softmax)]
+                for at in subsets:
+                    got = total_loss(ch, labels, at)
+                    _assert_same_bits(dataclasses.astuple(got[0]), dataclasses.astuple(want[0]))
+                    _assert_same_bits(got[1], want[1].reshape(-1, C)[at])
+                    for loss, (value, grad, *rest) in zip((cross_entropy, lovasz_softmax),
+                                                          whole):
+                        part_value, part_grad, *part_rest = loss(probs, labels, at)
+                        _assert_same_bits([part_value, part_grad, part_rest],
+                                          [value, grad.reshape(-1, C)[at], rest])
 
 
 class TestCalibration:

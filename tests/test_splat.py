@@ -1,4 +1,5 @@
 import pickle
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -53,8 +54,14 @@ def recorded_pairs(gaussians, geometry, cfg) -> Pairs:
     return Pairs(*(np.concatenate(field) for field in zip(*(b.pairs for b in tape.blocks))))
 
 
+def at_tape_voxels(tape, grad_channels):
+    """The rows of a whole-grid channel gradient that `splat_backward` reads."""
+    return grad_channels.reshape(-1, grad_channels.shape[-1])[tape.voxels]
+
+
 def recorded_backward(gaussians, geometry, cfg, grad_channels):
-    return splat_backward(splat(gaussians, geometry, cfg, record=True)[1], grad_channels)
+    _, tape = splat(gaussians, geometry, cfg, record=True)
+    return splat_backward(tape, at_tape_voxels(tape, grad_channels))
 
 C = 13
 
@@ -362,7 +369,7 @@ class TestBlocks:
     def test_blocks_hold_whole_gaussians(self, case):
         gs, geom = BLOCK_SETS[case](), BLOCK_GEOMS.get(case, PAIR_GEOM)
         count, block = _pair_blocks(gs, geom, SplatConfig())
-        every = [block(k) for k in range(count)]
+        every = [block(k)[0] for k in range(count)]
         edges = [0] + [b.stop for b in every]           # the blocks tile the rows
         assert [b.start for b in every] == edges[:-1] and edges[-1] == len(gs)
         for b in every:                 # each block's pairs lie in its own rows
@@ -388,10 +395,11 @@ class TestBlocks:
             grid, tape = splat(gs, geom, cfg, record=True)
             unrecorded = splat(gs, geom, cfg).channels.tobytes()
             assert grid.channels.tobytes() == unrecorded == oracle, bound
-            runs[bound] = (tape.blocks, splat_backward(tape, up))
-        count, block = _pair_blocks(gs, geom, cfg, record=False)
-        for pairs in (block(k).pairs for k in range(count)):
-            assert pairs.delta is None and pairs.local is None
+            runs[bound] = (tape.blocks, splat_backward(tape, at_tape_voxels(tape, up)))
+        count, block = _pair_blocks(gs, geom, cfg)
+        for every, recorded in (block(k) for k in range(count)):
+            assert every.pairs.delta is None and every.pairs.local is None
+            assert recorded is None
         (one, want), (many, _) = runs[1 << 62], runs[1]
         with_pairs = np.unique(one[0].pairs.gauss).size if one else 0
         assert len(one) <= 1 and len(many) == with_pairs
@@ -603,6 +611,47 @@ class TestSplatBackward:
             got = grads[field]
             denom = np.maximum(np.abs(num), 1e-6)
             assert np.max(np.abs(got - num) / denom) < 1e-4, field
+
+    @pytest.mark.parametrize("floor", [0.0, 1e-4])
+    def test_rows_recorded_apart_keep_their_gradient_bits(self, floor):
+        geom = small_geom(dims=(8, 8, 3))
+        gs = tight_set(np.random.default_rng(31), 12, geom)
+        cfg = SplatConfig(min_contribution=floor)
+        up = np.random.default_rng(32).normal(size=geom.dims + (C,))
+        want = recorded_backward(gs, geom, cfg, up)
+        unrecorded = splat(gs, geom, cfg).channels.tobytes()
+        for rows in (np.zeros(0, dtype=np.intp), np.array([3]), np.array([0, 2, 5, 11]),
+                     np.arange(12)):
+            grid, tape = splat(gs, geom, cfg, record=rows)
+            assert grid.channels.tobytes() == unrecorded
+            got = splat_backward(tape, at_tape_voxels(tape, up))
+            others = np.setdiff1d(np.arange(12), rows)
+            for field, w in want.items():
+                assert got[field][rows].tobytes() == w[rows].tobytes(), (rows, field)
+                assert not np.any(got[field][others]), (rows, field)
+
+    @pytest.mark.parametrize("shape", ["whole grid", "one voxel more", "one class fewer"])
+    def test_gradient_for_another_grid_rejected(self, shape):
+        geom = small_geom(dims=(4, 4, 2))
+        _, tape = splat(tight_set(RNG, 3, geom), geom, SplatConfig(), record=True)
+        rows = tape.voxels.size
+        bad = {"whole grid": geom.dims + (C,), "one voxel more": (rows + 1, C),
+               "one class fewer": (rows, C - 1)}[shape]
+        with pytest.raises(ValueError, match=re.escape(f"of shape {(rows, C)}")):
+            splat_backward(tape, np.zeros(bad))
+
+    @pytest.mark.parametrize("rows,problem", [
+        (np.array([[0, 1]]), "1-D integer array"),
+        (np.array([0.0, 1.0]), "1-D integer array"),
+        (np.array([1, 0]), "strictly increasing"),
+        (np.array([2, 2]), "strictly increasing"),
+        (np.array([-1, 0]), r"range\(3\)"),
+        (np.array([0, 3]), r"range\(3\)"),
+    ], ids=["2-d", "float", "descending", "repeated", "negative", "past-the-end"])
+    def test_malformed_record_rows_rejected(self, rows, problem):
+        geom = small_geom(dims=(4, 4, 2))
+        with pytest.raises(ValueError, match=problem):
+            splat(tight_set(RNG, 3, geom), geom, SplatConfig(), record=rows)
 
     def test_zero_upstream_zero_grads(self):
         geom = small_geom(dims=(4, 4, 2))
