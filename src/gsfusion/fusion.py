@@ -14,6 +14,24 @@ pairs of a scene, and `fuse_scene` is the one path that chains them.
 stages (one pair feature, one neighborhood, one class vector) with no
 arithmetic of their own.
 
+Neighbour search. `_build_pairs` is a sorted cell list with cell size
+rho. Along each axis the distinct cells are ranked, one apart where they
+touch and two apart across any wider gap (`_cell_coordinates`), so the
+keys stay small however far apart the means lie. Every pool mean is
+entered in the 9 columns of cells around its own, the 9P entries are
+sorted once by (column, z), and each distinct ego cell looks up one
+range, its own column over the three cells around it along z: two
+needles, in cell order. The egos are cut into runs of at most
+`_SEARCH_BLOCK` candidates (`core._whole_runs`; an ego with more is a run
+of its own), and each run is gathered, filtered, sorted and capped on its
+own through `_each`, so the search holds the entries and one run's
+candidates, not every candidate at once. A run sorts one int64 key a
+pair, (ego, dense rank of distance, pool index), below 2^63 for any pool
+of fewer than 3e9 means. Distances sum the axes in `np.linalg.norm`'s
+order, so they carry its bits. Only with about a million means spread
+over as many cells an axis can a cell key pass `_CELL_KEYS`; the columns
+are then ranked first.
+
 The forward pass can record a tape from which `fusion_backward` produces
 analytic parameter gradients; `learn` drives that during training. The
 tape keeps each block's pair features once, in the buffer padded to
@@ -84,6 +102,8 @@ SCALE_FLOOR = 1e-4
 SCALE_CEIL = 50.0
 _FUSE_BLOCK = 1 << 12                  # the most pairs a block of several segments holds
 _ROW_TILE = 64                         # every product runs over a multiple of this many rows
+_SEARCH_BLOCK = 1 << 14                # the most candidates a run of several egos holds
+_CELL_KEYS = (1 << 63) - 1             # past this many cell keys the search ranks columns
 
 
 @dataclass(frozen=True)
@@ -238,13 +258,17 @@ def _sigmoid(x):
 # neighborhood search
 # ---------------------------------------------------------------------------
 
-def _dense_ranks(pool_keys: np.ndarray, query_keys: np.ndarray):
-    """Ranks of `pool_keys` among their sorted distinct values, the rank of
-    each query key among the same values (-1 when absent), and the number
-    of distinct values."""
-    values, pool_rank = np.unique(pool_keys, return_inverse=True)
-    at = np.minimum(np.searchsorted(values, query_keys), values.size - 1)
-    return pool_rank, np.where(values[at] == query_keys, at, -1), values.size
+def _cell_coordinates(means: np.ndarray, rho: float) -> list[np.ndarray]:
+    """Each axis's integer coordinates of the rho-cells of `means`: the
+    distinct cells in order, one apart where they touch and two apart
+    across any wider gap. Neighbouring cells stay neighbours, and the
+    coordinates lie in [1, 2N) however far apart the means are."""
+    out = []
+    for cells in np.floor(means / rho).T:
+        distinct, inverse = np.unique(cells, return_inverse=True)
+        gaps = np.minimum(np.diff(distinct, prepend=distinct[0] - 1.0), 2.0)
+        out.append(np.cumsum(gaps).astype(np.int64)[inverse])
+    return out
 
 
 def _build_pairs(ego_means: np.ndarray, pool_means: np.ndarray, rho: float,
@@ -252,55 +276,53 @@ def _build_pairs(ego_means: np.ndarray, pool_means: np.ndarray, rho: float,
     """Radius-rho neighbour lists of every ego mean as one CSR
     (seg_egos, pair_j, starts, counts): the egos with a non-empty closed
     ball, then per ego its pool indices nearest first, ties by index,
-    capped at `max_neighbors` (None: no cap).
-
-    A sorted cell list with cell size rho: the pool is stably sorted by
-    cell, every ego looks its 3x3 columns of cells up with searchsorted,
-    each column covering the three cells around the ego's along z. Cell
-    coordinates stay floats and are replaced by dense ranks before two
-    axes are combined, so keys stay below len(pool)**2 however far apart
-    the means lie.
+    capped at `max_neighbors` (None: no cap). See the module docstring.
     """
     empty = (np.empty(0, dtype=np.int64),) * 4
-    if len(ego_means) == 0 or len(pool_means) == 0:
+    num_pool = len(pool_means)
+    if len(ego_means) == 0 or num_pool == 0:
         return empty
-    cp = np.floor(pool_means / rho)                      # (P, 3) cell coordinates
-    ce = np.floor(ego_means / rho)                       # (E, 3)
-    step = np.array([-1.0, 0.0, 1.0])
-    rx_p, rx_e, _ = _dense_ranks(cp[:, 0], ce[:, 0, None] + step)
-    ry_p, ry_e, ny = _dense_ranks(cp[:, 1], ce[:, 1, None] + step)
-    col_e = np.where((rx_e[:, :, None] < 0) | (ry_e[:, None, :] < 0), -1,
-                     rx_e[:, :, None] * ny + ry_e[:, None, :]).reshape(-1, 9)
-    col_p, col_e, _ = _dense_ranks(rx_p * ny + ry_p, col_e)
-    z_values, z_p = np.unique(cp[:, 2], return_inverse=True)
-    nz = z_values.size
-    key = col_p * nz + z_p
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    z_lo = np.searchsorted(z_values, ce[:, 2] - 1.0, side="left")
-    z_hi = np.searchsorted(z_values, ce[:, 2] + 1.0, side="right")
-    lo = np.searchsorted(key, col_e * nz + z_lo[:, None])
-    hi = np.where(col_e < 0, lo, np.searchsorted(key, col_e * nz + z_hi[:, None]))
-    n = (hi - lo).reshape(-1)
-    total = int(n.sum())
-    if total == 0:
+    cap = num_pool if max_neighbors is None else max_neighbors
+    x, y, z = _cell_coordinates(np.concatenate([pool_means, ego_means]), rho)
+    nx, ny, nz = (int(c.max()) + 2 for c in (x, y, z))
+    col, step = x * ny + y, np.arange(-1, 2)
+    key9 = col[:num_pool] + (step[:, None] * ny + step).reshape(9, 1)  # entry k: pool mean k % P
+    col_e = col[num_pool:]
+    if nx * ny * nz > _CELL_KEYS:                       # rank the columns first
+        values, key9 = np.unique(key9, return_inverse=True)
+        at = np.minimum(np.searchsorted(values, col_e), values.size - 1)
+        col_e = np.where(values[at] == col_e, at, -1)
+    key9 = key9.reshape(9, -1) * nz
+    key9 += z[:num_pool]
+    order = np.argsort(key9, axis=None)
+    key9, pool_j = key9.ravel()[order], np.remainder(order, num_pool, out=order)
+    cells, inverse = np.unique(col_e * nz + z[num_pool:], return_inverse=True)
+    lo = np.searchsorted(key9, cells - 1)[inverse]
+    n = np.searchsorted(key9, cells + 1, side="right")[inverse] - lo
+    runs = _whole_runs(n, _SEARCH_BLOCK)
+    shift = np.cumsum(n) - n - lo
+    (px, py, pz), (ex, ey, ez) = pool_means.T.copy(), ego_means.T.copy()
+
+    def run(k):
+        a, b, c0, c1 = runs[k]
+        e = np.repeat(np.arange(a, b), n[a:b])
+        j = pool_j[np.arange(c0, c1) - np.repeat(shift[a:b], n[a:b])]
+        d = np.sqrt(((px[j] - ex[e]) ** 2 + (py[j] - ey[e]) ** 2) + (pz[j] - ez[e]) ** 2)
+        keep = np.flatnonzero(d <= rho)                 # d has np.linalg.norm's bits
+        e, j, d = e[keep], j[keep], d[keep]
+        new = np.diff(e, prepend=-1) > 0
+        s = np.argsort(d)
+        rank = np.empty_like(s)                         # dense rank of d
+        rank[s] = np.cumsum(np.diff(d[s], prepend=d[s[:1]]) > 0)
+        key = np.sort(((np.cumsum(new) - 1) * d.size + rank) * num_pool + j)
+        counts = np.diff(np.flatnonzero(np.append(new, True)))
+        kept = np.arange(key.size) - np.repeat(np.cumsum(counts) - counts, counts) < cap
+        return e.compress(new), key.compress(kept) % num_pool, np.minimum(counts, cap)
+
+    seg_egos, pair_j, counts = map(np.concatenate, zip(*_each(run, len(runs))))
+    if seg_egos.size == 0:
         return empty
-    first = np.cumsum(n) - n
-    cand_e = np.repeat(np.arange(len(ego_means)), n.reshape(-1, 9).sum(axis=1))
-    cand_j = order[np.arange(total) - np.repeat(first - lo.reshape(-1), n)]
-    d = np.linalg.norm(pool_means[cand_j] - ego_means[cand_e], axis=1)
-    keep = d <= rho
-    cand_e, cand_j, d = cand_e[keep], cand_j[keep], d[keep]
-    if cand_e.size == 0:
-        return empty
-    s = np.lexsort((cand_j, d, cand_e))
-    cand_e, cand_j = cand_e[s], cand_j[s]
-    seg_egos, seg_first, counts = np.unique(cand_e, return_index=True, return_counts=True)
-    if max_neighbors is not None:
-        cand_j = cand_j[np.arange(cand_e.size) - np.repeat(seg_first, counts) < max_neighbors]
-        counts = np.minimum(counts, max_neighbors)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    return seg_egos, cand_j, starts, counts
+    return seg_egos, pair_j, np.cumsum(counts) - counts, counts
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +589,7 @@ def fuse_scene(ego_set: GaussianSet, received_sets: list[GaussianSet],
         return (fused, None) if record else fused
 
     if neighbors is None:
-        neighbors = scene_neighbors(ego_set, received_sets, cfg)
+        neighbors = _build_pairs(ego_set.means, pool_set.means, cfg.radius_rho, cfg.max_neighbors)
     seg_egos, pair_j, starts, counts = neighbors
     if seg_egos.size == 0:
         return (fused, None) if record else fused

@@ -19,15 +19,15 @@ In a sweep from 2^11 to 2^17 over single and zero_shot episodes of both
 benchmark workloads (2-core x86_64, 2 MiB L2 a core), 2^14 was fastest
 or tied with 2^15; 2^17 was 19-43% slower and 2^11 2.0-2.2x slower.
 
-With `record` the splat also keeps a tape of the rows it names (True for
-every row, or an ascending array of row indices): one record per block,
-as `fuse_scene` keeps its tape, holding the pairs of the named rows in
-the block with their delta and local, which are gathered for those pairs
-only, and the sorted set of voxels those pairs touch. `splat_backward`
-walks the records block by block, writing each block's rows, and reads
-the loss gradient only at the tape's voxels. A row's gradient sums only
-that row's pairs, so leaving the other rows' pairs off the tape changes
-no bit of a named row's gradient; the rows it leaves off get zeros. An
+With `record` the splat also keeps a tape of the rows it names (an
+ascending array of row indices): one record per block, as `fuse_scene`
+keeps its tape, holding the pairs of the named rows in the block with
+their delta and local, which are gathered for those pairs only, and the
+sorted set of voxels those pairs touch. `splat_backward` walks the
+records block by block, writing each block's rows, and reads the loss
+gradient only at the tape's voxels. A row's gradient sums only that
+row's pairs, so leaving the other rows' pairs off the tape changes no
+bit of a named row's gradient; the rows it leaves off get zeros. An
 unrecorded splat keeps no tape fields. Every sum of the backward bins by
 Gaussian, and a Gaussian's pairs all lie in one block in their canonical
 order, so the blocks change no gradient bit. On a team (see the
@@ -301,9 +301,9 @@ def splat(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfig | Non
     with Mahalanobis distance <= truncation_sigma; per-channel values below
     min_contribution are dropped. Accumulation is vectorized over
     (gaussian, voxel) pairs, block by block, and deterministic for fixed
-    inputs. With `record` also returns a SplatTape for `splat_backward`
-    of the rows it names: True names every row, and an array names the
-    rows it holds, which must be ascending row indices (`index_set`).
+    inputs. With `record`, an array of ascending row indices
+    (`index_set`), also returns a SplatTape for `splat_backward` of those
+    rows; False records nothing.
     """
     cfg = cfg or SplatConfig()
     num_classes = geometry.num_classes
@@ -311,9 +311,7 @@ def splat(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfig | Non
         raise ValueError("gaussian semantics width does not match grid classes")
     _check_conditioning(gaussians.scales)
     differentiate = None
-    if record is True:
-        differentiate = np.ones(len(gaussians), dtype=bool)
-    elif record is not False:
+    if record is not False:
         differentiate = np.zeros(len(gaussians), dtype=bool)
         differentiate[index_set("splat record rows", record, len(gaussians))] = True
     # allocated before the pair temporaries: a caller that keeps the grid

@@ -153,9 +153,10 @@ def linear_scan_neighborhood(query_mean, means, rho, max_neighbors=None):
 
 
 class HashGrid:
-    """Radius queries over a fixed point set, answered by the sorted cell
-    list of `fusion._build_pairs` (one cell per query radius, so a query
-    only ever touches the 27 surrounding cells)."""
+    """Radius queries over a fixed point set, answered by the neighbour
+    search of `fusion._build_pairs`: one query is one ego, whose candidates
+    are one range of the sorted cell list, the points of the 27 cells
+    around its own (one cell per query radius)."""
 
     def __init__(self, points: np.ndarray, cell: float):
         self.points = np.asarray(points, dtype=np.float64)
@@ -569,7 +570,7 @@ def concat_scene_loss_and_grads(example, fusion_cfg, splat_cfg, params, want_gra
     fused, tape = fuse_scene(example.fusion_input, example.received,
                              fusion_cfg, params, record=True, neighbors=neighbors)
     full = GaussianSet.concat([fused, example.fixed])
-    grid, splat_tape = splat(full, example.geometry, splat_cfg, record=True)
+    grid, splat_tape = splat(full, example.geometry, splat_cfg, record=np.arange(len(full)))
     report, grad_ch = total_loss(grid.channels, example.gt_labels)
     if not want_grads:
         return report, None

@@ -11,7 +11,7 @@ import pytest
 
 from gsfusion import fusion
 from gsfusion.comms import GaussianMessage, deserialize_message, serialize_message
-from gsfusion.core import GaussianSet, GridGeometry, SemanticGaussian
+from gsfusion.core import GaussianSet, GridGeometry, SemanticGaussian, _whole_runs
 from gsfusion.fusion import (
     SCALE_CEIL,
     _build_pairs,
@@ -92,6 +92,7 @@ def _neighbor_cases():
     far = [np.array(c) for c in ((-1e7, 0.0, 5e6), (1e7, -1e7, 0.0), (0.0, 1e7, -1e7))]
     duplicated = rng.uniform(-1.0, 1.0, size=(40, 3))
     lattice = _lattice(0.4, 5)
+    huge = np.array([3e17, -5e16, 1e18]) + rng.integers(-3, 3, (30, 3)) * 64.0
     return {
         "negative_coords": (rng.uniform(-3.0, 0.5, (150, 3)),
                             rng.uniform(-3.0, 0.5, (400, 3)), 0.4),
@@ -105,22 +106,85 @@ def _neighbor_cases():
                                             rng.uniform(50, 60, (30, 3))]),
                             rng.uniform(-1, 1, (200, 3)), 0.4),
         "no_pairs": (rng.uniform(-1, 1, (20, 3)), rng.uniform(5, 6, (30, 3)), 0.4),
+        # egos at the pool's heights in columns no pool mean reaches
+        "columns_apart": (np.concatenate([rng.uniform(-1, 1, (20, 3)),
+                                          rng.uniform(-1, 1, (20, 3)) + [5.0, 0.0, 0.0]]),
+                          rng.uniform(-1, 1, (100, 3)), 0.4),
+        # cells past 2**53, where a cell and the cells beside it are one float
+        "means_past_2**53_cells": (huge[:20], np.concatenate([huge[10:30], huge[:10]]), 0.4),
     }
 
 
 _NEIGHBOR_CASES = _neighbor_cases()
 
 
+def _random_clouds():
+    """(egos, pool means, cap) of 40 random clouds at three spans."""
+    rng = np.random.default_rng(5150)
+    for trial in range(40):
+        span = (0.3, 2.0, 1e4)[trial % 3]
+        egos = rng.uniform(-span, span, (int(rng.integers(0, 80)), 3))
+        pool_means = rng.uniform(-span, span, (int(rng.integers(1, 300)), 3))
+        yield egos, pool_means, int(rng.integers(1, 70))
+
+
+def _assert_csr_matches_linear_scan(egos, pool_means, rho, cap):
+    got = _build_pairs(egos, pool_means, rho, cap)
+    want = neighbor_csr_oracle(egos, pool_means, rho, cap)
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64
+        assert np.array_equal(g, w)
+
+
+def _spied_candidates(egos, pool_means, rho, monkeypatch):
+    """The (sizes, runs) of each `_whole_runs` call the search makes from
+    now on, after checking that one search's candidates per ego are the
+    pool means in the 27 cells around the ego's own, no more."""
+    calls = []
+
+    def spy(sizes, bound, even=False):
+        calls.append((sizes, _whole_runs(sizes, bound, even)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(fusion, "_whole_runs", spy)
+    _build_pairs(egos, pool_means, rho, None)
+    near = np.abs(np.floor(egos / rho)[:, None] - np.floor(pool_means / rho)).max(axis=2) <= 1
+    assert np.array_equal(calls[-1][0] if calls else [], near.sum(axis=1))
+    return calls
+
+
+def _assert_runs_match_linear_scan(egos, pool_means, rho, monkeypatch):
+    """The CSR at two run bounds, one that cuts the egos into several runs
+    and one just below the largest ego's candidate count, whose candidates
+    then make a run of their own, equals the linear scans."""
+    calls = _spied_candidates(egos, pool_means, rho, monkeypatch)
+    sizes = calls[-1][0] if calls else np.zeros(0, dtype=np.int64)
+    total = int(sizes.sum())
+    for bound in (max(1, total // 4), max(1, int(sizes.max(initial=0)) - 1)):
+        monkeypatch.setattr(fusion, "_SEARCH_BLOCK", bound)
+        for cap in (1, 3, None):
+            _assert_csr_matches_linear_scan(egos, pool_means, rho, cap)
+        assert total < 2 or len(calls[-1][1]) > 1
+    assert sizes.max(initial=0) < 2 or sizes.max() > fusion._SEARCH_BLOCK
+
+
 class TestBuildPairs:
     @pytest.mark.parametrize("cap", [1, 3, 10**6])
     @pytest.mark.parametrize("case", sorted(_NEIGHBOR_CASES))
     def test_csr_matches_linear_scan(self, case, cap):
-        egos, pool_means, rho = _NEIGHBOR_CASES[case]
-        got = _build_pairs(egos, pool_means, rho, cap)
-        want = neighbor_csr_oracle(egos, pool_means, rho, cap)
-        for g, w in zip(got, want):
-            assert g.dtype == np.int64
-            assert np.array_equal(g, w)
+        _assert_csr_matches_linear_scan(*_NEIGHBOR_CASES[case], cap)
+
+    @pytest.mark.parametrize("case", sorted(_NEIGHBOR_CASES))
+    def test_runs_match_linear_scan(self, case, monkeypatch):
+        _assert_runs_match_linear_scan(*_NEIGHBOR_CASES[case], monkeypatch)
+
+    @pytest.mark.parametrize("case", sorted(_NEIGHBOR_CASES))
+    def test_ranked_columns_match_linear_scan(self, case, monkeypatch):
+        # the path a cell key past int64 takes, forced on every case
+        monkeypatch.setattr(fusion, "_CELL_KEYS", 0)
+        _spied_candidates(*_NEIGHBOR_CASES[case], monkeypatch)
+        for cap in (1, 3, None):
+            _assert_csr_matches_linear_scan(*_NEIGHBOR_CASES[case], cap)
 
     def test_cases_exercise_edges(self):
         # the cases above really hold ties, cell-face points, exact-rho
@@ -140,6 +204,9 @@ class TestBuildPairs:
         span = (np.ptp(np.floor(pool_means / rho), axis=0) + 1).prod()
         assert span > np.iinfo(np.int64).max
         assert _build_pairs(egos, pool_means, rho, None)[0].size == egos.shape[0]
+        egos, pool_means, rho = _NEIGHBOR_CASES["means_past_2**53_cells"]
+        cells = np.floor(pool_means / rho)
+        assert np.all(cells + 1.0 == cells) and 0 < _build_pairs(egos, pool_means, rho, None)[0].size
 
     def test_cap_larger_than_every_segment_is_no_cap(self):
         egos, pool_means, rho = _NEIGHBOR_CASES["negative_coords"]
@@ -155,16 +222,35 @@ class TestBuildPairs:
                 assert part.dtype == np.int64 and part.size == 0
 
     def test_random_clouds_match_linear_scan(self):
-        rng = np.random.default_rng(5150)
-        for trial in range(40):
-            span = (0.3, 2.0, 1e4)[trial % 3]
-            egos = rng.uniform(-span, span, (int(rng.integers(0, 80)), 3))
-            pool_means = rng.uniform(-span, span, (int(rng.integers(1, 300)), 3))
-            cap = int(rng.integers(1, 70))
-            got = _build_pairs(egos, pool_means, 0.4, cap)
-            want = neighbor_csr_oracle(egos, pool_means, 0.4, cap)
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w)
+        for egos, pool_means, cap in _random_clouds():
+            _assert_csr_matches_linear_scan(egos, pool_means, 0.4, cap)
+
+    def test_random_clouds_in_runs_match_linear_scan(self, monkeypatch):
+        for egos, pool_means, _ in _random_clouds():
+            _assert_runs_match_linear_scan(egos, pool_means, 0.4, monkeypatch)
+
+    def test_memory_bounded_by_the_run_not_the_candidates(self):
+        # a dense cloud: 4 000 egos and 2 000 pool means in 3 x 3 x 3 cells
+        rng = np.random.default_rng(77)
+        egos, pool_means = rng.uniform(0.0, 1.2, (4000, 3)), rng.uniform(0.0, 1.2, (2000, 3))
+        cells = np.zeros((5, 5, 5))
+        np.add.at(cells, tuple(np.floor(pool_means / 0.4).astype(int).T + 1), 1.0)
+        candidates = sum(cells[x:x + 3, y:y + 3, z:z + 3].sum()
+                         for x, y, z in np.floor(egos / 0.4).astype(int))
+        assert candidates > 3e6
+        _build_pairs(egos, pool_means, 0.4, 16)
+        tracemalloc.start()
+        pairs = _build_pairs(egos, pool_means, 0.4, 16)[1].size
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # 8-byte values: a few a run candidate, a few a pool mean's 9
+        # entries, a dozen a mean, three a pair
+        bound = 8 * (8 * fusion._SEARCH_BLOCK + 4 * 9 * len(pool_means)
+                     + 12 * (len(pool_means) + len(egos)) + 3 * pairs)
+        assert peak < bound, (peak, bound)
+        # under a fifth of one int64 array over every candidate (a search
+        # that forms every candidate at once holds about ten)
+        assert 5 * bound < 8 * candidates
 
     def test_hash_grid_rejects_radius_above_cell(self):
         with pytest.raises(ValueError, match="exceeds hash cell"):

@@ -553,7 +553,7 @@ class TestFixedRenderedApart:
                                  FusionParams.init(seed=77), record=True)
         assert 0 < tape.seg_egos.size <= len(fused)
         assert (tape.seg_egos.size < len(fused)) == (source == "generated")  # toy: all fused
-        _, whole = splat(fused, example.geometry, splat_cfg, record=True)
+        _, whole = splat(fused, example.geometry, splat_cfg, record=np.arange(len(fused)))
         _, part = splat(fused, example.geometry, splat_cfg, record=tape.seg_egos)
         every = [np.concatenate(f) for f in zip(*(b.pairs for b in whole.blocks))]
         mine = np.isin(every[0], tape.seg_egos)

@@ -46,8 +46,8 @@ RNG = np.random.default_rng(777)
 
 
 def recorded_pairs(gaussians, geometry, cfg) -> Pairs:
-    """The pairs of the blocks `splat(record=True)` keeps, concatenated."""
-    _, tape = splat(gaussians, geometry, cfg, record=True)
+    """The pairs of the blocks a splat recording every row keeps, concatenated."""
+    _, tape = splat(gaussians, geometry, cfg, record=np.arange(len(gaussians)))
     if not tape.blocks:
         return Pairs(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0),
                      np.zeros((0, 3)), np.zeros((0, 3)))
@@ -60,7 +60,7 @@ def at_tape_voxels(tape, grad_channels):
 
 
 def recorded_backward(gaussians, geometry, cfg, grad_channels):
-    _, tape = splat(gaussians, geometry, cfg, record=True)
+    _, tape = splat(gaussians, geometry, cfg, record=np.arange(len(gaussians)))
     return splat_backward(tape, at_tape_voxels(tape, grad_channels))
 
 C = 13
@@ -356,7 +356,7 @@ class TestBlocks:
     def test_splat_equals_bincount(self, case, floor, record):
         gs, geom = BLOCK_SETS[case](), BLOCK_GEOMS.get(case, PAIR_GEOM)
         cfg = SplatConfig(min_contribution=floor)
-        got = splat(gs, geom, cfg, record=record)
+        got = splat(gs, geom, cfg, record=np.arange(len(gs)) if record else False)
         got = (got[0] if record else got).channels
         want = bincount_splat(gs, geom, cfg).channels
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -392,7 +392,7 @@ class TestBlocks:
         # one block, a block per Gaussian, then bounds about the default
         for bound in (1 << 62, 1, 1 << 10, 1 << 14, 1 << 15):
             monkeypatch.setattr(splat_module, "_BLOCK", bound)
-            grid, tape = splat(gs, geom, cfg, record=True)
+            grid, tape = splat(gs, geom, cfg, record=np.arange(len(gs)))
             unrecorded = splat(gs, geom, cfg).channels.tobytes()
             assert grid.channels.tobytes() == unrecorded == oracle, bound
             runs[bound] = (tape.blocks, splat_backward(tape, at_tape_voxels(tape, up)))
@@ -633,7 +633,7 @@ class TestSplatBackward:
     @pytest.mark.parametrize("shape", ["whole grid", "one voxel more", "one class fewer"])
     def test_gradient_for_another_grid_rejected(self, shape):
         geom = small_geom(dims=(4, 4, 2))
-        _, tape = splat(tight_set(RNG, 3, geom), geom, SplatConfig(), record=True)
+        _, tape = splat(tight_set(RNG, 3, geom), geom, SplatConfig(), record=np.arange(3))
         rows = tape.voxels.size
         bad = {"whole grid": geom.dims + (C,), "one voxel more": (rows + 1, C),
                "one class fewer": (rows, C - 1)}[shape]
@@ -647,7 +647,8 @@ class TestSplatBackward:
         (np.array([2, 2]), "strictly increasing"),
         (np.array([-1, 0]), r"range\(3\)"),
         (np.array([0, 3]), r"range\(3\)"),
-    ], ids=["2-d", "float", "descending", "repeated", "negative", "past-the-end"])
+        (True, "1-D integer array"),
+    ], ids=["2-d", "float", "descending", "repeated", "negative", "past-the-end", "true"])
     def test_malformed_record_rows_rejected(self, rows, problem):
         geom = small_geom(dims=(4, 4, 2))
         with pytest.raises(ValueError, match=problem):
