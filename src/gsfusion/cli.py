@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from gsfusion.comms import PRECISION_FP16, PRECISION_FP32, communication_volume
-from gsfusion.core import whole_number
-from gsfusion.fusion import FusionConfig, FusionParams, load_params, save_params
+from gsfusion.comms import PRECISION_FP16, PRECISION_FP32
+from gsfusion.core import NUM_CLASSES, whole_number
+from gsfusion.fusion import FusionConfig, FusionParams, _unpack_tensors, load_params, save_params
 from gsfusion.learn import (
     Calibration,
     TrainConfig,
@@ -221,12 +221,16 @@ def _scenes_for(cfg: dict, purpose_seed: int, count: int):
 
 
 def _load_any_params(path: str):
+    """The FusionParams (8 tensors) or Calibration (1 tensor) of the FPRM
+    file at `path`; a bad file is a ConfigError naming `path`."""
     try:
-        return load_params(path)
-    except ValueError:
-        return load_calibration(path)
+        with open(path, "rb") as f:
+            count = len(_unpack_tensors(f.read()))
+        return (load_calibration if count == 1 else load_params)(path)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +246,9 @@ def cmd_run(args) -> int:
     params = _load_any_params(cfg["params"]) if cfg["params"] else None
     if "learned" in modes and not isinstance(params, FusionParams):
         raise ConfigError("learned mode needs --params pointing at a FusionParams file")
+    if "naive" in modes and isinstance(params, FusionParams):
+        raise ConfigError("naive mode takes a Calibration file or no --params, "
+                          "not a FusionParams file")
 
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -275,10 +282,9 @@ def cmd_run(args) -> int:
                                     f"{rep.bev_iou['others']:.6f}"])
                 summary[mode]["iou"].append(rep.iou)
                 summary[mode]["miou"].append(rep.miou)
-            vol = communication_volume(res.comm)
-            summary[mode]["bytes"] += vol["bytes_total"]
-            summary[mode]["messages"] += vol["messages"]
-            summary[mode]["gaussians"] += vol["gaussians"]
+            summary[mode]["bytes"] += res.comm.bytes_sent
+            summary[mode]["messages"] += res.comm.messages_sent
+            summary[mode]["gaussians"] += res.comm.gaussians_sent
             for (snd, rcv), link in sorted(res.comm.per_link.items()):
                 comm_rows.append([si, mode, snd, rcv, link.messages, link.gaussians,
                                   link.bytes, link.rejected])
@@ -342,7 +348,7 @@ def cmd_train(args) -> int:
             fixed = splat_sparse(ex.fixed, ex.geometry, splat_cfg)
             channels = fixed.add_to(splat(ex.fusion_input, ex.geometry, splat_cfg).channels)
             examples.append((channels, ex.gt_labels))
-        cal0 = Calibration.identity(13)
+        cal0 = Calibration.identity(NUM_CLASSES)
         trained, curve = train_calibration(cal0, examples, train_cfg)
         save_calibration(trained, out / "params.fprm")
     else:

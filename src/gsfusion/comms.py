@@ -2,9 +2,9 @@
 receiver's frame, region-of-interest culling, stacking, the GMSG wire
 format, and communication-volume accounting with budget enforcement.
 
-Wire record layout (little-endian, per Gaussian): mean xyz, scale xyz,
-quaternion wxyz, opacity, then the semantic weights, 24 scalars total.
-fp16 encoding makes that 48 bytes per primitive; fp32 doubles it.
+Wire record layout (little-endian): one `GaussianSet.rows()` row per
+Gaussian, 24 scalars at 13 classes. fp16 encoding makes that 48 bytes per
+primitive; fp32 doubles it.
 
 The 24-byte header carries no class count: the receiver supplies it, and
 it must match the sender's. A wrong count is caught only by the length
@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from gsfusion.core import (
+    NUM_CLASSES,
     GaussianSet,
     RigidTransform,
     Roi,
@@ -35,8 +36,8 @@ GMSG_VERSION = 1
 PRECISION_FP16 = 0
 PRECISION_FP32 = 1
 
-HEADER_SIZE = 24
 _HEADER = struct.Struct("<4sHHIIII")  # magic, version, precision, sender, receiver, frame, count
+HEADER_SIZE = _HEADER.size              # 24
 
 
 class EncodeRangeError(ValueError):
@@ -133,10 +134,9 @@ class GaussianMessage:
                                                       self.gaussians.num_classes)
 
 
-def record_size(precision: int, num_classes: int = 13) -> int:
-    scalars = 3 + 3 + 4 + 1 + num_classes
+def record_size(precision: int, num_classes: int = NUM_CLASSES) -> int:
     width = 2 if precision == PRECISION_FP16 else 4
-    return scalars * width
+    return (GaussianSet.ROW_FIELDS + num_classes) * width
 
 
 def serialize_message(msg: GaussianMessage) -> bytes:
@@ -146,19 +146,13 @@ def serialize_message(msg: GaussianMessage) -> bytes:
     number passes the splat's 1e12 (`gsfusion.core._ill_conditioned`, the
     rule the decoder's `validate()` applies to the same values). So the
     receiver is never sent a record it must reject."""
-    gs = msg.gaussians
     header = _HEADER.pack(GMSG_MAGIC, GMSG_VERSION, msg.precision,
                           msg.sender_id, msg.receiver_id, msg.frame_tag, msg.count)
-    if msg.count == 0:
-        return header
-    flat = np.concatenate(
-        [gs.means, gs.scales, gs.rotations, gs.opacities[:, None], gs.semantics], axis=1
-    )
     dtype = "<f2" if msg.precision == PRECISION_FP16 else "<f4"
     with np.errstate(over="ignore"):
-        payload = np.ascontiguousarray(flat, dtype=dtype)
+        payload = np.ascontiguousarray(msg.gaussians.rows(), dtype=dtype)
     bad = ~np.all(np.isfinite(payload), axis=1) | _ill_conditioned(
-        payload[:, 3:6].astype(np.float64))
+        GaussianSet.from_rows(payload).scales)
     if np.any(bad):
         raise EncodeRangeError(
             f"{int(bad.sum())} of {msg.count} Gaussians overflow, lose a scale or pass "
@@ -167,7 +161,7 @@ def serialize_message(msg: GaussianMessage) -> bytes:
     return header + payload.tobytes()
 
 
-def deserialize_message(data: bytes, num_classes: int = 13) -> GaussianMessage:
+def deserialize_message(data: bytes, num_classes: int = NUM_CLASSES) -> GaussianMessage:
     """Decode GMSG bytes back into a message.
 
     Quaternions are renormalized and re-canonicalized and finite opacities
@@ -196,21 +190,15 @@ def deserialize_message(data: bytes, num_classes: int = 13) -> GaussianMessage:
     expect = HEADER_SIZE + count * rec
     if len(data) != expect:
         raise TruncatedPayloadError(f"expected {expect} bytes, got {len(data)}")
-    if count == 0:
-        gs = GaussianSet.empty(num_classes)
-        return GaussianMessage(sender, receiver, frame, gs, precision)
     dtype = "<f2" if precision == PRECISION_FP16 else "<f4"
     flat = np.frombuffer(data, dtype=dtype, offset=HEADER_SIZE).astype(np.float64)
-    flat = flat.reshape(count, 11 + num_classes)
-    opacities = flat[:, 10]
+    gs = GaussianSet.from_rows(flat.reshape(count, GaussianSet.ROW_FIELDS + num_classes))
+    gs.opacities = np.where(np.isfinite(gs.opacities), np.clip(gs.opacities, 0.0, 1.0), np.nan)
     try:
         # an inf quaternion component turns NaN here, which validate()
         # refuses, so numpy's warning about it would only be noise
         with np.errstate(invalid="ignore"):
-            rotations = canonicalize_quaternion(flat[:, 6:10])
-        gs = GaussianSet(flat[:, 0:3], flat[:, 3:6], rotations,
-                         np.where(np.isfinite(opacities), np.clip(opacities, 0.0, 1.0), np.nan),
-                         flat[:, 11:])
+            gs.rotations = canonicalize_quaternion(gs.rotations)
         gs.validate()
     except ValueError as exc:
         raise CorruptFieldError(f"decoded {exc}") from exc
@@ -250,40 +238,15 @@ class CommStats:
         link.gaussians += msg.count
         link.bytes += nbytes
 
-    def record_rejected(self, link: tuple[int, int] | None = None) -> None:
-        """Count one rejected message, also against its (sender, receiver)
-        link when given."""
+    def record_rejected(self, link: tuple[int, int]) -> None:
+        """Count one rejected message, in total and on its (sender,
+        receiver) link."""
         self.messages_rejected += 1
-        if link is not None:
-            self.per_link.setdefault(link, LinkStats()).rejected += 1
+        self.per_link.setdefault(link, LinkStats()).rejected += 1
 
 
-def communication_volume(stats: CommStats) -> dict:
-    """Total bytes plus per-agent and per-message averages."""
-    per_sender: dict[int, int] = {}
-    per_receiver: dict[int, int] = {}
-    for (s, r), link in stats.per_link.items():
-        per_sender[s] = per_sender.get(s, 0) + link.bytes
-        per_receiver[r] = per_receiver.get(r, 0) + link.bytes
-    mean_message = stats.bytes_sent / stats.messages_sent if stats.messages_sent else 0.0
-    return {
-        "bytes_total": stats.bytes_sent,
-        "messages": stats.messages_sent,
-        "gaussians": stats.gaussians_sent,
-        "mean_bytes_per_message": mean_message,
-        "bytes_per_sender": per_sender,
-        "bytes_per_receiver": per_receiver,
-    }
-
-
-def enforce_budget(msg_or_bytes, budget_bytes: float) -> bool:
-    """Accept iff the message byte length does not exceed the budget."""
+def enforce_budget(nbytes: int, budget_bytes: float) -> bool:
+    """Accept iff a message of `nbytes` bytes does not exceed the budget."""
     if budget_bytes < 0:
         raise ValueError("budget must be non-negative")
-    if isinstance(msg_or_bytes, GaussianMessage):
-        n = msg_or_bytes.byte_length()
-    elif isinstance(msg_or_bytes, (bytes, bytearray)):
-        n = len(msg_or_bytes)
-    else:
-        n = int(msg_or_bytes)
-    return n <= budget_bytes
+    return nbytes <= budget_bytes

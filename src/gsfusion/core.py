@@ -55,6 +55,15 @@ import numpy as np
 NUM_CLASSES = 13          # 12 semantic classes + 1 empty class
 EMPTY_CLASS = NUM_CLASSES - 1
 
+CLASS_NAMES = (
+    "building", "fence", "terrain", "pole", "road", "sidewalk",
+    "vegetation", "vehicle", "wall", "guard_rail", "traffic_sign", "bridge",
+    "empty",
+)
+CLASS_BUILDING, CLASS_FENCE, CLASS_TERRAIN, CLASS_POLE = 0, 1, 2, 3
+CLASS_ROAD, CLASS_SIDEWALK, CLASS_VEGETATION, CLASS_VEHICLE = 4, 5, 6, 7
+CLASS_WALL, CLASS_GUARD_RAIL, CLASS_TRAFFIC_SIGN, CLASS_BRIDGE = 8, 9, 10, 11
+
 _QUAT_NORM_TOL = 1e-6
 _DEGENERATE_CONDITION = 1e12
 
@@ -89,17 +98,11 @@ def canonicalize_quaternion(q: np.ndarray) -> np.ndarray:
 
 
 def _canonical_sign(q: np.ndarray) -> np.ndarray:
-    """Per-row sign (+-1, shape (N,1)) that makes each quaternion canonical."""
-    n = q.shape[0]
-    sign = np.zeros(n)
-    undecided = np.ones(n, dtype=bool)
-    for comp in range(4):
-        col = q[:, comp]
-        sign = np.where(undecided & (col > 0), 1.0, sign)
-        sign = np.where(undecided & (col < 0), -1.0, sign)
-        undecided = undecided & (col == 0)
-    # all-zero rows are rejected upstream by quat_normalize
-    return sign[:, None]
+    """Per-row sign (+-1, shape (N,1)) that makes each quaternion canonical:
+    the sign of the row's first nonzero component (0 for an all-zero row,
+    which quat_normalize rejects upstream)."""
+    first = np.argmax(q != 0.0, axis=1)
+    return np.sign(q[np.arange(q.shape[0]), first])[:, None]
 
 
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -250,6 +253,8 @@ class GaussianSet:
     opacities: np.ndarray
     semantics: np.ndarray
 
+    ROW_FIELDS = 11             # the scalars of a row before the class weights
+
     def __post_init__(self):
         self.means = np.asarray(self.means, dtype=np.float64).reshape(-1, 3)
         self.scales = np.asarray(self.scales, dtype=np.float64).reshape(-1, 3)
@@ -335,6 +340,19 @@ class GaussianSet:
             np.array([g.opacity for g in gaussians]),
             np.stack([g.semantics for g in gaussians]),
         )
+
+    def rows(self) -> np.ndarray:
+        """The fields side by side, (N, ROW_FIELDS + C): mean xyz, scale xyz,
+        quaternion wxyz, opacity, class weights. The GMSG wire record and
+        fusion's ego feature are this row; `from_rows` reads it back."""
+        return np.concatenate([self.means, self.scales, self.rotations,
+                               self.opacities[:, None], self.semantics], axis=1)
+
+    @staticmethod
+    def from_rows(rows: np.ndarray) -> "GaussianSet":
+        """The set whose `rows()` are `rows` (views of float64 `rows`), unchecked."""
+        return GaussianSet(rows[:, 0:3], rows[:, 3:6], rows[:, 6:10], rows[:, 10],
+                           rows[:, GaussianSet.ROW_FIELDS:])
 
     def to_gaussians(self) -> list[SemanticGaussian]:
         return [

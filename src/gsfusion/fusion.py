@@ -39,7 +39,8 @@ whole row tiles that the MLP ran over, and not the MLP's two hidden
 layers (2 KB a pair): `fusion_backward` recomputes them block by block
 from that buffer through the same products, so they carry the forward's
 bits and the gradients are those of a backward over kept layers
-(checkpointing, Chen et al. 2016, arXiv:1604.06174).
+(checkpointing, Chen et al. 2016, arXiv:1604.06174). It reads each
+segment's ego row there too: a pair feature starts with its ego's row.
 
 Bounded blocks. A segment is one ego's neighbour list. `fuse_scene` runs
 every stage over blocks of whole segments, writes a block's fused rows,
@@ -126,7 +127,7 @@ class FusionConfig:
 
 
 def ego_feature_dim(num_classes: int = NUM_CLASSES) -> int:
-    return 11 + num_classes            # mean 3 + scale 3 + quat 4 + opacity 1 + classes
+    return GaussianSet.ROW_FIELDS + num_classes     # a `GaussianSet.rows()` row
 
 
 def rel_feature_dim(num_classes: int = NUM_CLASSES) -> int:
@@ -157,8 +158,20 @@ class FusionParams:
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
 
     def validate(self) -> None:
+        """Raise ValueError naming the first tensor whose shape disagrees with
+        b1's hidden width, b3's class count or q_proj's projection width, or
+        that holds a non-finite entry."""
+        hidden, out, proj = self.b1.size, self.b3.size, self.q_proj.shape[:1]
+        rel = rel_feature_dim(out - GaussianSet.ROW_FIELDS)
+        want = {"w1": (hidden, out + rel), "b1": (hidden,), "w2": (hidden, hidden),
+                "b2": (hidden,), "w3": (out, hidden), "b3": (out,),
+                "q_proj": (*proj, out), "k_proj": (*proj, rel)}
         for name in self._ORDER:
-            if not np.all(np.isfinite(getattr(self, name))):
+            value = getattr(self, name)
+            if value.shape != want[name]:
+                raise ValueError(f"FusionParams.{name} has shape {value.shape}, "
+                                 f"but its other tensors need {want[name]}")
+            if not np.all(np.isfinite(value)):
                 raise ValueError(f"non-finite entries in FusionParams.{name}")
 
     def as_dict(self) -> dict[str, np.ndarray]:
@@ -169,19 +182,17 @@ class FusionParams:
 
     @property
     def num_classes(self) -> int:
-        return self.w3.shape[0] - 11
+        return self.w3.shape[0] - GaussianSet.ROW_FIELDS
 
     @staticmethod
     def zeros(num_classes: int = NUM_CLASSES, hidden: int = HIDDEN_DIM,
               d_proj: int = PROJ_DIM) -> "FusionParams":
-        zin = pair_feature_dim(num_classes)
-        out = ego_feature_dim(num_classes)
+        out, rel = ego_feature_dim(num_classes), rel_feature_dim(num_classes)
         return FusionParams(
-            np.zeros((hidden, zin)), np.zeros(hidden),
+            np.zeros((hidden, out + rel)), np.zeros(hidden),
             np.zeros((hidden, hidden)), np.zeros(hidden),
             np.zeros((out, hidden)), np.zeros(out),
-            np.zeros((d_proj, ego_feature_dim(num_classes))),
-            np.zeros((d_proj, rel_feature_dim(num_classes))),
+            np.zeros((d_proj, out)), np.zeros((d_proj, rel)),
         )
 
     @staticmethod
@@ -193,20 +204,16 @@ class FusionParams:
         proposals mild: thin mid-range scales, high opacity, low semantic
         mass, near-identity rotation."""
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF05]))
-        zin = pair_feature_dim(num_classes)
-        out = ego_feature_dim(num_classes)
+        out, rel = ego_feature_dim(num_classes), rel_feature_dim(num_classes)
+        zin = out + rel
         col_scale = 1.0 / _feature_spans(num_classes)
         p = FusionParams(
             rng.normal(0.0, np.sqrt(2.0 / zin), (hidden, zin)) * col_scale,
             np.zeros(hidden),
             rng.normal(0.0, np.sqrt(2.0 / hidden), (hidden, hidden)), np.zeros(hidden),
             rng.normal(0.0, 0.01, (out, hidden)), np.zeros(out),
-            rng.normal(0.0, 1.0 / np.sqrt(ego_feature_dim(num_classes)),
-                       (d_proj, ego_feature_dim(num_classes)))
-            * col_scale[:ego_feature_dim(num_classes)],
-            rng.normal(0.0, 1.0 / np.sqrt(rel_feature_dim(num_classes)),
-                       (d_proj, rel_feature_dim(num_classes)))
-            * col_scale[ego_feature_dim(num_classes):],
+            rng.normal(0.0, 1.0 / np.sqrt(out), (d_proj, out)) * col_scale[:out],
+            rng.normal(0.0, 1.0 / np.sqrt(rel), (d_proj, rel)) * col_scale[out:],
         )
         p.b3[3:5] = _inv_softplus(0.3)       # lateral scale, flat-surface profile
         p.b3[5] = _inv_softplus(0.12)        # vertical scale
@@ -328,13 +335,6 @@ def _build_pairs(ego_means: np.ndarray, pool_means: np.ndarray, rho: float,
 # ---------------------------------------------------------------------------
 # features
 # ---------------------------------------------------------------------------
-
-def ego_features(gs: GaussianSet) -> np.ndarray:
-    """Per-Gaussian descriptor [mean | scale | quat | opacity | semantics]."""
-    return np.concatenate(
-        [gs.means, gs.scales, gs.rotations, gs.opacities[:, None], gs.semantics], axis=1
-    )
-
 
 def rel_features(ego: GaussianSet, ego_idx: np.ndarray, nbr: GaussianSet,
                  nbr_idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -514,10 +514,11 @@ def confidence(v: np.ndarray, epsilon: float = 1e-8) -> float:
 class FusionBlock:
     """What the analytic backward needs from one block of whole segments.
     Nothing is kept that a kept field holds: the segments start at the
-    block's own `cumsum(counts) - counts`, the proposals' mean offsets are
-    `raw[:, 0:3]` and the ego semantics the last columns of `e_feats`. The
-    hidden activations are not kept either: `fusion_backward` recomputes
-    them from `z_tiles`."""
+    block's own `cumsum(counts) - counts`, each segment's ego row
+    (`GaussianSet.rows()`) leads `z_tiles` at its start, the proposals'
+    mean offsets are `raw[:, 0:3]` and the blend weight is
+    `conf_ego / (conf_ego + conf_pool)`. The hidden activations are not
+    kept either: `fusion_backward` recomputes them from `z_tiles`."""
 
     seg_egos: np.ndarray        # ego rows of the block's segments
     counts: np.ndarray
@@ -530,12 +531,10 @@ class FusionBlock:
     rnorm: np.ndarray
     w: np.ndarray
     sigma: np.ndarray
-    e_feats: np.ndarray         # per-segment ego features
     pooled_c: np.ndarray
     rbar_norm: np.ndarray
     rbar: np.ndarray
     canon_sign: np.ndarray
-    alpha: np.ndarray
     conf_ego: np.ndarray
     conf_pool: np.ndarray
 
@@ -547,7 +546,7 @@ class FusionBlock:
     @property
     def rel_tiles(self) -> np.ndarray:
         """The relative-feature columns of `z_tiles`, padding rows included."""
-        return self.z_tiles[:, self.e_feats.shape[1]:]
+        return self.z_tiles[:, ego_feature_dim(self.pooled_c.shape[1]):]
 
 
 @dataclass
@@ -594,7 +593,7 @@ def fuse_scene(ego_set: GaussianSet, received_sets: list[GaussianSet],
     if seg_egos.size == 0:
         return (fused, None) if record else fused
 
-    e_all = ego_features(ego_set)
+    e_all = ego_set.rows()
     runs = _whole_runs(counts, _FUSE_BLOCK, even=True)
 
     def block(k):
@@ -628,8 +627,7 @@ def _fuse_block(fused: GaussianSet, ego_set: GaussianSet, e_all: np.ndarray,
     raw = _mlp_forward(z_tiles, params)[:n]
     dm, s, r, a, c, rnorm = _activate(raw, ego_set.num_classes)
 
-    e_feats = e_all[seg_egos]
-    w = _pool_weights(cfg.pooling, e_feats, rel_tiles, starts, counts, params)
+    w = _pool_weights(cfg.pooling, e_all[seg_egos], rel_tiles, starts, counts, params)
 
     pooled_dm, pooled_s, pooled_a, pooled_c, rbar_norm, rbar, sigma = \
         _pool_segments(w, dm, s, r, a, c, starts, counts)
@@ -652,8 +650,8 @@ def _fuse_block(fused: GaussianSet, ego_set: GaussianSet, e_all: np.ndarray,
     return FusionBlock(
         seg_egos=seg_egos, counts=counts, z_tiles=z_tiles, raw=raw,
         s=s, r=r, a=a, c=c, rnorm=rnorm, w=w, sigma=sigma,
-        e_feats=e_feats, pooled_c=pooled_c, rbar_norm=rbar_norm, rbar=rbar,
-        canon_sign=canon_sign, alpha=alpha, conf_ego=conf_ego, conf_pool=conf_pool,
+        pooled_c=pooled_c, rbar_norm=rbar_norm, rbar=rbar,
+        canon_sign=canon_sign, conf_ego=conf_ego, conf_pool=conf_pool,
     )
 
 
@@ -714,7 +712,8 @@ def _raw_output_grads(tape: FusionTape, blk: FusionBlock, grad_fused: dict[str, 
     seg, counts = blk.seg_egos, blk.counts
     starts = np.cumsum(counts) - counts
     dm = blk.raw[:, 0:3]
-    ego_sem = blk.e_feats[:, -blk.pooled_c.shape[1]:]
+    e_feats = blk.z_tiles[starts, :ego_feature_dim(blk.pooled_c.shape[1])]
+    ego_sem = e_feats[:, GaussianSet.ROW_FIELDS:]
     rep = lambda x: np.repeat(x, counts, axis=0)
 
     d_pooled_dm = grad_fused["means"][seg]
@@ -723,10 +722,10 @@ def _raw_output_grads(tape: FusionTape, blk: FusionBlock, grad_fused: dict[str, 
     d_pooled_a = grad_fused["opacities"][seg]
     d_sem_hat = grad_fused["semantics"][seg]
 
-    # semantic blend: sem_hat = alpha * ego + (1 - alpha) * pooled_c
-    d_alpha = np.sum(d_sem_hat * (ego_sem - blk.pooled_c), axis=1)
-    d_pooled_c = (1.0 - blk.alpha)[:, None] * d_sem_hat
+    # semantic blend: sem_hat = alpha * ego + (1 - alpha) * pooled_c, alpha = conf_ego / denom
     denom = blk.conf_ego + blk.conf_pool
+    d_alpha = np.sum(d_sem_hat * (ego_sem - blk.pooled_c), axis=1)
+    d_pooled_c = (1.0 - blk.conf_ego / denom)[:, None] * d_sem_hat
     d_conf_pool = d_alpha * (-blk.conf_ego / denom**2)
     ssum = np.sum(blk.pooled_c, axis=1) + tape.epsilon
     kstar = np.argmax(blk.pooled_c, axis=1)
@@ -759,12 +758,12 @@ def _raw_output_grads(tape: FusionTape, blk: FusionBlock, grad_fused: dict[str, 
         d_logits = wdw - blk.w * rep(seg_wdw)
         scale = 1.0 / np.sqrt(p.q_proj.shape[0])
         d_logits = d_logits * scale
-        qe = _project(blk.e_feats, p.q_proj)
+        qe = _project(e_feats, p.q_proj)
         rel = blk.rel_tiles[:blk.raw.shape[0]]
         kf = _project(blk.rel_tiles, p.k_proj)[:rel.shape[0]]
         d_qe = np.add.reduceat(d_logits[:, None] * kf, starts)
         d_kf = d_logits[:, None] * rep(qe)
-        grads["q_proj"] = d_qe.T @ blk.e_feats
+        grads["q_proj"] = d_qe.T @ e_feats
         grads["k_proj"] = d_kf.T @ rel
 
     # activation maps back to raw MLP outputs

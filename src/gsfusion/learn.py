@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gsfusion.core import (
+    NUM_CLASSES,
     GaussianSet,
     GridGeometry,
     _each,
@@ -513,6 +514,10 @@ class Calibration:
         return Calibration(np.zeros(num_classes))
 
     def apply(self, channels: np.ndarray) -> np.ndarray:
+        """`channels` (class axis last, one class a gain) times the gains."""
+        if channels.shape[-1] != self.log_gain.size:
+            raise ValueError(f"channels hold {channels.shape[-1]} classes, but the "
+                             f"calibration has {self.log_gain.size} gains")
         return channels * np.exp(self.log_gain)
 
     def copy(self) -> "Calibration":
@@ -529,6 +534,11 @@ def load_calibration(path) -> Calibration:
         tensors = _unpack_tensors(f.read())
     if len(tensors) != 1:
         raise ValueError(f"expected 1 tensor for Calibration, found {len(tensors)}")
+    if tensors[0].shape != (NUM_CLASSES, 1):
+        raise ValueError(f"expected {NUM_CLASSES} gains for Calibration, one per class, "
+                         f"found {tensors[0].size}")
+    if not np.all(np.isfinite(tensors[0])):
+        raise ValueError("non-finite gains in Calibration")
     return Calibration(tensors[0][:, 0])
 
 

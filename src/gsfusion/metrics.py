@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gsfusion.core import VoxelGrid
-from gsfusion.sim import CLASS_ROAD, CLASS_VEHICLE
+from gsfusion.core import CLASS_ROAD, CLASS_VEHICLE, VoxelGrid
 
 
 @dataclass

@@ -15,7 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from gsfusion.core import (
+from gsfusion.core import (  # the class ids, which sim.CLASS_* also names
+    CLASS_BRIDGE, CLASS_BUILDING, CLASS_FENCE, CLASS_GUARD_RAIL, CLASS_POLE, CLASS_ROAD,
+    CLASS_SIDEWALK, CLASS_TERRAIN, CLASS_TRAFFIC_SIGN, CLASS_VEGETATION, CLASS_VEHICLE,
+    CLASS_WALL,
     EMPTY_CLASS,
     NUM_CLASSES,
     GaussianSet,
@@ -49,16 +52,6 @@ from gsfusion.splat import (
     splat,
     splat_sparse,
 )
-
-CLASS_NAMES = (
-    "building", "fence", "terrain", "pole", "road", "sidewalk",
-    "vegetation", "vehicle", "wall", "guard_rail", "traffic_sign", "bridge",
-    "empty",
-)
-
-CLASS_BUILDING, CLASS_FENCE, CLASS_TERRAIN, CLASS_POLE = 0, 1, 2, 3
-CLASS_ROAD, CLASS_SIDEWALK, CLASS_VEGETATION, CLASS_VEHICLE = 4, 5, 6, 7
-CLASS_WALL, CLASS_GUARD_RAIL, CLASS_TRAFFIC_SIGN, CLASS_BRIDGE = 8, 9, 10, 11
 
 # per-class Gaussian extents used by the observation model, meters
 CLASS_SCALES = {
@@ -589,7 +582,7 @@ def run_episode(spec: SceneSpec, model: ObservationModel, mode: str,
     single:    each agent splats only its own Gaussians.
     zero_shot: neighbors' culled Gaussians are stacked in before splatting.
     naive:     the zero_shot path with a per-class channel calibration
-               (identity when no Calibration is given).
+               (identity when params is None); takes only a Calibration.
     learned:   the stacked set is refined by the fusion network against the
                received pool before splatting; requires FusionParams.
 
@@ -603,6 +596,8 @@ def run_episode(spec: SceneSpec, model: ObservationModel, mode: str,
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "learned" and not isinstance(params, FusionParams):
         raise ValueError("learned mode requires FusionParams")
+    if mode == "naive" and params is not None and not isinstance(params, Calibration):
+        raise ValueError(f"naive mode takes a Calibration or None, not {type(params).__name__}")
     episode = episode or prepare_episode(spec, model)
     splat_cfg = splat_cfg or SplatConfig()
     fusion_cfg = fusion_cfg or FusionConfig()
@@ -624,7 +619,7 @@ def run_episode(spec: SceneSpec, model: ObservationModel, mode: str,
                 final = fuse_scene(final, received[ego], fusion_cfg, params)
         grid = splat(final, geometry, splat_cfg)
         prior.add_to(grid.channels)
-        if mode == "naive" and collaborate and isinstance(params, Calibration):
+        if mode == "naive" and collaborate and params is not None:
             grid = VoxelGrid(geometry, channels=params.apply(grid.channels))
         return grid, labels_from_channels(grid, splat_cfg.min_contribution)
 

@@ -9,8 +9,8 @@ import pytest
 import yaml
 
 from gsfusion.cli import _settings, load_config, main
-from gsfusion.fusion import FusionConfig, FusionParams, load_params
-from gsfusion.learn import TrainConfig, load_calibration
+from gsfusion.fusion import FusionConfig, FusionParams, load_params, save_params
+from gsfusion.learn import Calibration, TrainConfig, load_calibration, save_calibration
 from gsfusion.sim import ObservationModel, generate_scene
 from gsfusion.splat import SplatConfig, load_voxg
 
@@ -224,6 +224,38 @@ class TestConfig:
     def test_learned_needs_params(self, tmp_path):
         p, _ = small_config(tmp_path, modes=["learned"])
         assert main(["run", "--config", str(p)]) == 2
+
+    @pytest.mark.parametrize("gains", [1, 12])
+    def test_calibration_needs_one_gain_per_class(self, tmp_path, capsys, gains):
+        p, _ = small_config(tmp_path)
+        cal = tmp_path / "c.fprm"
+        save_calibration(Calibration(np.zeros(gains)), cal)
+        assert main(["run", "--config", str(p), "--modes", "naive",
+                     "--params", str(cal)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cal}: expected 13 gains") and f"found {gains}" in err
+
+    def test_naive_refuses_fusion_params_before_any_scene(self, tmp_path, capsys, monkeypatch):
+        p, _ = small_config(tmp_path)
+        params = tmp_path / "fusion.fprm"
+        save_params(FusionParams.init(0), params)
+        monkeypatch.setattr("gsfusion.cli.prepare_episode", None)      # never reached
+        assert main(["run", "--config", str(p), "--modes", "naive,learned",
+                     "--params", str(params)]) == 2
+        assert capsys.readouterr().err.startswith("error: naive mode takes a Calibration")
+
+    @pytest.mark.parametrize("spoil, named", [
+        (lambda prm: setattr(prm, "w1", prm.w1[:, :44]), "FusionParams.w1 has shape (128, 44)"),
+        (lambda prm: prm.b3.__setitem__(0, np.nan), "non-finite entries in FusionParams.b3")],
+        ids=["w1_128x44", "nan_in_b3"])
+    def test_bad_fusion_params_file_named(self, tmp_path, capsys, spoil, named):
+        p, _ = small_config(tmp_path)
+        params, path = FusionParams.init(0), tmp_path / "fusion.fprm"
+        spoil(params)
+        save_params(params, path)
+        assert main(["run", "--config", str(p), "--modes", "learned",
+                     "--params", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {named}")
 
 
 class TestRun:

@@ -13,7 +13,6 @@ from gsfusion.comms import (
     PRECISION_FP32,
     TruncatedPayloadError,
     VersionMismatchError,
-    communication_volume,
     cull_to_roi,
     deserialize_message,
     enforce_budget,
@@ -185,6 +184,9 @@ class TestWireFormat:
         data = serialize_message(msg)
         assert len(data) == 24
         assert data[:4] == b"GMSG"
+        for classes in (13, 5):                 # an empty message decodes under any count
+            back = deserialize_message(data, classes).gaussians
+            assert len(back) == 0 and back.semantics.shape == (0, classes)
 
     def test_one_gaussian_fp16(self):
         msg = GaussianMessage(0, 1, 0, random_gaussian_set(RNG, 1))
@@ -301,13 +303,13 @@ class TestBudgetAndStats:
     def test_budget_accepts_under(self):
         gs = random_gaussian_set(RNG, 3)
         msg = GaussianMessage(0, 1, 0, gs)
-        assert enforce_budget(msg, 1_000_000)
-        assert not enforce_budget(msg, msg.byte_length() - 1)
-        assert enforce_budget(msg, msg.byte_length())
+        assert enforce_budget(msg.byte_length(), 1_000_000)
+        assert not enforce_budget(msg.byte_length(), msg.byte_length() - 1)
+        assert enforce_budget(msg.byte_length(), msg.byte_length())
 
     def test_budget_zero_rejects_everything(self):
         msg = GaussianMessage(0, 1, 0, GaussianSet.empty(13))
-        assert not enforce_budget(msg, 0)
+        assert not enforce_budget(msg.byte_length(), 0)
 
     def test_stats_accumulate(self):
         stats = CommStats()
@@ -318,9 +320,13 @@ class TestBudgetAndStats:
         assert stats.messages_sent == 4
         assert stats.gaussians_sent == 20
         assert stats.bytes_sent == 4 * (24 + 5 * 48)
-        vol = communication_volume(stats)
-        assert vol["bytes_total"] == stats.bytes_sent
-        assert vol["bytes_per_sender"][0] == stats.bytes_sent
+
+    def test_every_rejection_lands_on_its_link(self):
+        stats = CommStats()
+        stats.record_rejected((2, 0))
+        assert stats.messages_rejected == stats.per_link[(2, 0)].rejected == 1
+        with pytest.raises(TypeError):
+            stats.record_rejected()
 
     def test_halving_count_halves_bytes_within_header_slack(self):
         gs = random_gaussian_set(RNG, 400)

@@ -83,6 +83,14 @@ class TestQuaternions:
     def test_canonicalize_normalizes(self):
         assert np.allclose(canonicalize_quaternion([2.0, 0, 0, 0]), [1.0, 0, 0, 0])
 
+    def test_canonical_sign_is_the_sign_of_the_first_nonzero(self):
+        # each row's sign against a loop over its components; -0.0 counts
+        # as zero, and an all-zero row gets 0
+        q = RNG.choice([-2.0, -0.0, 0.0, 0.5], size=(400, 4))
+        want = [next((np.sign(v) for v in row if v != 0.0), 0.0) for row in q]
+        assert np.array_equal(core._canonical_sign(q)[:, 0], want)
+        assert core._canonical_sign(np.zeros((0, 4))).shape == (0, 1)
+
     def test_canonicalize_zero_rejected(self):
         with pytest.raises(ValueError):
             canonicalize_quaternion([0.0, 0.0, 0.0, 0.0])
@@ -205,6 +213,17 @@ class TestTypes:
         with pytest.raises(DegenerateGaussianError,       # the splat's conditioning
                            match=r"^covariance condition number 1\.000e\+14 exceeds 1e12$"):
             make_gaussian(scale=np.array([1e-7, 1.0, 1.0]))
+
+    def test_rows_are_the_fields_side_by_side(self):
+        gs = GaussianSet.from_gaussians([random_gaussian(RNG) for _ in range(5)])
+        rows = gs.rows()
+        assert rows.shape == (5, GaussianSet.ROW_FIELDS + 13) == (5, 24)
+        assert np.array_equal(rows[:, [3, 7, 10, 11]], np.column_stack(
+            [gs.scales[:, 0], gs.rotations[:, 1], gs.opacities, gs.semantics[:, 0]]))
+        back = GaussianSet.from_rows(rows)
+        for name in ("means", "scales", "rotations", "opacities", "semantics"):
+            assert np.array_equal(getattr(back, name), getattr(gs, name)), name
+        assert GaussianSet.from_rows(GaussianSet.empty(4).rows()).num_classes == 4
 
     def test_gaussian_canonicalizes_rotation(self):
         g = make_gaussian(rotation=np.array([-1.0, 0.0, 0.0, 0.0]))

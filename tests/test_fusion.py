@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -19,7 +20,6 @@ from gsfusion.fusion import (
     FusionParams,
     Proposal,
     confidence,
-    ego_features,
     fuse_scene,
     fusion_backward,
     load_params,
@@ -259,10 +259,10 @@ class TestBuildPairs:
 
 def _pair_feature(ego: SemanticGaussian, nbr: SemanticGaussian) -> np.ndarray:
     """The row `fuse_scene` feeds the proposal network for one pair: the
-    ego's `ego_features` row followed by the pair's `rel_features` row."""
+    ego's `GaussianSet.rows()` row followed by the pair's `rel_features` row."""
     e = GaussianSet.from_gaussians([ego])
     n = GaussianSet.from_gaussians([nbr])
-    return np.concatenate([ego_features(e)[0], rel_features(e, [0], n, [0])[0]])
+    return np.concatenate([e.rows()[0], rel_features(e, [0], n, [0])[0]])
 
 
 class TestPairwiseFeatures:
@@ -400,7 +400,7 @@ class TestPool:
         params = FusionParams.init(seed=4)
         gs = random_gaussian_set(RNG, 6, center_span=0.1)
         ego = random_gaussian(RNG)
-        e = ego_features(GaussianSet.from_gaussians([ego]))[0]
+        e = GaussianSet.from_gaussians([ego]).rows()[0]
         f = rel_features(GaussianSet.from_gaussians([ego] * 6), np.arange(6),
                          gs, np.arange(6))
         logits = (f @ params.k_proj.T) @ (params.q_proj @ e) / np.sqrt(32.0)
@@ -843,6 +843,24 @@ class TestParamsIO:
         p.write_bytes(b"XXXX" + b"\x00" * 16)
         with pytest.raises(ValueError):
             load_params(p)
+
+    @pytest.mark.parametrize("name, shape", [("w1", (128, 44)), ("b2", (127,)),
+                                             ("w3", (24, 127)), ("k_proj", (31, 21))])
+    def test_tensor_shapes_must_agree(self, tmp_path, name, shape):
+        params = FusionParams.init(seed=7)
+        setattr(params, name, getattr(params, name)[tuple(slice(n) for n in shape)])
+        with pytest.raises(ValueError, match=re.escape(f"FusionParams.{name} has shape {shape}")):
+            params.validate()
+        save_params(params, tmp_path / "p.fprm")
+        with pytest.raises(ValueError, match=rf"FusionParams\.{name} has shape"):
+            load_params(tmp_path / "p.fprm")
+
+    def test_non_finite_entry_named(self, tmp_path):
+        params = FusionParams.init(seed=7)
+        params.w2[3, 4] = np.nan
+        save_params(params, tmp_path / "p.fprm")
+        with pytest.raises(ValueError, match=r"non-finite entries in FusionParams\.w2"):
+            load_params(tmp_path / "p.fprm")
 
     def test_wrong_tensor_count(self, tmp_path):
         import struct as _s

@@ -1048,3 +1048,21 @@ class TestCalibration:
         save_calibration(cal, p)
         back = load_calibration(p)
         assert np.array_equal(back.log_gain, cal.log_gain)
+
+    def test_apply_needs_one_gain_per_class(self):
+        with pytest.raises(ValueError, match="channels hold 13 classes, but the "
+                                             "calibration has 1 gains"):
+            Calibration(np.zeros(1)).apply(np.ones((2, 2, 1, 13)))
+
+    @pytest.mark.parametrize("gains", [1, 12])
+    def test_load_needs_one_gain_per_class(self, tmp_path, gains):
+        p = tmp_path / "cal.fprm"
+        save_calibration(Calibration(np.zeros(gains)), p)
+        with pytest.raises(ValueError, match=f"expected 13 gains .* found {gains}$"):
+            load_calibration(p)
+
+    def test_load_refuses_a_non_finite_gain(self, tmp_path):
+        p = tmp_path / "cal.fprm"
+        save_calibration(Calibration(np.r_[np.nan, np.zeros(12)]), p)
+        with pytest.raises(ValueError, match="non-finite"):
+            load_calibration(p)

@@ -1,3 +1,7 @@
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -126,3 +130,14 @@ class TestBev:
         assert rep.bev_iou["road"] == 1.0
         assert set(rep.bev_iou) == {"vehicle", "road", "others"}
         assert np.nonzero(~np.isnan(rep.per_class_iou))[0].tolist() == [CLASS_ROAD]
+
+
+def test_metrics_does_not_load_the_simulator():
+    # a fresh process, as this one has imported gsfusion.sim already
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import gsfusion.metrics; "
+            "print(*sorted(m for m in sys.modules if m.startswith('gsfusion.')))")
+    proc = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["gsfusion.core", "gsfusion.metrics"]

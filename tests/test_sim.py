@@ -400,6 +400,11 @@ class TestEpisode:
         with pytest.raises(ValueError, match="FusionParams"):
             run_episode(self._spec(), self._model(), "learned")
 
+    def test_naive_refuses_fusion_params(self):
+        with pytest.raises(ValueError, match="naive mode takes a Calibration or None, "
+                                             "not FusionParams"):
+            run_episode(self._spec(), self._model(), "naive", params=FusionParams.init(0))
+
     def test_budget_rejections_counted_per_link(self):
         spec = generate_scene(seed=5, num_agents=3, world_half_xy=10.0, grid_dims=(40, 40, 8))
         res = run_episode(spec, self._model(), "zero_shot", budget_bytes=0)
