@@ -244,6 +244,19 @@ class CommStats:
         self.messages_rejected += 1
         self.per_link.setdefault(link, LinkStats()).rejected += 1
 
+    def add(self, other: "CommStats") -> None:
+        """Add `other`'s counts to these; a link new here goes after ours."""
+        self.messages_sent += other.messages_sent
+        self.gaussians_sent += other.gaussians_sent
+        self.bytes_sent += other.bytes_sent
+        self.messages_rejected += other.messages_rejected
+        for key, theirs in other.per_link.items():
+            link = self.per_link.setdefault(key, LinkStats())
+            link.messages += theirs.messages
+            link.gaussians += theirs.gaussians
+            link.bytes += theirs.bytes
+            link.rejected += theirs.rejected
+
 
 def enforce_budget(nbytes: int, budget_bytes: float) -> bool:
     """Accept iff a message of `nbytes` bytes does not exceed the budget."""

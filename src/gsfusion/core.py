@@ -13,31 +13,39 @@ All types are immutable values; every operation is pure.
 Concurrency. Every loop that runs on two cores goes through one
 primitive here: `_two_threads()` gives the calling thread a team of
 itself and one worker thread, and `_each(fn, n)` returns
-`[fn(0), ..., fn(n - 1)]` in order, the calling thread taking the even
-indices and the worker the odd ones. `train` and `train_calibration`
-hold a team for their whole call, and `run_episode` holds one when it has
-two or more agents. A training step with a batch of two or more splits
-its examples, and an episode its egos. A batch of one leaves the team
-idle for the stages of its one example, which split their own work:
-`fuse_scene` its blocks of segments, `splat` and `splat_backward` their
-blocks of Gaussians, `fusion_backward` its blocks, and `total_loss` its
-two halves of the voxels and, in Lovasz, its present classes. While an
-`_each` runs, its team is busy, so an `_each` nested in it, on either
-thread, runs inline; the worker never holds a team. `_each` waits for
-the worker's share before it returns or raises.
+`[fn(0), ..., fn(n - 1)]` in order. `train`, `train_calibration` and
+`run_episode` hold a team for their whole call. On a team, `_each`
+publishes its items as a job; its owner (the thread that called it) and
+the other thread claim them one at a time, in index order, whichever
+asks first. A thread with nothing of its own to run takes the next item
+of the newest job opened after its own: the worker between items, or an
+owner whose last items run on the other thread. So an `_each` nested in
+an item, on either thread, is shared too, and a thread done with its ego
+or training example helps with the other's fusion blocks, splat blocks
+and loss instead of idling; but a waiting owner never starts an item of
+an older job, such as a whole ego inside another ego's wait. `_each`
+returns once every item handed out has finished; if items raised, no
+further item is handed out and the lowest-index exception is raised on
+the owner. A training step with a batch of two or more splits its
+examples, and an episode its egos; the stages of each split their own
+work: `fuse_scene` its blocks of segments, `splat` and `splat_backward`
+their blocks of Gaussians, `fusion_backward` its blocks, and
+`total_loss` its two halves of the voxels and, in Lovasz, its present
+classes.
 
 Every split item writes only its own rows (or returns its own result),
-and results are summed in index order on the calling thread, so a split
-run gives the bits of the same loop run inline. While a team exists, both
-threads hold BLAS to one thread through OpenBLAS's per-thread setter, so
-the two do not contend for the cores through BLAS's own threads, and the
-results equal a one-thread sequential run's bit for bit, whatever the
-process's BLAS thread count. So a team uses two cores however many
-threads BLAS would otherwise use; this was measured only on a 2-core
-machine, where it is faster, and may be slower on a host whose BLAS
-would give each item more than two threads. Without a team (a one-agent
-episode, a library call outside those three), or when numpy's BLAS has no
-per-thread setter, every `_each` runs inline with BLAS untouched.
+and results are summed in index order on the owner, so a split run gives
+the bits of the same loop run inline, whichever thread ran each item.
+While a team exists, both threads hold BLAS to one thread through
+OpenBLAS's per-thread setter, so the two do not contend for the cores
+through BLAS's own threads, and the results equal a one-thread
+sequential run's bit for bit, whatever the process's BLAS thread count.
+So a team uses two cores however many threads BLAS would otherwise use;
+this was measured only on a 2-core machine, where it is faster, and may
+be slower on a host whose BLAS would give each item more than two
+threads. Without a team (a library call outside those three), or when
+numpy's BLAS has no per-thread setter, every `_each` runs inline with
+BLAS untouched.
 """
 
 from __future__ import annotations
@@ -46,7 +54,6 @@ import ctypes
 import dataclasses
 import numbers
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -584,8 +591,8 @@ def _whole_runs(sizes: np.ndarray, bound: int, even: bool = False) -> list:
     own. k starts at ceil(total / bound), so a run holds about total / k
     units, within one item of it, and is raised while a run of two or more
     items would hold more than `bound`. With `even`, k is even when above
-    one and is raised by two: two threads taking alternate runs
-    (`_each`) then both have work to the last pair. Two cuts merge only
+    one and is raised by two, so two threads claiming runs in turn
+    (`_each`) both have work to the last pair. Two cuts merge only
     where an item holds total / k units or more, which can leave fewer than
     k runs. The runs depend on `sizes` alone."""
     edges = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
@@ -671,71 +678,134 @@ def _blas_threads_setter():
 
 _set_blas_threads = _blas_threads_setter()
 
-# `_team.worker` of a thread: absent without a team, the worker's executor
-# while the team is idle, None while it is busy and on the worker itself
+# `_team.team` of a thread: the `_Team` it serves, absent without one
 _team = threading.local()
 
 
-def _join_team() -> None:
-    _team.worker = None             # a worker holds no team and opens none
-    _set_blas_threads(1)
+class _Job:
+    """The items of one `_each` call, handed out one at a time in index
+    order; none is handed out once one has raised."""
+
+    def __init__(self, fn, n: int):
+        self.fn, self.n = fn, n
+        self.claimed = 0                # items 0 .. claimed - 1 are handed out
+        self.running = 0                # handed out and not yet finished
+        self.results = [None] * n
+        self.errors = {}                # index -> what item `index` raised
+
+    def open(self) -> bool:
+        return self.claimed < self.n and not self.errors
+
+
+class _Team:
+    """The jobs that the calling thread and its worker share, oldest first,
+    under one condition that every change to them notifies."""
+
+    def __init__(self):
+        self.cond = threading.Condition()
+        self.jobs = []
+        self.closed = False
+
+    def serve(self, own: _Job | None = None) -> None:
+        """Run items until `own` has finished, or, for None (the worker
+        between items), until the team closes. `own`'s items come first;
+        with none left to hand out, the next item of the newest open job
+        opened after `own` (after nothing, for None), else wait. So a wait
+        never starts an item of an older job, such as a whole ego inside
+        another ego's wait."""
+        with self.cond:
+            while True:
+                later = self.jobs if own is None else self.jobs[self.jobs.index(own) + 1:]
+                job = own if own is not None and own.open() else \
+                    next((j for j in reversed(later) if j.open()), None)
+                if job is None:
+                    if (self.closed if own is None else own.running == 0):
+                        return
+                    self.cond.wait()
+                    continue
+                i = job.claimed
+                job.claimed += 1
+                job.running += 1
+                self.cond.release()
+                try:
+                    result, error = job.fn(i), None
+                except BaseException as exc:    # re-raised on the job's owner
+                    result, error = None, exc
+                finally:
+                    self.cond.acquire()
+                job.results[i] = result
+                if error is not None:
+                    job.errors[i] = error
+                job.running -= 1
+                self.cond.notify()              # the other thread may wait on `job`
+
+    def work(self) -> None:
+        _team.team = self
+        _set_blas_threads(1)
+        self.serve()
 
 
 @contextmanager
 def _two_threads():
     """Give the calling thread a team for `_each`: one worker thread, with
-    BLAS held to one thread on both, restored when the team ends. Does
-    nothing without the per-thread BLAS setter or on a thread that holds a
-    team or is a worker."""
-    if _set_blas_threads is None or hasattr(_team, "worker"):
+    BLAS held to one thread on both, restored when the team ends; the
+    worker is joined before it ends. Does nothing without the per-thread
+    BLAS setter or on a thread that already serves a team."""
+    if _set_blas_threads is None or hasattr(_team, "team"):
         yield
         return
     previous = _set_blas_threads(1)
     try:
-        with ThreadPoolExecutor(max_workers=1, initializer=_join_team) as worker:
-            _team.worker = worker
-            try:
-                yield
-            finally:
-                del _team.worker
+        team = _Team()
+        worker = threading.Thread(target=team.work, name="gsfusion-worker")
+        worker.start()
+        _team.team = team
+        try:
+            yield
+        finally:
+            del _team.team
+            with team.cond:
+                team.closed = True
+                team.cond.notify()
+            worker.join()
     finally:
         _set_blas_threads(previous)
 
 
 def _each(fn, n: int) -> list:
-    """`[fn(0), ..., fn(n - 1)]`; with an idle team, the calling thread
-    runs the even indices and the worker the odd ones, and the team is busy
-    until both shares are done."""
-    worker = getattr(_team, "worker", None)
-    if worker is None or n < 2:
+    """`[fn(0), ..., fn(n - 1)]`. On a team, the items are published as a
+    job that this thread and the other claim one at a time in index order
+    (`_Team.serve`); it returns once every item handed out has finished,
+    raising the lowest-index exception if any item raised."""
+    team = getattr(_team, "team", None)
+    if team is None or n < 2:
         return [fn(i) for i in range(n)]
-    _team.worker = None                 # busy: an `_each` nested in `fn` runs inline
+    job = _Job(fn, n)
+    with team.cond:
+        team.jobs.append(job)
+        team.cond.notify()
     try:
-        theirs = worker.submit(lambda: [fn(i) for i in range(1, n, 2)])
-        try:
-            mine = [fn(i) for i in range(0, n, 2)]
-        finally:
-            wait([theirs])
-        out = [None] * n
-        out[::2] = mine
-        out[1::2] = theirs.result()
-        return out
+        team.serve(job)
     finally:
-        _team.worker = worker
+        with team.cond:
+            team.jobs.remove(job)
+    if job.errors:
+        raise job.errors[min(job.errors)]
+    return job.results
 
 
 def _halves(n: int) -> list[slice]:
     """Rows 0..n as the parts of a row-wise `_each`: two halves (one empty
-    for n = 1) when the calling thread holds an idle team, else one."""
-    if getattr(_team, "worker", None) is None:
+    for n = 1) when the calling thread serves a team, else one."""
+    if not hasattr(_team, "team"):
         return [slice(0, n)]
     return [slice(0, n // 2), slice(n // 2, n)]
 
 
 def _each_folded(fn, n: int, fold) -> None:
     """`fold(fn(i))` for i in index order on the calling thread, the
-    `fn(i)` running two at a time through `_each`: each pair is folded
-    before the next pair starts, so at most two results are alive."""
+    `fn(i)` running in pairs through `_each`: each pair is folded before
+    the next pair starts, so at most two results are alive."""
     for first in range(0, n, 2):
         pair = _each(lambda k: fn(first + k), min(2, n - first))
         while pair:

@@ -51,10 +51,10 @@ k is ceil(pairs / `_FUSE_BLOCK`), rounded up to an even number when
 above one and raised by two while a block would hold more than
 `_FUSE_BLOCK` pairs (a longer segment is a block of its own), and each
 block lies within one segment of pairs / k. The count is even because a
-team's two threads take alternate blocks: greedy packing's odd count and
-short last block, [4096, 4096, 2678] pairs on the `paper_infer` training
-example, left one thread idle through the last block of the forward and
-of the backward.
+team's two threads claim the blocks in turn: greedy packing's odd count
+and short last block, [4096, 4096, 2678] pairs on the `paper_infer`
+training example, left one thread idle through the last block of the
+forward and of the backward.
 
 The fused output is bit-identical to one whole-scene pass: segments are
 never split, so the softmax, pooling and blend see the same numbers in
@@ -67,11 +67,11 @@ block, and `fusion_backward` sums the blocks' parameter gradients in
 block order; that sum is the one place where the summation order
 differs from a single-block backward, so it is the only output that
 moves when the cuts move (by under 2e-13 relative in any trained
-parameter of the benchmark's runs). On an idle team (see the
-`gsfusion.core` docstring) the forward's blocks run on either thread,
-each writing only its own fused rows, and the backward forms two
-blocks' gradients at a time, each in its own dict, still summed in
-block order, so the bits are those of the inline run.
+parameter of the benchmark's runs). On a team (see the `gsfusion.core`
+docstring) the forward's blocks run on whichever thread claims them,
+each writing only its own fused rows, and the backward forms the blocks'
+gradients in pairs, each in its own dict, still summed in block order,
+so the bits are those of the inline run.
 """
 
 from __future__ import annotations
@@ -580,8 +580,13 @@ def fuse_scene(ego_set: GaussianSet, received_sets: list[GaussianSet],
 
     `neighbors` is `scene_neighbors` of the same inputs and config, for
     callers that fuse one scene many times; it is searched for when not
-    given."""
+    given. Every set must have the params' class count, else ValueError."""
     params.validate()
+    for k, gs in enumerate([ego_set, *received_sets]):
+        if gs.num_classes != params.num_classes:
+            which = "the ego set" if k == 0 else f"received set {k - 1}"
+            raise ValueError(f"{which} has {gs.num_classes} classes but the params have "
+                             f"{params.num_classes}")
     fused = ego_set.copy()
     pool_set = GaussianSet.concat([s for s in received_sets if len(s)])
     if len(ego_set) == 0 or len(pool_set) == 0:
@@ -658,8 +663,8 @@ def _fuse_block(fused: GaussianSet, ego_set: GaussianSet, e_all: np.ndarray,
 def fusion_backward(tape: FusionTape, grad_fused: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Map loss gradients w.r.t. the fused Gaussian fields back onto the
     FusionParams tensors. Input Gaussians are treated as constants. Each
-    tape block's gradients go into the block's own dict, two blocks at a
-    time on a team (`gsfusion.core._each_folded`), and the dicts are summed
+    tape block's gradients go into the block's own dict, a pair of blocks
+    at a time through `gsfusion.core._each_folded`, and the dicts are summed
     into the total in block order. Each block's hidden activations are
     recomputed from its padded features, as the forward computed them."""
     grads = {k: np.zeros_like(v) for k, v in tape.params.as_dict().items()}

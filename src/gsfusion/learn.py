@@ -12,11 +12,12 @@ gradient's row (see `scene_loss_and_grads`). The trainer is a
 deterministic AdamW loop with linear warmup and cosine decay.
 
 Concurrency. `train` and `train_calibration` hold a two-thread team for
-their whole call (see the `gsfusion.core` docstring). A step with a
-batch of two or more runs its examples two at a time; a batch of one
-runs its example on the calling thread, whose stages then split their
-own work, the loss its voxel halves and its present classes among them.
-Either way the results equal a one-thread sequential run's bit for bit.
+their whole call (see the `gsfusion.core` docstring). A step's examples
+are claimed one at a time by whichever thread asks first, and each
+example's stages split their own work, the loss its voxel halves and its
+present classes among them, so a thread done with its example helps
+with the other's; a batch of one is the same with one example. Either
+way the results equal a one-thread sequential run's bit for bit.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def _gradient_rows(voxels, n: int, name: str):
 
 def softmax_probs(channels: np.ndarray) -> np.ndarray:
     """Per-voxel softmax over the class axis (the last one), in two halves
-    of the voxels on an idle team (`gsfusion.core._halves`). The row max
+    of the voxels on a team (`gsfusion.core._halves`). The row max
     is a fold of `np.maximum` over the class columns, and the subtract,
     exp and normalize run in place in the output."""
     ch = np.asarray(channels, dtype=np.float64)
@@ -137,7 +138,7 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray, voxels=None):
     (probs - onehot) / n_voxels: an array of probs.shape, or with `voxels`
     (ascending flat voxel indices) only its rows at those voxels, a
     (len(voxels), C) array. The per-voxel terms and the gradient rows are
-    formed in two halves each on an idle team, the mean once over all
+    formed in two halves each on a team, the mean once over all
     terms.
     """
     flat_l = _voxel_labels(probs, labels, "cross_entropy")
@@ -236,8 +237,8 @@ def lovasz_softmax(probs: np.ndarray, labels: np.ndarray, voxels=None):
     as a per-class loop over a stable sort does, so loss and gradient are
     bit-identical to it. Each present class writes its gradient column,
     already divided by the present-class count, straight into the
-    voxel-major gradient, and the present classes split even and odd
-    (`gsfusion.core._each`); an absent class's column stays zero.
+    voxel-major gradient, and the present classes are split through
+    `gsfusion.core._each`; an absent class's column stays zero.
     """
     num_classes = probs.shape[-1]
     flat_l = _voxel_labels(probs, labels, "lovasz_softmax")
@@ -267,12 +268,12 @@ def total_loss(channels: np.ndarray, labels: np.ndarray, voxels=None):
     (checked: ValueError), only its rows at those voxels, a
     (len(voxels), C) array: every gradient row is formed row-wise, so each
     holds the bits of the same row of the whole gradient, and an empty
-    `voxels` forms no gradient. On an idle team the softmax, the
-    cross-entropy's per-voxel terms and gradient rows and the softmax VJP
-    run over two halves of their rows, the Lovasz classes even and odd
-    (`gsfusion.core._each`). The VJP, probs * (g - sum(probs * g)) for
-    the Lovasz gradient g, works in place in g's buffer and is added to
-    the cross-entropy gradient.
+    `voxels` forms no gradient. On a team the softmax, the cross-entropy's
+    per-voxel terms and gradient rows and the softmax VJP run over two
+    halves of their rows, and the Lovasz classes one at a time on
+    whichever thread claims them (`gsfusion.core._each`). The VJP,
+    probs * (g - sum(probs * g)) for the Lovasz gradient g, works in place
+    in g's buffer and is added to the cross-entropy gradient.
     """
     flat_l = _voxel_labels(channels, labels, "total_loss")
     m, at = _gradient_rows(voxels, flat_l.size, "total_loss")
@@ -363,9 +364,8 @@ def _minibatch_adamw(opt: AdamW, count: int, cfg: TrainConfig, stream: int, exam
     """The AdamW loop of `train` and `train_calibration`: each step draws a
     batch of the `count` examples, seeded by (cfg.seed, stream), averages
     the (LossReport, gradients keyed like opt.params) of `example(i)` over
-    it in batch order and steps `opt`; `_each` runs the batch, two examples
-    at a time on the caller's team. Returns the curve rows (step, ce,
-    lovasz, total)."""
+    it in batch order and steps `opt`; `_each` runs the batch on the
+    caller's team. Returns the curve rows (step, ce, lovasz, total)."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, stream]))
     take = min(cfg.batch, count)
     curve = []

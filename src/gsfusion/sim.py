@@ -10,7 +10,6 @@ world frame, so observations are consistent across agent frames.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -222,6 +221,9 @@ def surface_mask(labels: np.ndarray) -> np.ndarray:
 # visibility by integer DDA over the undecided rays
 # ---------------------------------------------------------------------------
 
+_COMPACT_SHARE = 0.5     # compact the ray state once fewer than this share are live
+
+
 def raycast_visible(occ: np.ndarray, geom: GridGeometry, eye: np.ndarray,
                     targets: np.ndarray, end_points: np.ndarray | None = None) -> np.ndarray:
     """March one ray per target voxel from `eye` toward `end_points`
@@ -230,8 +232,9 @@ def raycast_visible(occ: np.ndarray, geom: GridGeometry, eye: np.ndarray,
 
     `occ` is the occupancy mask of the grid, `targets` an (M, 3) array of
     integer voxel indices. Each ray advances one voxel boundary per
-    iteration (Amanatides-Woo stepping), vectorized across the rays still
-    undecided. The contract:
+    iteration (Amanatides-Woo stepping), vectorized across the rays; a
+    decided ray is masked off, and the state is compacted once fewer than
+    half the rays are live. The contract:
 
     - a boundary crossing tied between axes steps along the lowest axis;
     - an eye outside the grid starts from the nearest voxel (its index
@@ -271,31 +274,36 @@ def raycast_visible(occ: np.ndarray, geom: GridGeometry, eye: np.ndarray,
     occ_pad = np.pad(occ, 1, constant_values=True).ravel()
     visible = np.all(targets == cell, axis=1)  # target shares the eye voxel
 
-    # state of the undecided rays only: one 1-D array per axis
+    # state of the undecided rays, one 1-D array per axis. A decided ray
+    # stays in the arrays, masked off by `live`, and keeps stepping
+    # harmlessly (`take` clips its index) until the arrays are compacted
     rays = np.flatnonzero(~visible)
     tflat = tflat[rays]
     flat = np.full(rays.size, (cell + 1) @ stride)
     t = [tmax[rays, a] for a in range(3)]
     dt = [tdelta[rays, a] for a in range(3)]
     fstep = [step[rays, a] * stride[a] for a in range(3)]
+    live = np.ones(rays.size, dtype=bool)
     for _ in range(int(dims.sum()) + 4):
-        if rays.size == 0:
+        count = np.count_nonzero(live)
+        if count == 0:
             break
+        if count < _COMPACT_SHARE * live.size:
+            keep = np.flatnonzero(live)
+            rays, tflat, flat, live = rays[keep], tflat[keep], flat[keep], live[keep]
+            t, dt, fstep = ([v[keep] for v in vs] for vs in (t, dt, fstep))
         # step along the axis of the nearest crossing, ties to the lowest axis
-        mx = (t[0] <= t[1]) & (t[0] <= t[2])
-        my = ~mx & (t[1] <= t[2])
+        tmin = np.minimum(np.minimum(t[0], t[1]), t[2])
+        mx = t[0] == tmin
+        my = ~mx & (t[1] == tmin)
         mz = ~(mx | my)
-        grazing = np.minimum(np.minimum(t[0], t[1]), t[2]) > 1.0
-        visible[rays[grazing]] = True
-        live = ~grazing
-        for a, move in enumerate((mx & live, my & live, mz & live)):
+        grazing = tmin > 1.0
+        for a, move in enumerate((mx, my, mz)):
             np.add(t[a], dt[a], out=t[a], where=move)
-            np.add(flat, fstep[a], out=flat, where=move)
-        hit = live & (flat == tflat)
-        visible[rays[hit]] = True
-        keep = np.flatnonzero(live & ~hit & ~occ_pad[flat])
-        rays, tflat, flat = rays[keep], tflat[keep], flat[keep]
-        t, dt, fstep = ([v[keep] for v in vs] for vs in (t, dt, fstep))
+        flat += np.where(mx, fstep[0], np.where(my, fstep[1], fstep[2]))
+        reached = grazing | (flat == tflat)
+        visible[rays[live & reached]] = True
+        live &= ~(reached | occ_pad.take(flat, mode="clip"))
     return visible
 
 
@@ -586,11 +594,12 @@ def run_episode(spec: SceneSpec, model: ObservationModel, mode: str,
     learned:   the stacked set is refined by the fusion network against the
                received pool before splatting; requires FusionParams.
 
-    Every ego first receives its messages, in ego order on the calling
-    thread, so the comm stats and message_sink keep that order; then the
-    egos render (fuse, splat, prior, calibration, labels) two at a time
-    on a two-thread team when there are two or more (see the gsfusion.core
-    docstring).
+    The egos receive their messages and render (fuse, splat, prior,
+    calibration, labels) on a two-thread team, each claimed by whichever
+    thread asks first, and the stages of each ego split their own work on
+    it, one ego's included (see the gsfusion.core docstring). Each ego
+    counts its messages on its own, and the counts and message_sink are
+    joined in ego order, so they equal a sequential run's.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -606,27 +615,30 @@ def run_episode(spec: SceneSpec, model: ObservationModel, mode: str,
     # docstring)
     geometry = spec.agent_geometry()
     prior = _prior(episode, model, geometry, splat_cfg)
-    stats = CommStats()
     collaborate = mode != "single" and spec.num_agents > 1
-    received = [_receive_all(episode, ego, precision, budget_bytes, stats, message_sink)
-                for ego in range(spec.num_agents)] if collaborate else None
 
     def render(ego):
-        final = episode.observations[ego]
+        final, links, sink = episode.observations[ego], CommStats(), []
         if collaborate:
-            final = stack(final, received[ego])
+            received = _receive_all(episode, ego, precision, budget_bytes, links, sink)
+            final = stack(final, received)
             if mode == "learned":
-                final = fuse_scene(final, received[ego], fusion_cfg, params)
+                final = fuse_scene(final, received, fusion_cfg, params)
         grid = splat(final, geometry, splat_cfg)
         prior.add_to(grid.channels)
         if mode == "naive" and collaborate and params is not None:
             grid = VoxelGrid(geometry, channels=params.apply(grid.channels))
-        return grid, labels_from_channels(grid, splat_cfg.min_contribution)
+        return grid, labels_from_channels(grid, splat_cfg.min_contribution), links, sink
 
-    with _two_threads() if spec.num_agents > 1 else nullcontext():
+    with _two_threads():
         rendered = _each(render, spec.num_agents)
-    return EpisodeResult(mode, [labels for _, labels in rendered],
-                         [grid for grid, _ in rendered], stats)
+    stats = CommStats()
+    for _, _, links, sink in rendered:          # in ego order
+        stats.add(links)
+        if message_sink is not None:
+            message_sink.extend(sink)
+    return EpisodeResult(mode, [labels for _, labels, _, _ in rendered],
+                         [grid for grid, _, _, _ in rendered], stats)
 
 
 def make_training_example(spec: SceneSpec, model: ObservationModel, ego: int = 0,

@@ -31,10 +31,10 @@ bit of a named row's gradient; the rows it leaves off get zeros. An
 unrecorded splat keeps no tape fields. Every sum of the backward bins by
 Gaussian, and a Gaussian's pairs all lie in one block in their canonical
 order, so the blocks change no gradient bit. On a team (see the
-`gsfusion.core` docstring) the forward makes two blocks' pairs and
-entries at a time, one on each thread, and the calling thread adds both
-into the grid, in block order, before the next two start; the backward
-runs its blocks on either thread.
+`gsfusion.core` docstring) the forward makes a pair of blocks' pairs and
+entries at a time, each on whichever thread claims it, and the calling
+thread adds both into the grid, in block order, before the next pair
+starts; the backward runs its blocks on whichever thread claims them.
 
 Nonzero accumulation. Each block's per-channel weights go straight into
 the zeroed grid with `np.add.at`, keeping only the entries at or above

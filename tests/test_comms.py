@@ -321,6 +321,23 @@ class TestBudgetAndStats:
         assert stats.gaussians_sent == 20
         assert stats.bytes_sent == 4 * (24 + 5 * 48)
 
+    def test_added_stats_equal_one_record_of_every_event(self):
+        # events split in two runs, the second sharing a link with the first
+        events = [((0, 1), 5), ((2, 1), None), ((0, 2), 3), ((0, 1), None), ((3, 1), 7)]
+        whole, parts = CommStats(), [CommStats(), CommStats()]
+        for k, ((sender, receiver), count) in enumerate(events):
+            for stats in (whole, parts[k >= 2]):
+                if count is None:
+                    stats.record_rejected((sender, receiver))
+                else:
+                    msg = GaussianMessage(sender, receiver, 0, random_gaussian_set(RNG, count))
+                    stats.record(msg, msg.byte_length())
+        joined = CommStats()
+        for part in parts:
+            joined.add(part)
+        assert joined == whole
+        assert list(joined.per_link) == list(whole.per_link)
+
     def test_every_rejection_lands_on_its_link(self):
         stats = CommStats()
         stats.record_rejected((2, 0))

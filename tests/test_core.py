@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -341,37 +342,142 @@ needs_setter = pytest.mark.skipif(core._set_blas_threads is None,
                                   reason="numpy's BLAS has no per-thread thread-count setter")
 
 
+WAIT = 10       # seconds an item waits for the other thread before it fails
+
+
 class TestTwoThreads:
     @needs_setter
-    def test_even_indices_on_the_caller_odd_on_the_worker(self):
-        caller, ran, nested = threading.current_thread(), {}, []
+    def test_results_in_index_order_whichever_thread_ran_each(self):
+        # items 0 and 1 wait for each other, so they run on the two threads;
+        # the others go to whichever thread asks first
+        caller, ran = threading.current_thread(), {}
+        both = threading.Barrier(2, timeout=WAIT)
 
         def item(i):
             ran[i] = threading.current_thread()
-            # the team is busy: a nested _each runs inline on this thread
-            nested.append(core._each(lambda j: threading.current_thread(), 3)
-                          == [ran[i]] * 3)
+            if i < 2:
+                both.wait()
+            time.sleep(0.001 * (i % 3))
             return i * i
 
         before = threading.enumerate()
         with core._two_threads():
-            assert core._each(item, 5) == [0, 1, 4, 9, 16]
-            worker = ran[1]
+            assert core._each(item, 9) == [i * i for i in range(9)]
             with core._two_threads():           # a team is not opened twice
                 assert threading.active_count() == len(before) + 1
+        assert threading.enumerate() == before  # no thread outlives the team
+        assert ran[0] is not ran[1] and caller in (ran[0], ran[1])
+        assert set(ran.values()) == {ran[0], ran[1]}
+
+    @needs_setter
+    def test_an_idle_worker_runs_items_of_a_nested_each(self):
+        # inner item 0 waits for inner item 1 to start, so the thread that
+        # opened the nested `_each` cannot run both
+        started, ran = threading.Event(), {}
+
+        def inner(j):
+            ran[j] = threading.current_thread()
+            if j == 0:
+                assert started.wait(WAIT), "inner item 1 never started"
+            started.set()
+            return j
+
+        with core._two_threads():
+            out = core._each(lambda i: core._each(inner, 2) if i == 0 else i, 2)
+        assert out == [[0, 1], 1]
+        assert ran[0] is not ran[1]
+
+    @needs_setter
+    def test_a_waiting_owner_starts_no_item_of_an_older_job(self):
+        # the caller's first outer item opens a nested job and waits there
+        # while the worker holds its item 1; the outer items are older than
+        # that job, so the caller must start none of them inside the wait,
+        # and the worker takes the nested job's item before an outer one
+        caller = threading.current_thread()
+        opened, held = threading.Event(), threading.Event()
+        started, first, during = [], [], []
+
+        def inner(j):
+            if j == 0:
+                opened.set()
+                assert held.wait(WAIT), "the worker never took inner item 1"
+            else:
+                # the worker took the newest job's item before the third outer item
+                first.append(len(started))
+                held.set()
+                time.sleep(0.2)
+                during.append([i for i, thread in started if thread is caller])
+
+        def outer(i):
+            started.append((i, threading.current_thread()))
+            if threading.current_thread() is caller and not opened.is_set():
+                core._each(inner, 2)
+            else:
+                assert opened.wait(WAIT)
+            return i
+
+        with core._two_threads():
+            assert core._each(outer, 3) == [0, 1, 2]
+        assert len(during) == 1 and len(during[0]) == 1 and first[0] <= 2
+        assert sorted(i for i, _ in started) == [0, 1, 2]
+
+    @needs_setter
+    def test_lowest_index_error_reaches_the_owner_after_every_claimed_item(self):
+        # items 0 and 1 run on the two threads; the thread done with item 0
+        # takes item 2, which fails while item 1 still runs, then item 1 fails
+        both = threading.Barrier(2, timeout=WAIT)
+        second = threading.Event()
+        ran, finished = [], []
+
+        def item(i):
+            ran.append(i)
+            if i < 2:
+                both.wait()
+            if i == 1:
+                assert second.wait(WAIT)
+                time.sleep(0.1)
+                finished.append(i)
+                raise ValueError("item 1 failed")
+            if i == 2:
+                second.set()
+                raise ValueError("item 2 failed")
+            return i
+
+        before = threading.enumerate()
+        with core._two_threads():
+            with pytest.raises(ValueError, match="^item 1 failed$"):
+                core._each(item, 6)
+            assert finished == [1]
+        assert sorted(ran) == [0, 1, 2]         # nothing is handed out after a failure
         assert threading.enumerate() == before
-        assert worker is not caller and all(nested)
-        assert [ran[i] is caller for i in range(5)] == [True, False, True, False, True]
-        assert ran[3] is worker
+
+    @needs_setter
+    def test_both_threads_hold_blas_at_one_thread_while_the_team_lives(self):
+        outside = core._set_blas_threads(2)
+        both = threading.Barrier(2, timeout=WAIT)
+
+        def item(i):
+            both.wait()                         # one item a thread
+            return threading.current_thread(), core._set_blas_threads(1)
+
+        try:
+            with core._two_threads():
+                (first, held0), (second, held1) = core._each(item, 2)
+            assert first is not second and held0 == held1 == 1
+            assert core._set_blas_threads(outside) == 2     # the caller's count is back
+        finally:
+            core._set_blas_threads(outside)
 
     def test_without_a_team_runs_inline(self, monkeypatch):
-        monkeypatch.setattr(core, "ThreadPoolExecutor", None)   # no pool may be made
+        monkeypatch.setattr(core, "_Team", None)        # no team may be made
         assert core._each(lambda i: (i, threading.current_thread()), 3) == \
             [(i, threading.current_thread()) for i in range(3)]
+        assert core._halves(5) == [slice(0, 5)]
         monkeypatch.setattr(core, "_set_blas_threads", None)
         with core._two_threads():
             assert core._each(lambda i: threading.current_thread(), 2) == \
                 [threading.current_thread()] * 2
+            assert core._halves(5) == [slice(0, 5)]
 
     @needs_setter
     def test_each_folded_holds_at_most_two_results(self):
@@ -402,7 +508,7 @@ class TestTwoThreads:
         with core._two_threads():
             core._each_folded(make, n, folded.append)
         assert folded == [i * i for i in range(n)]
-        assert [ran[i] is caller for i in range(n)] == [i % 2 == 0 for i in range(n)]
+        assert len(set(ran.values())) <= 2 and ran[n - 1] is caller   # a lone last item runs inline
 
     @needs_setter
     def test_many_teams_at_once(self):

@@ -477,6 +477,20 @@ class TestFuseScene:
         assert len(out) == 30
         out.validate()
 
+    @pytest.mark.parametrize("ego_classes, received_classes, which", [
+        (5, [13], "the ego set has 5 classes"), (13, [13, 5], "received set 1 has 5 classes"),
+        (13, [GaussianSet.empty(5)], "received set 0 has 5 classes")])
+    def test_class_count_must_match_the_params(self, ego_classes, received_classes, which):
+        # checked before any product: a 5-class set against 13-class params
+        # raised numpy's matmul shape error from inside the MLP
+        rng = np.random.default_rng(3)
+        ego = random_gaussian_set(rng, 10, num_classes=ego_classes, center_span=1.0)
+        received = [c if isinstance(c, GaussianSet) else
+                    random_gaussian_set(rng, 10, num_classes=c, center_span=1.0)
+                    for c in received_classes]
+        with pytest.raises(ValueError, match=f"^{which} but the params have 13$"):
+            fuse_scene(ego, received, FusionConfig(radius_rho=1.0), FusionParams.init(seed=0))
+
     def test_received_copy_preserves_argmax(self):
         # well separated one-hot ego Gaussians, received = exact copy, and
         # params that pass the neighbor's class weights through softplus:

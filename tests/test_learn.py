@@ -706,26 +706,26 @@ def _threaded_digests() -> str:
 
 
 def _forbidden(*args, **kwargs):
-    raise AssertionError("a batch that runs on the calling thread needs no worker or pinning")
+    raise AssertionError("a run without the per-thread BLAS setter needs no team")
 
 
-# a block function of each stage that splits its work on an idle team
+# a block function of each stage that splits its work on a team
 STAGE_BLOCKS = [(fusion, "_fuse_block"), (splat_module, "_box_pairs"),
                 (learn, "_lovasz_class"), (fusion, "_block_grads")]
 
 
-def _count_submits(monkeypatch) -> list:
-    """Patch the team's pool so that every submit is recorded in the
-    returned list."""
-    submits = []
+def _count_jobs(monkeypatch) -> list:
+    """Patch the team's job type so that every `_each` published to a team
+    records the thread that opened it in the returned list."""
+    jobs = []
 
-    class Pool(core.ThreadPoolExecutor):
-        def submit(self, *args, **kwargs):
-            submits.append(threading.current_thread())
-            return super().submit(*args, **kwargs)
+    class Job(core._Job):
+        def __init__(self, *args, **kwargs):
+            jobs.append(threading.current_thread())
+            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(core, "ThreadPoolExecutor", Pool)
-    return submits
+    monkeypatch.setattr(core, "_Job", Job)
+    return jobs
 
 
 def _assert_same_training(got, want):
@@ -765,16 +765,16 @@ class TestTwoExamplesAtATime:
         assert threading.enumerate() == before          # no thread outlives train
         _assert_same_training(got, want)
         main = threading.main_thread()
-        worker = next(t for t in ran if t is not main)
-        # a batch of three: positions 0 and 2 on the calling thread, 1 on the worker
-        assert [t is main for t in ran].count(True) == 2 * THREAD_CFG.steps
-        assert ran.count(worker) == THREAD_CFG.steps
+        worker = pinned[1][0]
         assert pinned == [(main, 1), (worker, 1), (main, previous)]
+        # each example of each step once, on whichever thread claimed it
+        assert len(ran) == THREAD_CFG.batch * THREAD_CFG.steps
+        assert set(ran) <= {main, worker}
 
     def test_without_setter_runs_sequentially(self, data, monkeypatch):
         want = sequential_train(FusionParams.init(seed=1), data, THREAD_CFG)
         monkeypatch.setattr(core, "_set_blas_threads", None)
-        monkeypatch.setattr(core, "ThreadPoolExecutor", _forbidden)
+        monkeypatch.setattr(core, "_Team", _forbidden)
         _assert_same_training(train(FusionParams.init(seed=1), data, THREAD_CFG), want)
 
     @needs_setter
@@ -803,12 +803,26 @@ class TestTwoExamplesAtATime:
         assert main in staged and any(t is not main for t in staged)
 
     @needs_setter
-    def test_batch_of_two_submits_no_stage_work(self, data, monkeypatch):
-        # one submit for the set-up, then one per step for the second example
-        submits = _count_submits(monkeypatch)
+    def test_batch_of_two_publishes_its_stage_work(self, data, monkeypatch):
+        # beyond one job for the set-up and one a step for the batch, the
+        # stages of both examples publish theirs, so a thread done with its
+        # example helps with the other's; the first step's two examples
+        # wait for each other, so they run on the two threads
+        jobs = _count_jobs(monkeypatch)
+        real, calls = learn.scene_loss_and_grads, []
+        both = threading.Barrier(2, timeout=60)
+
+        def example(*args, **kwargs):
+            calls.append(threading.current_thread())
+            if len(calls) <= 2:
+                both.wait()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(learn, "scene_loss_and_grads", example)
         cfg = replace(THREAD_CFG, batch=2)
         train(FusionParams.init(seed=1), data, cfg)
-        assert len(submits) == 1 + cfg.steps
+        main = threading.main_thread()
+        assert len(jobs) > 1 + cfg.steps and jobs.count(main) < len(jobs)
 
     @needs_setter
     @pytest.mark.parametrize("module, name", [
@@ -846,7 +860,7 @@ class TestTwoExamplesAtATime:
         thread.start()
         thread.join(timeout=120)
         assert not thread.is_alive()
-        assert len(raised) == 1 and "block failed in ThreadPoolExecutor-" in str(raised[0])
+        assert len(raised) == 1 and "block failed in gsfusion-worker" in str(raised[0])
         assert threading.enumerate() == before
 
     @needs_setter
@@ -860,7 +874,7 @@ class TestTwoExamplesAtATime:
 
         monkeypatch.setattr(learn, "scene_loss_and_grads", diverge_off_main)
         before = threading.enumerate()
-        with pytest.raises(DivergenceError, match="non-finite loss in ThreadPoolExecutor-"):
+        with pytest.raises(DivergenceError, match="non-finite loss in gsfusion-worker"):
             train(FusionParams.init(seed=1), data, THREAD_CFG)
         assert threading.enumerate() == before
 
@@ -932,8 +946,8 @@ def _assert_same_bits(got, want, where="output"):
 
 
 class TestStagesOnTwoThreads:
-    """Each stage of a training example split on an idle team gives the bits
-    of its inline run, at one BLAS thread."""
+    """Each stage of a training example split on a team gives the bits of
+    its inline run, at one BLAS thread."""
 
     @needs_setter
     def test_split_stages_equal_inline_runs(self, monkeypatch):
@@ -953,11 +967,11 @@ class TestStagesOnTwoThreads:
             want = _stage_outputs(ex, params)
         finally:
             core._set_blas_threads(previous)
-        submits = _count_submits(monkeypatch)
+        jobs = _count_jobs(monkeypatch)
         marks = []
 
         def mark(stage):
-            marks.append((stage, len(submits)))
+            marks.append((stage, len(jobs)))
 
         with core._two_threads():
             got = _stage_outputs(ex, params, mark)
@@ -965,7 +979,7 @@ class TestStagesOnTwoThreads:
         assert len(want[1]) >= 4 and len(want[1]) % 2 == 0      # fusion blocks
         assert len(want[3]) >= 5                                  # splat blocks with pairs
         done = 0
-        for stage, count in marks:          # every stage handed work to the worker
+        for stage, count in marks:          # every stage published work to the team
             assert count > done, stage
             done = count
 

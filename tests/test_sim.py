@@ -550,10 +550,6 @@ needs_setter = pytest.mark.skipif(core._set_blas_threads is None,
                                   reason="numpy's BLAS has no per-thread thread-count setter")
 
 
-def _forbidden(*args, **kwargs):
-    raise AssertionError("a one-agent episode needs no worker or pinning")
-
-
 def _learned_episode_digest() -> str:
     """Digest of a 3-agent learned episode: grids, comm counts and wire bytes."""
     spec, model, episode = _episode_fixture(3, gaussians=800)
@@ -576,16 +572,24 @@ class TestTwoEgosAtATime:
 
     @pytest.mark.parametrize("mode", ["single", "zero_shot", "naive", "learned"])
     def test_equals_sequential_episode(self, scene, mode, monkeypatch):
+        # every agent count, one included, renders on a team where the
+        # per-thread BLAS setter exists
         spec, model, episode = scene
         params = EPISODE_PARAMS.get(mode)
         want_sink, got_sink = [], []
         want = sequential_episode(spec, model, mode, params=params, episode=episode,
                                   message_sink=want_sink)
-        if spec.num_agents == 1:            # one ego: no worker, BLAS untouched
-            monkeypatch.setattr(core, "_set_blas_threads", _forbidden)
-            monkeypatch.setattr(core, "ThreadPoolExecutor", _forbidden)
+        teams = []
+        real_team = core._Team
+
+        def team():
+            teams.append(True)
+            return real_team()
+
+        monkeypatch.setattr(core, "_Team", team)
         got = run_episode(spec, model, mode, params=params, episode=episode,
                           message_sink=got_sink)
+        assert len(teams) == (core._set_blas_threads is not None)
         assert len(got.labels) == len(got.channels) == spec.num_agents
         for a in range(spec.num_agents):
             assert np.array_equal(got.labels[a].labels, want.labels[a].labels), a
@@ -595,16 +599,20 @@ class TestTwoEgosAtATime:
         assert got_sink == want_sink
 
     @needs_setter
-    def test_worker_renders_odd_egos_and_leaves_nothing_behind(self, monkeypatch):
+    def test_egos_render_on_the_team_and_leave_nothing_behind(self, monkeypatch):
         spec, model, episode = _episode_fixture(4)
         real_stack, real_setter = sim.stack, core._set_blas_threads
         previous = real_setter(1)
         real_setter(previous)
         stacked, pinned = [], []
 
+        both = threading.Barrier(2, timeout=10)
+
         def stack(own, received):
             ego = next(a for a, obs in enumerate(episode.observations) if obs is own)
             stacked.append((threading.current_thread(), ego))
+            if ego < 2:                 # egos 0 and 1 render on the two threads
+                both.wait()
             return real_stack(own, received)
 
         def setter(n):
@@ -618,25 +626,33 @@ class TestTwoEgosAtATime:
         assert threading.enumerate() == before          # no thread outlives the episode
         assert real_setter(previous) == previous        # the caller's BLAS count is back
         main = threading.main_thread()
-        worker = next(t for t, _ in stacked if t is not main)
-        assert sorted(ego for t, ego in stacked if t is main) == [0, 2]
-        assert sorted(ego for t, ego in stacked if t is worker) == [1, 3]
+        worker = pinned[1][0]
         assert pinned == [(main, 1), (worker, 1), (main, previous)]
+        assert worker is not main and worker.name == "gsfusion-worker"
+        assert sorted(ego for _, ego in stacked) == [0, 1, 2, 3]        # each ego once
+        assert {t for t, _ in stacked} == {main, worker}
 
     @needs_setter
     def test_failure_in_the_worker_reaches_the_caller(self, monkeypatch):
-        # in a 3-agent episode the worker renders ego 1 only
+        # egos 0 and 1 render on the two threads, so the worker fuses one
         spec, model, episode = _episode_fixture(3)
-        real = sim.fuse_scene
+        real, real_stack = sim.fuse_scene, sim.stack
+        both = threading.Barrier(2, timeout=10)
+
+        def stack(own, received):
+            if own is episode.observations[0] or own is episode.observations[1]:
+                both.wait()
+            return real_stack(own, received)
 
         def fail_off_main(*args, **kwargs):
             if threading.current_thread() is not threading.main_thread():
                 raise RuntimeError(f"fusion failed in {threading.current_thread().name}")
             return real(*args, **kwargs)
 
+        monkeypatch.setattr(sim, "stack", stack)
         monkeypatch.setattr(sim, "fuse_scene", fail_off_main)
         before = threading.enumerate()
-        with pytest.raises(RuntimeError, match="fusion failed in ThreadPoolExecutor-"):
+        with pytest.raises(RuntimeError, match="fusion failed in gsfusion-worker"):
             run_episode(spec, model, "learned", params=EPISODE_PARAMS["learned"],
                         episode=episode)
         assert threading.enumerate() == before
