@@ -553,30 +553,24 @@ def _check_conditioning(scales: np.ndarray) -> None:
         )
 
 
-def _mahalanobis_rows(delta: np.ndarray, rots: np.ndarray, scales: np.ndarray):
-    """(local, q) of each row: local = R^T delta, q = sum_j (local_j / s_j)**2,
-    for (P, 3) offsets from the means, (P, 3, 3) rotations and (P, 3)
-    scales. The one arithmetic for q: `density` and the splat share it,
-    and the tests' brute-force pair oracle spells it out, so all three
-    agree bit for bit."""
-    local = np.einsum("pk,pkj->pj", delta, rots)
-    q = sum((local[:, j] / scales[:, j]) ** 2 for j in range(3))
-    return local, q
-
-
 def density(g: SemanticGaussian, x: np.ndarray) -> np.ndarray:
     """Semantic contribution of one Gaussian at a point.
 
     Returns opacity * exp(-0.5 * q) * semantics as a C-vector, q being the
-    squared Mahalanobis distance of x from the mean. q is formed by
-    `_mahalanobis_rows`, the splat's own row arithmetic, so at a voxel
-    center this is the splat's value of the Gaussian there, bit for bit.
+    squared Mahalanobis distance of x from the mean: with d = x - mean,
+    local_j = (P_x + P_y) + P_z for the products P_a = d_a * R[a, j] + 0.0,
+    and q = sum_j (local_j / s_j)**2, left to right. That is the splat's
+    own arithmetic for a candidate, from its per-axis tables, and the
+    tests' brute-force pair oracle spells it out too, so at a voxel center
+    this is the splat's value of the Gaussian there, bit for bit.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (3,):
         raise ValueError("x must be a 3-vector")
-    rot = _quat_to_rotmat_unchecked(g.rotation)
-    _, q = _mahalanobis_rows((x - g.mean)[None], rot[None], g.scale[None])
+    prod = (x - g.mean)[:, None] * _quat_to_rotmat_unchecked(g.rotation) + 0.0
+    u = ((prod[0] + prod[1]) + prod[2]) / g.scale
+    u *= u
+    q = (u[0] + u[1]) + u[2]
     return g.opacity * np.exp(-0.5 * q) * g.semantics
 
 
@@ -588,31 +582,72 @@ def _whole_runs(sizes: np.ndarray, bound: int, even: bool = False) -> list:
 
     The j-th cut is the item edge nearest j * total / k (the lower one on a
     tie), and an item of more than `bound` units is cut out as a run of its
-    own. k starts at ceil(total / bound), so a run holds about total / k
-    units, within one item of it, and is raised while a run of two or more
-    items would hold more than `bound`. With `even`, k is even when above
-    one and is raised by two, so two threads claiming runs in turn
-    (`_each`) both have work to the last pair. Two cuts merge only
-    where an item holds total / k units or more, which can leave fewer than
-    k runs. The runs depend on `sizes` alone."""
+    own. k is the least count from ceil(total / bound) up for which no run
+    of two or more items holds more than `bound`, so a run holds about
+    total / k units, within one item of it. With `even`, k is even when
+    above one and is raised by two, so two threads claiming runs in turn
+    (`_each`) both have work to the last pair. Two cuts merge only where
+    an item holds total / k units or more, which can leave fewer than k
+    runs. The runs depend on `sizes` alone.
+
+    Items near half the bound can need k far above its start, so the
+    counts are tried in batches that double, each count first on its runs
+    before its 64th cut, where most counts that fail do so, then the rest
+    whole, in chunks that double (`_counts_fit`). A pass holds at most
+    about 2^16 cuts."""
     edges = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
     n, total = sizes.size, int(edges[-1])
     if total <= bound:              # one run; a tiny scene pays for every numpy call
         return [(0, n, 0, total)] if n else []
     big = np.flatnonzero(sizes > bound)
+    fixed = np.unique(np.concatenate([[0, n], big, big + 1]))
     step = 2 if even else 1
     k = -(-total // bound)          # 2 or more here
     k += -k % step
+    tries = 1
     while True:
-        aim = np.arange(1, k, dtype=np.int64) * total         # k times j * total / k
-        right = np.searchsorted(edges * k, aim)                 # first edge at or past it
-        lower = aim - k * edges[right - 1] <= k * edges[right] - aim
-        cuts = np.unique(np.concatenate([[0, n], right - lower, big, big + 1]))
-        units = np.diff(edges[cuts])
-        if np.all((units <= bound) | (np.diff(cuts) == 1)):
+        ks = k + step * np.arange(tries)
+        k = int(ks[-1]) + step
+        fits, cuts = _counts_fit(edges, fixed, bound, ks, np.minimum(ks, 64))
+        found = fits[0] and ks[0] <= 64     # the least count fits, checked whole
+        ks, chunk = ks[fits], 1
+        while not found and ks.size:
+            head, ks = ks[:chunk], ks[chunk:]
+            fits, cuts = _counts_fit(edges, fixed, bound, head, head)
+            found = fits.any()
+            chunk = min(2 * chunk, max(1, (1 << 16) // int(head[-1])))
+        if found:
             return [(int(a), int(b), int(edges[a]), int(edges[b]))
                     for a, b in zip(cuts[:-1], cuts[1:])]
-        k += step
+        tries = min(2 * tries, 1 << 10)
+
+
+def _counts_fit(edges: np.ndarray, fixed: np.ndarray, bound: int, ks: np.ndarray,
+                ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each count ks[i] of `_whole_runs` has no run of two or more
+    items over `bound` before its ms[i]-th cut (cut k is the item count),
+    and the ascending cuts, up to that one, of the first count that has
+    none. `fixed` holds 0, the item count and the edges of the items past
+    the bound.
+
+    The cuts rise with j, so the cuts up to the m-th, with the fixed ones
+    up to it, hold only runs of the whole cut set."""
+    n, total = edges.size - 1, int(edges[-1])
+    which = np.repeat(np.arange(ks.size), ms)
+    j = np.arange(which.size) - np.repeat(np.cumsum(ms) - ms - 1, ms)
+    kj = ks.take(which)
+    aim = j * total                                             # k times j * total / k
+    right = np.searchsorted(edges, -(-aim // kj))               # first edge at or past it
+    lower = aim - kj * edges.take(right - 1) <= kj * edges.take(right) - aim
+    cut = np.where(j == kj, n, right - lower)
+    held = fixed[None, :] <= cut.take(np.cumsum(ms) - 1)[:, None]
+    keys = np.sort(np.concatenate([which * (n + 1) + cut,
+                                   (np.arange(ks.size)[:, None] * (n + 1) + fixed)[held]]))
+    which, cuts = np.divmod(keys, n + 1)
+    over = ((which[1:] == which[:-1]) & (cuts[1:] - cuts[:-1] > 1)
+            & (edges.take(cuts[1:]) - edges.take(cuts[:-1]) > bound))
+    fits = np.bincount(which[1:][over], minlength=ks.size) == 0
+    return fits, np.unique(cuts[which == np.argmax(fits)])
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,22 @@ Bounded blocks. The forward enumerates candidate voxels over near-equal
 runs of whole Gaussians whose bounding boxes hold at most `_BLOCK` cells
 together (a Gaussian whose box holds more is a block on its own), so its
 temporaries are bounded by the block, not by the set, apart from such a
-Gaussian (the empty-space prior's box is the whole grid). The bound
-changes no bit and is 2^14 for speed: a block's candidate temporaries,
-a few dozen 8-byte values a candidate, then stay near a core's L2 cache.
-In a sweep from 2^11 to 2^17 over single and zero_shot episodes of both
-benchmark workloads (2-core x86_64, 2 MiB L2 a core), 2^14 was fastest
-or tied with 2^15; 2^17 was 19-43% slower and 2^11 2.0-2.2x slower.
+Gaussian (the empty-space prior's box is the whole grid). A block builds
+its candidates from per-axis tables: for each Gaussian, axis and cell of
+its box along that axis, the offset from the mean and its products with
+the rotation's row. Rows (Gaussian, x) expand into (Gaussian, x, y)
+columns and columns into candidates by 1-D `take`, bincount and cumsum,
+which release the GIL, so two egos' blocks render at once. A candidate's local_j is
+(P_x + P_y) + P_z, the sum over the axes in the order einsum forms
+R^T delta, each table product having +0.0 added, as einsum sums onto
++0.0; so q, e, delta and local are the bits of that einsum. The bound
+changes no bit and is 2^16 for speed. In a sweep from 2^14 to 2^17 over
+single and zero_shot episodes of both benchmark workloads, alternating
+bounds in one process on a team (2-core x86_64), 2^16 was fastest on
+`paper_infer` (single 51-52 ms against 61 ms at 2^14 and 64 ms at 2^17),
+tied with 2^15 on `acceptance_train` single and 4-9% behind it on its
+zero_shot. At 2^17 most of `paper_infer`'s sets are one block, so the
+last ego's render can no longer be shared between the threads.
 
 With `record` the splat also keeps a tape of the rows it names (an
 ascending array of row indices): one record per block, as `fuse_scene`
@@ -78,7 +88,6 @@ from gsfusion.core import (
     _check_conditioning,
     _each,
     _each_folded,
-    _mahalanobis_rows,
     _quat_to_rotmat_unchecked,
     _whole_runs,
     index_set,
@@ -95,7 +104,7 @@ _HEADER = struct.Struct("<4sIIIII3ffB")
 
 # the most candidate cells one block of the splat forward enumerates,
 # unless a single Gaussian's box holds more
-_BLOCK = 1 << 14
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -201,7 +210,8 @@ def _pair_blocks(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfi
     def block(k):
         start, stop, _, _ = runs[k]
         b = slice(start, stop)
-        every, recorded = _box_pairs(gaussians.take(b), geometry, t, rots[b], lo[b], ext[b],
+        every, recorded = _box_pairs(geometry, t, gaussians.means[b], gaussians.scales[b],
+                                     rots[b], lo[b], ext[b],
                                      None if differentiate is None else differentiate[b])
 
         def shifted(pairs):
@@ -212,44 +222,83 @@ def _pair_blocks(gaussians: GaussianSet, geometry: GridGeometry, cfg: SplatConfi
     return len(runs), block
 
 
-def _box_pairs(gaussians: GaussianSet, geometry: GridGeometry, t: float,
+def _segments(lengths: np.ndarray) -> np.ndarray:
+    """The segment of each position when consecutive segments hold
+    `lengths` positions, empty ones allowed: position p lies in the last
+    segment that starts at or before it. One bincount and one cumsum,
+    which release the GIL where `np.repeat` holds it."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.cumsum(np.bincount(ends[:-1], minlength=total)[:total])
+
+
+def _box_pairs(geometry: GridGeometry, t: float, means: np.ndarray, scales: np.ndarray,
                rots: np.ndarray, lo: np.ndarray, ext: np.ndarray,
                differentiate: np.ndarray | None) -> tuple[Pairs, Pairs | None]:
     """The pairs among the candidates of the boxes with lowest corner `lo`
-    and extent `ext`, one box per Gaussian of `gaussians` (indexed from 0),
-    without delta and local; then the pairs of the rows that
-    `differentiate` marks, the only pairs whose delta and local are
-    gathered, or None without it."""
+    and extent `ext`, one box per Gaussian of the (n, 3) `means` and
+    `scales` and (n, 3, 3) `rots` (indexed from 0), without delta and
+    local; then the pairs of the rows that `differentiate` marks, the only
+    pairs whose delta and local are gathered, or None without it.
+
+    Per-axis tables hold, for each Gaussian g, axis a and cell of g's box
+    along a, the offset d = origin_a + (cell + 0.5) * h - mean_a and its
+    products P_a = d * R[g, a, j]. Rows (g, ix) expand into columns
+    (g, ix, iy), and columns into candidates (g, ix, iy, iz), x-major, by
+    1-D gathers; local_j = (P_x + P_y) + P_z is einsum's sum over a."""
     h = geometry.voxel_size
     _, ny, nz = geometry.dims
-    vol = np.prod(ext, axis=1)
+    n = len(means)
+    # an entry per (axis a, Gaussian g, cell of g's box along a), axis-major:
+    # (a, g)'s cells start at entry first[a * n + g]
+    lengths = ext.T.reshape(-1)
+    first = np.cumsum(lengths) - lengths
+    seg = _segments(lengths)                                    # a * n + g
+    cell = np.arange(seg.size) - first.take(seg) + lo.T.reshape(-1).take(seg)
+    d = (geometry.origin.take(seg // n) + (cell + 0.5) * h
+         - means.T.reshape(-1).take(seg))
+    r = rots.transpose(1, 0, 2).reshape(-1, 3)
+    # einsum sums onto +0.0, which turns a -0.0 product into +0.0
+    prod = [d * r[:, j].take(seg) + 0.0 for j in range(3)]
 
-    def per_candidate(a):
-        return np.repeat(a, vol, axis=0)
+    def expand(g, axis):
+        """The owner of each item of the Gaussians `g`, an item per cell
+        of g's box along `axis`, and the item's entry in the tables."""
+        length = ext[:, axis].take(g)
+        of = _segments(length)
+        entry = (first[axis * n:(axis + 1) * n].take(g) - np.cumsum(length) + length).take(of)
+        entry += np.arange(of.size)
+        return of, entry
 
-    # ragged expansion: candidate k of a gaussian is cell k of its box, x-major
-    g = per_candidate(np.arange(len(gaussians)))
-    k = np.arange(g.size) - per_candidate(np.cumsum(vol) - vol)
-    kxy, iz = np.divmod(k, per_candidate(ext[:, 2]))
-    ix, iy = np.divmod(kxy, per_candidate(ext[:, 1]))
-    vox = [i + per_candidate(lo[:, a]) for a, i in enumerate((ix, iy, iz))]
-    delta = np.empty((g.size, 3))
-    for a in range(3):
-        delta[:, a] = (geometry.origin[a] + (vox[a] + 0.5) * h
-                       - per_candidate(gaussians.means[:, a]))
-    # repeated axis by axis: about 3x faster than repeating (N, 3) rows
-    scales = np.repeat(gaussians.scales.T, vol, axis=1).T
-    local, q = _mahalanobis_rows(delta, per_candidate(rots), scales)
+    g_row = seg[:int(ext[:, 0].sum())]              # rows (g, ix) are the x entries
+    row, y = expand(g_row, 1)                       # columns (g, ix, iy)
+    g_col = g_row.take(row)
+    col, z = expand(g_col, 2)                       # candidates (g, ix, iy, iz)
+    local = []
+    for j in range(3):
+        lj = (prod[j].take(row) + prod[j].take(y)).take(col)
+        lj += prod[j].take(z)
+        u = lj / scales[:, j].take(g_col).take(col)
+        u *= u
+        if j:
+            q += u
+        else:
+            q = u
+        if differentiate is not None:
+            local.append(lj)
     kept = np.flatnonzero(q <= t**2)
-    gauss = g.take(kept)
-    flat = (vox[0].take(kept) * ny + vox[1].take(kept)) * nz + vox[2].take(kept)
+    at_col = col.take(kept)
+    gauss = g_col.take(at_col)
+    flat = (cell.take(row.take(at_col)) * ny + cell.take(y.take(at_col))) * nz
+    flat += cell.take(z.take(kept))
     every = Pairs(gauss, flat, np.exp(-0.5 * q.take(kept)), None, None)
     if differentiate is None:
         return every, None
     mine = np.flatnonzero(differentiate.take(gauss))
-    at = kept.take(mine)
+    at, cols = kept.take(mine), at_col.take(mine)
+    delta = np.stack([d.take(row.take(cols)), d.take(y.take(cols)), d.take(z.take(at))], axis=1)
     return every, Pairs(gauss.take(mine), flat.take(mine), every.e.take(mine),
-                        delta.take(at, axis=0), local.take(at, axis=0))
+                        delta, np.stack([lj.take(at) for lj in local], axis=1))
 
 
 def _one_hot(semantics: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

@@ -5,8 +5,9 @@ not by calling the library paths it checks. The exceptions are
 references that keep an earlier composition of library kernels, which a
 rewrite of that composition must reproduce bit for bit
 (`concat_scene_loss_and_grads`, `per_channel_splat`, `repeat_pair_lists`,
-`bincount_splat`, `lovasz_softmax_oracle`, `two_pass_total_loss`,
-`kept_hidden_fusion_backward`, `sequential_train`, `sequential_episode`),
+`bincount_splat`, `stepwise_whole_runs`, `lovasz_softmax_oracle`,
+`two_pass_total_loss`, `kept_hidden_fusion_backward`, `sequential_train`,
+`sequential_episode`),
 and `HashGrid`, a per-query adapter over the library's neighbour search
 that tests check against `linear_scan_neighborhood`.
 """
@@ -728,6 +729,30 @@ def repeat_pair_lists(gaussians: GaussianSet, geometry, cfg) -> Pairs:
     flat = (vox[0].take(kept) * ny + vox[1].take(kept)) * nz + vox[2].take(kept)
     return Pairs(g.take(kept), flat, np.exp(-0.5 * q.take(kept)),
                  delta.take(kept, axis=0), local.take(kept, axis=0))
+
+
+def stepwise_whole_runs(sizes: np.ndarray, bound: int, even: bool = False) -> list:
+    """Reference for `core._whole_runs`: the same cuts, with the run count
+    k raised one step at a time from ceil(total / bound) until no run of
+    two or more items holds more than `bound`."""
+    edges = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+    n, total = sizes.size, int(edges[-1])
+    if total <= bound:
+        return [(0, n, 0, total)] if n else []
+    big = np.flatnonzero(sizes > bound)
+    step = 2 if even else 1
+    k = -(-total // bound)
+    k += -k % step
+    while True:
+        aim = np.arange(1, k, dtype=np.int64) * total         # k times j * total / k
+        right = np.searchsorted(edges * k, aim)                 # first edge at or past it
+        lower = aim - k * edges[right - 1] <= k * edges[right] - aim
+        cuts = np.unique(np.concatenate([[0, n], right - lower, big, big + 1]))
+        units = np.diff(edges[cuts])
+        if np.all((units <= bound) | (np.diff(cuts) == 1)):
+            return [(int(a), int(b), int(edges[a]), int(edges[b]))
+                    for a, b in zip(cuts[:-1], cuts[1:])]
+        k += step
 
 
 def bincount_splat(gaussians: GaussianSet, geometry, cfg) -> VoxelGrid:

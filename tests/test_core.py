@@ -24,7 +24,13 @@ from gsfusion.core import (
 
 from gsfusion.splat import SplatConfig, splat
 
-from helpers import density_oracle, random_gaussian, random_unit_quaternion, rotmat_from_quat
+from helpers import (
+    density_oracle,
+    random_gaussian,
+    random_unit_quaternion,
+    rotmat_from_quat,
+    stepwise_whole_runs,
+)
 
 RNG = np.random.default_rng(20240511)
 
@@ -592,11 +598,41 @@ class TestWholeRuns:
             sizes[rng.integers(sizes.size, size=3)] = rng.integers(0, 3000, size=3)
             bound = int(rng.integers(1, 600))
             runs = core._whole_runs(sizes, bound, even)
+            assert runs == stepwise_whole_runs(sizes, bound, even), (sizes, bound)
             self._check_cover(runs, sizes)
             for a, b, u0, u1 in runs:
                 assert u1 - u0 <= bound or b - a == 1, (sizes, bound, runs)
             for i in np.flatnonzero(sizes > bound):     # a run of its own
                 assert (i, i + 1) in [(a, b) for a, b, _, _ in runs]
+
+    @pytest.mark.parametrize("even", [False, True])
+    def test_equals_raising_k_one_step_at_a_time(self, even):
+        # items near half the bound make k rise far above its start; the
+        # batched search must stop at the same first count that fits
+        rng = np.random.default_rng(2024)
+        raised = 0
+        for trial in range(60):
+            bound = int(rng.integers(4, 5000))
+            n = int(rng.integers(1, 400))
+            sizes = rng.integers(int(0.4 * bound), int(0.6 * bound) + 1, size=n)
+            if trial % 3 == 1:      # zero-unit items, the last ones too, and a few past the bound
+                sizes[rng.random(n) < 0.2] = 0
+                sizes[-2:] = 0
+                sizes[rng.integers(n, size=2)] = rng.integers(bound + 1, 3 * bound, size=2)
+            want = stepwise_whole_runs(sizes, bound, even)
+            assert core._whole_runs(sizes, bound, even) == want, (bound, sizes.tolist())
+            raised += len(want) > -(-int(sizes.sum()) // bound) + 64
+        assert raised > 10
+
+    def test_items_near_half_the_bound_cost_a_few_passes(self, monkeypatch):
+        # k rises from 933 to over 1 800 here: one pass a count made 884
+        sizes = np.random.default_rng(0).integers(1500, 2301, 2000)
+        passes = []
+        real = core._counts_fit
+        monkeypatch.setattr(core, "_counts_fit", lambda *a: passes.append(a) or real(*a))
+        runs = core._whole_runs(sizes, 4096)
+        assert runs == stepwise_whole_runs(sizes, 4096) and len(runs) == 1810
+        assert len(passes) <= 20
 
     def test_edge_cases(self):
         assert core._whole_runs(np.zeros(0, dtype=np.int64), 8) == []

@@ -280,6 +280,24 @@ class TestPairTape:
         assert pairs.voxel.size == pairs.e.size == pairs.gauss.size
         assert (pairs.gauss.size == 0) == (case in ("empty", "zero_pairs"))
 
+    def test_local_of_three_negative_zero_products_is_positive_zero(self):
+        # a half turn about z at a voxel center: along x the offset is +0.0
+        # and R = diag(-1, -1, 1), so on cells below the mean in y and z all
+        # three products of local_x are -0.0; einsum, which sums onto +0.0,
+        # gives +0.0 there, and so must the splat's tables
+        center = PAIR_GEOM.voxel_centers()[5, 5, 3]
+        sem = np.zeros((1, C))
+        sem[0, 1] = 1.0
+        gs = GaussianSet(center[None], np.full((1, 3), 0.5), np.array([[0.0, 0.0, 0.0, 1.0]]),
+                         np.ones(1), sem)
+        pairs = recorded_pairs(gs, PAIR_GEOM, SplatConfig())
+        delta, local = pair_geometry_oracle(gs, PAIR_GEOM, pairs.gauss, pairs.voxel,
+                                            _quat_to_rotmat_unchecked(gs.rotations))
+        assert pairs.local.tobytes() == local.tobytes()
+        naive = (delta[:, 0] * -1.0 + delta[:, 1] * 0.0) + delta[:, 2] * 0.0
+        assert np.any(np.signbit(naive) & (naive == 0.0))
+        assert not np.any(np.signbit(pairs.local[:, 0]) & (pairs.local[:, 0] == 0.0))
+
     @pytest.mark.parametrize("floor", [0.0, 1e-4])
     @pytest.mark.parametrize("case", sorted(ACCUMULATION_SETS))
     def test_flat_bincount_equals_per_channel_loop(self, case, floor):
@@ -321,6 +339,20 @@ def one_hot_set(rng, n, geom, scale_lo, scale_hi):
     return gs
 
 
+def off_one_axis_set(rng, geom):
+    """`mixed_set` Gaussians in the grid with, between them, Gaussians off
+    it along exactly one axis, each axis in turn: a box off along x has no
+    rows, along y rows without columns, along z columns without candidates."""
+    inside = mixed_set(rng, 24, geom, 0.1, 0.8)
+    off = inside.take(np.arange(24))
+    beyond = geom.origin + np.array(geom.dims) * geom.voxel_size + 4.0
+    for i in range(24):
+        axis = i % 3
+        off.means[i, axis] = beyond[axis] if i % 2 else geom.origin[axis] - 4.0
+    order = np.argsort(np.concatenate([np.arange(26), np.arange(24) + 0.5]), kind="stable")
+    return GaussianSet.concat([inside, off]).take(order)
+
+
 BIG_GEOM = GridGeometry(np.array([-8.0, -8.0, -1.6]), 0.4, (40, 40, 8), num_classes=C)
 PRIOR_GEOM = GridGeometry(np.array([-20.0, -20.0, -1.6]), 0.4, (100, 100, 8), num_classes=C)
 BLOCK_SETS = {
@@ -330,6 +362,7 @@ BLOCK_SETS = {
     "prior": lambda: empty_space_gaussian(),
     "empty": lambda: GaussianSet.empty(C),
     "zero_pairs": lambda: zero_pair_set(PAIR_GEOM),
+    "off_one_axis": lambda: off_one_axis_set(np.random.default_rng(7), PAIR_GEOM),
 }
 BLOCK_GEOMS = {"many_blocks": BIG_GEOM, "prior": PRIOR_GEOM}
 
@@ -341,33 +374,42 @@ class TestBlocks:
     equals a one-block backward byte for byte."""
 
     @pytest.mark.parametrize("case", sorted(BLOCK_SETS))
-    def test_pair_lists_equal_whole_set_expansion(self, case):
+    def test_pair_lists_equal_whole_set_expansion(self, case, monkeypatch):
         gs, geom = BLOCK_SETS[case](), BLOCK_GEOMS.get(case, PAIR_GEOM)
-        got = recorded_pairs(gs, geom, SplatConfig())
         want = repeat_pair_lists(gs, geom, SplatConfig())
-        for field in Pairs._fields:
-            a, b = getattr(got, field), getattr(want, field)
-            assert a.dtype == b.dtype and a.shape == b.shape, field
-            assert a.tobytes() == b.tobytes(), field
+        for bound in (1, _BLOCK):       # a block per Gaussian, then the default
+            monkeypatch.setattr(splat_module, "_BLOCK", bound)
+            got = recorded_pairs(gs, geom, SplatConfig())
+            for field in Pairs._fields:
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and a.shape == b.shape, (bound, field)
+                assert a.tobytes() == b.tobytes(), (bound, field)
+        if case == "off_one_axis":      # every off-grid Gaussian is left without pairs
+            per_gauss = np.bincount(want.gauss, minlength=len(gs))
+            assert np.all(per_gauss[1:48:2] == 0) and np.count_nonzero(per_gauss) > 20
 
     @pytest.mark.parametrize("record", [False, True])
     @pytest.mark.parametrize("floor", [0.0, 1e-4])
     @pytest.mark.parametrize("case", sorted(BLOCK_SETS))
-    def test_splat_equals_bincount(self, case, floor, record):
+    def test_splat_equals_bincount(self, case, floor, record, monkeypatch):
         gs, geom = BLOCK_SETS[case](), BLOCK_GEOMS.get(case, PAIR_GEOM)
         cfg = SplatConfig(min_contribution=floor)
-        got = splat(gs, geom, cfg, record=np.arange(len(gs)) if record else False)
-        got = (got[0] if record else got).channels
         want = bincount_splat(gs, geom, cfg).channels
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for bound in (1, _BLOCK):       # a block per Gaussian, then the default
+            monkeypatch.setattr(splat_module, "_BLOCK", bound)
+            got = splat(gs, geom, cfg, record=np.arange(len(gs)) if record else False)
+            got = (got[0] if record else got).channels
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), bound
         if case in ("mixed", "one_hot"):  # the row at the floor is kept, the one below it is not
             alone = splat(gs.take(slice(-2, None)), geom, cfg).channels
             assert alone[1, 2, 1, 4] == 1e-4
             assert alone[9, 8, 4, 4] == (np.nextafter(1e-4, 0.0) if floor == 0.0 else 0.0)
 
     @pytest.mark.parametrize("case", sorted(BLOCK_SETS))
-    def test_blocks_hold_whole_gaussians(self, case):
+    def test_blocks_hold_whole_gaussians(self, case, monkeypatch):
         gs, geom = BLOCK_SETS[case](), BLOCK_GEOMS.get(case, PAIR_GEOM)
+        bound = 1 << 14                 # the bound `many_blocks` was sized for
+        monkeypatch.setattr(splat_module, "_BLOCK", bound)
         count, block = _pair_blocks(gs, geom, SplatConfig())
         every = [block(k)[0] for k in range(count)]
         edges = [0] + [b.stop for b in every]           # the blocks tile the rows
@@ -377,9 +419,9 @@ class TestBlocks:
         blocks = [b.pairs.gauss for b in every if b.pairs.gauss.size]
         if case == "many_blocks":
             assert len(blocks) >= 9
-            assert sum(g.size for g in blocks) > 2 * _BLOCK
+            assert sum(g.size for g in blocks) > 2 * bound
         if case == "prior":             # its 80 000-cell box is one block
-            assert len(blocks) == 1 and blocks[0].size == geom.num_voxels > _BLOCK
+            assert len(blocks) == 1 and blocks[0].size == geom.num_voxels > _BLOCK > bound
 
     @pytest.mark.parametrize("floor", [0.0, 1e-4])
     @pytest.mark.parametrize("case", sorted(BLOCK_SETS))
@@ -390,7 +432,7 @@ class TestBlocks:
         oracle = bincount_splat(gs, geom, cfg).channels.tobytes()
         runs = {}
         # one block, a block per Gaussian, then bounds about the default
-        for bound in (1 << 62, 1, 1 << 10, 1 << 14, 1 << 15):
+        for bound in (1 << 62, 1, 1 << 10, _BLOCK // 2, _BLOCK, 2 * _BLOCK):
             monkeypatch.setattr(splat_module, "_BLOCK", bound)
             grid, tape = splat(gs, geom, cfg, record=np.arange(len(gs)))
             unrecorded = splat(gs, geom, cfg).channels.tobytes()
