@@ -34,13 +34,17 @@ are then ranked first.
 
 The forward pass can record a tape from which `fusion_backward` produces
 analytic parameter gradients; `learn` drives that during training. The
-tape keeps each block's pair features once, in the buffer padded to
-whole row tiles that the MLP ran over, and not the MLP's two hidden
-layers (2 KB a pair): `fusion_backward` recomputes them block by block
-from that buffer through the same products, so they carry the forward's
-bits and the gradients are those of a backward over kept layers
-(checkpointing, Chen et al. 2016, arXiv:1604.06174). It reads each
-segment's ego row there too: a pair feature starts with its ego's row.
+tape keeps only each block's segments (ego rows and pair counts) and its
+pair features, once, in the buffer padded to whole row tiles that the
+MLP ran over: 8 bytes a feature column a pair. What a block computes
+from those features is one function, `_block_state`: the forward calls
+it on the MLP's outputs and writes the fused rows from it, and
+`fusion_backward` re-runs the block's forward (`_mlp_forward`, then
+`_block_state`) over the same rows before differentiating it, so the
+recomputed state carries the forward's bits and the gradients are those
+of a backward over kept state (checkpointing, Chen et al. 2016,
+arXiv:1604.06174). Each segment's ego row is read from the features too:
+a pair feature starts with its ego's row.
 
 Bounded blocks. A segment is one ego's neighbour list. `fuse_scene` runs
 every stage over blocks of whole segments, writes a block's fused rows,
@@ -161,11 +165,8 @@ class FusionParams:
         """Raise ValueError naming the first tensor whose shape disagrees with
         b1's hidden width, b3's class count or q_proj's projection width, or
         that holds a non-finite entry."""
-        hidden, out, proj = self.b1.size, self.b3.size, self.q_proj.shape[:1]
-        rel = rel_feature_dim(out - GaussianSet.ROW_FIELDS)
-        want = {"w1": (hidden, out + rel), "b1": (hidden,), "w2": (hidden, hidden),
-                "b2": (hidden,), "w3": (out, hidden), "b3": (out,),
-                "q_proj": (*proj, out), "k_proj": (*proj, rel)}
+        want = FusionParams.shapes(self.b3.size - GaussianSet.ROW_FIELDS, self.b1.size,
+                                   self.q_proj.shape[0] if self.q_proj.ndim else 0)
         for name in self._ORDER:
             value = getattr(self, name)
             if value.shape != want[name]:
@@ -185,15 +186,19 @@ class FusionParams:
         return self.w3.shape[0] - GaussianSet.ROW_FIELDS
 
     @staticmethod
+    def shapes(num_classes: int = NUM_CLASSES, hidden: int = HIDDEN_DIM,
+               d_proj: int = PROJ_DIM) -> dict[str, tuple[int, ...]]:
+        """Each tensor's shape, in `_ORDER`."""
+        out, rel = ego_feature_dim(num_classes), rel_feature_dim(num_classes)
+        return {"w1": (hidden, out + rel), "b1": (hidden,), "w2": (hidden, hidden),
+                "b2": (hidden,), "w3": (out, hidden), "b3": (out,),
+                "q_proj": (d_proj, out), "k_proj": (d_proj, rel)}
+
+    @staticmethod
     def zeros(num_classes: int = NUM_CLASSES, hidden: int = HIDDEN_DIM,
               d_proj: int = PROJ_DIM) -> "FusionParams":
-        out, rel = ego_feature_dim(num_classes), rel_feature_dim(num_classes)
-        return FusionParams(
-            np.zeros((hidden, out + rel)), np.zeros(hidden),
-            np.zeros((hidden, hidden)), np.zeros(hidden),
-            np.zeros((out, hidden)), np.zeros(out),
-            np.zeros((d_proj, out)), np.zeros((d_proj, rel)),
-        )
+        return FusionParams(**{name: np.zeros(shape) for name, shape in
+                               FusionParams.shapes(num_classes, hidden, d_proj).items()})
 
     @staticmethod
     def init(seed: int = 0, num_classes: int = NUM_CLASSES, hidden: int = HIDDEN_DIM,
@@ -205,16 +210,15 @@ class FusionParams:
         mass, near-identity rotation."""
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF05]))
         out, rel = ego_feature_dim(num_classes), rel_feature_dim(num_classes)
-        zin = out + rel
         col_scale = 1.0 / _feature_spans(num_classes)
-        p = FusionParams(
-            rng.normal(0.0, np.sqrt(2.0 / zin), (hidden, zin)) * col_scale,
-            np.zeros(hidden),
-            rng.normal(0.0, np.sqrt(2.0 / hidden), (hidden, hidden)), np.zeros(hidden),
-            rng.normal(0.0, 0.01, (out, hidden)), np.zeros(out),
-            rng.normal(0.0, 1.0 / np.sqrt(out), (d_proj, out)) * col_scale[:out],
-            rng.normal(0.0, 1.0 / np.sqrt(rel), (d_proj, rel)) * col_scale[out:],
-        )
+        p = FusionParams.zeros(num_classes, hidden, d_proj)
+        # the weights are drawn in `_ORDER`; the biases stay zero
+        for name, std, scale in (("w1", np.sqrt(2.0 / (out + rel)), col_scale),
+                                 ("w2", np.sqrt(2.0 / hidden), 1.0),
+                                 ("w3", 0.01, 1.0),
+                                 ("q_proj", 1.0 / np.sqrt(out), col_scale[:out]),
+                                 ("k_proj", 1.0 / np.sqrt(rel), col_scale[out:])):
+            setattr(p, name, rng.normal(0.0, std, getattr(p, name).shape) * scale)
         p.b3[3:5] = _inv_softplus(0.3)       # lateral scale, flat-surface profile
         p.b3[5] = _inv_softplus(0.12)        # vertical scale
         p.b3[10] = _logit(0.95)              # opacity proposals start confident
@@ -389,20 +393,17 @@ def _hidden(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(h, 0.0, out=h)
 
 
-def _mlp_hidden(z_tiles: np.ndarray, params: FusionParams):
-    """The two hidden layers' post-ReLU activations over `z_tiles`, pair
-    features padded to whole row tiles (see `_pad_rows`). `fusion_backward`
-    recomputes them with this same call over the same rows, so they carry
-    the forward's bits."""
+def _mlp_forward(z_tiles: np.ndarray, params: FusionParams):
+    """(h1, h2, raw): the two hidden layers' post-ReLU activations and the
+    raw MLP outputs over every row of `z_tiles`, pair features padded to
+    whole row tiles (see `_pad_rows`), padding rows included.
+    `fusion_backward` recomputes them with this same call over the same
+    rows, so they carry the forward's bits."""
     h1 = _hidden(z_tiles, params.w1, params.b1)
-    return h1, _hidden(h1, params.w2, params.b2)
-
-
-def _mlp_forward(z_tiles: np.ndarray, params: FusionParams) -> np.ndarray:
-    """Raw MLP outputs over every row of `z_tiles`, padding rows included."""
-    raw = _mlp_hidden(z_tiles, params)[1] @ params.w3.T
+    h2 = _hidden(h1, params.w2, params.b2)
+    raw = h2 @ params.w3.T
     raw += params.b3
-    return raw
+    return h1, h2, raw
 
 
 def _activate(raw: np.ndarray, num_classes: int):
@@ -424,7 +425,7 @@ def propose(z: np.ndarray, params: FusionParams) -> Proposal:
     if not np.all(np.isfinite(z)):
         raise ValueError("non-finite pair feature")
     params.validate()
-    raw = _mlp_forward(_pad_rows(z[None, :]), params)[:1]
+    raw = _mlp_forward(_pad_rows(z[None, :]), params)[2][:1]
     dm, s, r, a, c, _ = _activate(raw, params.num_classes)
     return Proposal(dm[0], s[0], r[0], float(a[0]), c[0])
 
@@ -458,20 +459,21 @@ def _pool_segments(w, dm, s, r, a, c, starts, counts):
 
 def _pool_weights(pooling: str, e_feats: np.ndarray, f_rel: np.ndarray,
                   starts: np.ndarray, counts: np.ndarray, params: FusionParams):
-    """Per-pair pooling weights: uniform within each segment ("mean"), or
-    the segment softmax of the scaled dot products of the q_proj-projected
+    """Per-pair pooling weights, with the per-pair projections (qe, kf) they
+    came from: uniform within each segment ("mean", no projections), or the
+    segment softmax of the scaled dot products of the q_proj-projected
     segment ego feature and the k_proj-projected pair relative feature
     ("attention"). `f_rel` may go on past the pairs with padding rows,
     which are projected but not read."""
     if pooling == "mean":
-        return np.repeat(1.0 / counts, counts)
+        return np.repeat(1.0 / counts, counts), None, None
     if pooling != "attention":
         raise ValueError("weights_mode must be 'mean' or 'attention'")
     qe = np.repeat(_project(e_feats, params.q_proj), counts, axis=0)     # (P, d)
     kf = _project(f_rel, params.k_proj)[:qe.shape[0]]                    # (P, d)
     logits = np.sum(qe * kf, axis=1)
     logits = logits / np.sqrt(params.q_proj.shape[0])
-    return _segment_softmax(logits, starts, counts)
+    return _segment_softmax(logits, starts, counts), qe, kf
 
 
 def _confidence(v: np.ndarray, epsilon: float) -> np.ndarray:
@@ -495,7 +497,7 @@ def pool(proposals: list[Proposal], weights_mode: str, ego_feat: np.ndarray,
     c = np.stack([p.sem_star for p in proposals])
     starts, counts = np.array([0]), np.array([len(proposals)])
     w = _pool_weights(weights_mode, np.asarray(ego_feat, dtype=np.float64)[None, :],
-                      np.asarray(rel_feats, dtype=np.float64), starts, counts, params)
+                      np.asarray(rel_feats, dtype=np.float64), starts, counts, params)[0]
     pooled_dm, pooled_s, pooled_a, pooled_c, _, rbar, _ = _pool_segments(
         w, dm, s, r, a, c, starts, counts)
     return Proposal(pooled_dm[0], pooled_s[0], rbar[0], float(pooled_a[0]), pooled_c[0])
@@ -512,41 +514,14 @@ def confidence(v: np.ndarray, epsilon: float = 1e-8) -> float:
 
 @dataclass
 class FusionBlock:
-    """What the analytic backward needs from one block of whole segments.
-    Nothing is kept that a kept field holds: the segments start at the
-    block's own `cumsum(counts) - counts`, each segment's ego row
-    (`GaussianSet.rows()`) leads `z_tiles` at its start, the proposals'
-    mean offsets are `raw[:, 0:3]` and the blend weight is
-    `conf_ego / (conf_ego + conf_pool)`. The hidden activations are not
-    kept either: `fusion_backward` recomputes them from `z_tiles`."""
+    """What the analytic backward keeps of one block of whole segments: the
+    segments' ego rows and pair counts, and the pair features the forward
+    ran the MLP over. Everything else the block computed, `fusion_backward`
+    computes again from these through `_block_state`."""
 
     seg_egos: np.ndarray        # ego rows of the block's segments
     counts: np.ndarray
     z_tiles: np.ndarray         # pair features, zero rows up to whole row tiles
-    raw: np.ndarray
-    s: np.ndarray
-    r: np.ndarray
-    a: np.ndarray
-    c: np.ndarray
-    rnorm: np.ndarray
-    w: np.ndarray
-    sigma: np.ndarray
-    pooled_c: np.ndarray
-    rbar_norm: np.ndarray
-    rbar: np.ndarray
-    canon_sign: np.ndarray
-    conf_ego: np.ndarray
-    conf_pool: np.ndarray
-
-    @property
-    def z(self) -> np.ndarray:
-        """Per-pair features, a view of `z_tiles` without the padding."""
-        return self.z_tiles[:self.raw.shape[0]]
-
-    @property
-    def rel_tiles(self) -> np.ndarray:
-        """The relative-feature columns of `z_tiles`, padding rows included."""
-        return self.z_tiles[:, ego_feature_dim(self.pooled_c.shape[1]):]
 
 
 @dataclass
@@ -560,6 +535,35 @@ class FusionTape:
     seg_egos: np.ndarray        # ego rows that had non-empty neighborhoods
     counts: np.ndarray
     blocks: list[FusionBlock]
+
+
+@dataclass
+class _BlockState:
+    """What `_block_state` computes for one block: per pair the raw MLP
+    outputs, their activations (the mean offsets are `raw[:, 0:3]`), the
+    pooling weights with the attention projections they came from (None
+    under mean pooling) and the quaternion signs; per segment its ego row,
+    the pooled quantities the backward differentiates, and the fused rows,
+    keyed by `GaussianSet` field."""
+
+    raw: np.ndarray
+    s: np.ndarray
+    r: np.ndarray
+    a: np.ndarray
+    c: np.ndarray
+    rnorm: np.ndarray
+    w: np.ndarray
+    qe: np.ndarray | None
+    kf: np.ndarray | None
+    sigma: np.ndarray
+    e_feats: np.ndarray
+    pooled_c: np.ndarray
+    rbar_norm: np.ndarray
+    rbar: np.ndarray
+    canon_sign: np.ndarray
+    conf_ego: np.ndarray
+    conf_pool: np.ndarray
+    rows: dict[str, np.ndarray]
 
 
 def scene_neighbors(ego_set: GaussianSet, received_sets: list[GaussianSet],
@@ -604,7 +608,7 @@ def fuse_scene(ego_set: GaussianSet, received_sets: list[GaussianSet],
     def block(k):
         a, b, p0, p1 = runs[k]
         blk = _fuse_block(fused, ego_set, e_all, pool_set, seg_egos[a:b], pair_j[p0:p1],
-                          starts[a:b] - p0, counts[a:b], cfg, params)
+                          counts[a:b], cfg, params)
         return blk if record else None      # a dropped block is freed before the next one
 
     # the blocks write disjoint rows of `fused`, on either thread
@@ -617,56 +621,68 @@ def fuse_scene(ego_set: GaussianSet, received_sets: list[GaussianSet],
 
 def _fuse_block(fused: GaussianSet, ego_set: GaussianSet, e_all: np.ndarray,
                 pool_set: GaussianSet, seg_egos: np.ndarray, pair_j: np.ndarray,
-                starts: np.ndarray, counts: np.ndarray, cfg: FusionConfig,
-                params: FusionParams) -> FusionBlock:
-    """Fuse one block of whole segments into the rows `seg_egos` of `fused`.
-    The pair features are written straight into one buffer padded to whole
+                counts: np.ndarray, cfg: FusionConfig, params: FusionParams) -> FusionBlock:
+    """Fuse one block of whole segments into the rows `seg_egos` of `fused`,
+    and return what the tape keeps of it."""
+    z_tiles = _pair_features(ego_set, e_all, pool_set, seg_egos, pair_j, counts)
+    raw = _mlp_forward(z_tiles, params)[2][:pair_j.size]
+    state = _block_state(z_tiles, counts, raw, cfg.pooling, cfg.epsilon, params)
+    for name, rows in state.rows.items():
+        getattr(fused, name)[seg_egos] = rows
+    return FusionBlock(seg_egos=seg_egos, counts=counts, z_tiles=z_tiles)
+
+
+def _pair_features(ego_set: GaussianSet, e_all: np.ndarray, pool_set: GaussianSet,
+                   seg_egos: np.ndarray, pair_j: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """One block's pair features, [ego row (`e_all`) | relative cue] a
+    pair, written straight into one buffer padded with zero rows to whole
     row tiles, which the MLP, the k_proj projection and the tape share."""
     pair_e = np.repeat(seg_egos, counts)
     n, n_ego = pair_e.size, e_all.shape[1]
     z_tiles = np.zeros((_whole_tiles(n), n_ego + rel_feature_dim(ego_set.num_classes)))
-    rel_tiles = z_tiles[:, n_ego:]
     z_tiles[:n, :n_ego] = e_all[pair_e]
-    rel_features(ego_set, pair_e, pool_set, pair_j, out=rel_tiles[:n])
+    rel_features(ego_set, pair_e, pool_set, pair_j, out=z_tiles[:n, n_ego:])
+    return z_tiles
 
-    raw = _mlp_forward(z_tiles, params)[:n]
-    dm, s, r, a, c, rnorm = _activate(raw, ego_set.num_classes)
 
-    w = _pool_weights(cfg.pooling, e_all[seg_egos], rel_tiles, starts, counts, params)
-
+def _block_state(z_tiles: np.ndarray, counts: np.ndarray, raw: np.ndarray, pooling: str,
+                 epsilon: float, params: FusionParams) -> _BlockState:
+    """Everything one block of whole segments computes from its padded pair
+    features `z_tiles`, its segments' pair `counts` and its pairs' raw MLP
+    outputs `raw`: activations, pooling, the canonical sign, confidences and
+    the blend. A pair feature starts with its ego's row, so each segment's
+    ego row is read at the segment's first pair. The forward calls this
+    and writes the fused rows; the backward calls it again over the same
+    inputs, so it sees the forward's bits."""
+    e_dim = ego_feature_dim(params.num_classes)
+    starts = np.cumsum(counts) - counts
+    e_feats = z_tiles[starts, :e_dim]
+    dm, s, r, a, c, rnorm = _activate(raw, params.num_classes)
+    w, qe, kf = _pool_weights(pooling, e_feats, z_tiles[:, e_dim:], starts, counts, params)
     pooled_dm, pooled_s, pooled_a, pooled_c, rbar_norm, rbar, sigma = \
         _pool_segments(w, dm, s, r, a, c, starts, counts)
-
     canon_sign = _canonical_sign(rbar)[:, 0]
-    rhat = rbar * canon_sign[:, None]
 
-    ego_sem = ego_set.semantics[seg_egos]
-    conf_ego = _confidence(ego_sem, cfg.epsilon)
-    conf_pool = _confidence(pooled_c, cfg.epsilon)
+    ego_sem = e_feats[:, GaussianSet.ROW_FIELDS:]
+    conf_ego = _confidence(ego_sem, epsilon)
+    conf_pool = _confidence(pooled_c, epsilon)
     alpha = conf_ego / (conf_ego + conf_pool)
-    sem_hat = alpha[:, None] * ego_sem + (1.0 - alpha)[:, None] * pooled_c
-
-    fused.means[seg_egos] = ego_set.means[seg_egos] + pooled_dm
-    fused.scales[seg_egos] = pooled_s
-    fused.rotations[seg_egos] = rhat
-    fused.opacities[seg_egos] = pooled_a
-    fused.semantics[seg_egos] = sem_hat
-
-    return FusionBlock(
-        seg_egos=seg_egos, counts=counts, z_tiles=z_tiles, raw=raw,
-        s=s, r=r, a=a, c=c, rnorm=rnorm, w=w, sigma=sigma,
-        pooled_c=pooled_c, rbar_norm=rbar_norm, rbar=rbar,
-        canon_sign=canon_sign, conf_ego=conf_ego, conf_pool=conf_pool,
-    )
+    rows = {"means": e_feats[:, 0:3] + pooled_dm, "scales": pooled_s,
+            "rotations": rbar * canon_sign[:, None], "opacities": pooled_a,
+            "semantics": alpha[:, None] * ego_sem + (1.0 - alpha)[:, None] * pooled_c}
+    return _BlockState(raw=raw, s=s, r=r, a=a, c=c, rnorm=rnorm, w=w, qe=qe, kf=kf,
+                       sigma=sigma, e_feats=e_feats, pooled_c=pooled_c, rbar_norm=rbar_norm,
+                       rbar=rbar, canon_sign=canon_sign, conf_ego=conf_ego,
+                       conf_pool=conf_pool, rows=rows)
 
 
 def fusion_backward(tape: FusionTape, grad_fused: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Map loss gradients w.r.t. the fused Gaussian fields back onto the
     FusionParams tensors. Input Gaussians are treated as constants. Each
-    tape block's gradients go into the block's own dict, a pair of blocks
-    at a time through `gsfusion.core._each_folded`, and the dicts are summed
-    into the total in block order. Each block's hidden activations are
-    recomputed from its padded features, as the forward computed them."""
+    tape block's forward is run again from its pair features, and its
+    gradients go into the block's own dict, a pair of blocks at a time
+    through `gsfusion.core._each_folded`; the dicts are summed into the
+    total in block order."""
     grads = {k: np.zeros_like(v) for k, v in tape.params.as_dict().items()}
 
     def fold(block_grads):
@@ -681,12 +697,16 @@ def fusion_backward(tape: FusionTape, grad_fused: dict[str, np.ndarray]) -> dict
 def _block_grads(tape: FusionTape, block: FusionBlock,
                  grad_fused: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """One block's own parameter gradients (the attention projections only
-    under attention pooling)."""
+    under attention pooling). The block's forward is recomputed through the
+    forward's own calls over the same rows: `_mlp_forward`, then
+    `_block_state`."""
     p = tape.params
+    n = int(block.counts.sum())
+    h1, h2, raw = _mlp_forward(block.z_tiles, p)
+    state = _block_state(block.z_tiles, block.counts, raw[:n], tape.pooling, tape.epsilon, p)
     grads = {}
-    d_raw = _raw_output_grads(tape, block, grad_fused, grads)
-    n = d_raw.shape[0]
-    h1, h2 = _mlp_hidden(block.z_tiles, p)
+    d_raw = _raw_output_grads(tape, block, state, grad_fused, grads)
+    del state
     h1, h2 = h1[:n], h2[:n]
 
     # MLP backward; the ReLU masks are h > 0 (h = max(pre-activation, 0)),
@@ -703,21 +723,22 @@ def _block_grads(tape: FusionTape, block: FusionBlock,
     del d_h2
     d_h1 *= h1 > 0.0
     del h1
-    grads["w1"] = d_h1.T @ block.z
+    grads["w1"] = d_h1.T @ block.z_tiles[:n]
     grads["b1"] = d_h1.sum(axis=0)
     return grads
 
 
-def _raw_output_grads(tape: FusionTape, blk: FusionBlock, grad_fused: dict[str, np.ndarray],
+def _raw_output_grads(tape: FusionTape, blk: FusionBlock, st: _BlockState,
+                      grad_fused: dict[str, np.ndarray],
                       grads: dict[str, np.ndarray]) -> np.ndarray:
     """Gradient w.r.t. one block's raw MLP outputs, back through the update,
-    the pooling and the activations; sets the block's attention projection
-    gradients in its own dict `grads` on the way."""
+    the pooling and the activations of its state `st`; sets the block's
+    attention projection gradients in its own dict `grads` on the way."""
     p = tape.params
     seg, counts = blk.seg_egos, blk.counts
     starts = np.cumsum(counts) - counts
-    dm = blk.raw[:, 0:3]
-    e_feats = blk.z_tiles[starts, :ego_feature_dim(blk.pooled_c.shape[1])]
+    dm = st.raw[:, 0:3]
+    e_feats = st.e_feats
     ego_sem = e_feats[:, GaussianSet.ROW_FIELDS:]
     rep = lambda x: np.repeat(x, counts, axis=0)
 
@@ -728,57 +749,54 @@ def _raw_output_grads(tape: FusionTape, blk: FusionBlock, grad_fused: dict[str, 
     d_sem_hat = grad_fused["semantics"][seg]
 
     # semantic blend: sem_hat = alpha * ego + (1 - alpha) * pooled_c, alpha = conf_ego / denom
-    denom = blk.conf_ego + blk.conf_pool
-    d_alpha = np.sum(d_sem_hat * (ego_sem - blk.pooled_c), axis=1)
-    d_pooled_c = (1.0 - blk.conf_ego / denom)[:, None] * d_sem_hat
-    d_conf_pool = d_alpha * (-blk.conf_ego / denom**2)
-    ssum = np.sum(blk.pooled_c, axis=1) + tape.epsilon
-    kstar = np.argmax(blk.pooled_c, axis=1)
-    d_pooled_c += d_conf_pool[:, None] * (-np.max(blk.pooled_c, axis=1) / ssum**2)[:, None]
+    denom = st.conf_ego + st.conf_pool
+    d_alpha = np.sum(d_sem_hat * (ego_sem - st.pooled_c), axis=1)
+    d_pooled_c = (1.0 - st.conf_ego / denom)[:, None] * d_sem_hat
+    d_conf_pool = d_alpha * (-st.conf_ego / denom**2)
+    ssum = np.sum(st.pooled_c, axis=1) + tape.epsilon
+    kstar = np.argmax(st.pooled_c, axis=1)
+    d_pooled_c += d_conf_pool[:, None] * (-np.max(st.pooled_c, axis=1) / ssum**2)[:, None]
     d_pooled_c[np.arange(seg.size), kstar] += d_conf_pool / ssum
 
     # canonical sign then the pooled-quaternion normalization
-    d_rbar = d_rhat * blk.canon_sign[:, None]
-    dot = np.sum(blk.rbar * d_rbar, axis=1)
-    d_rbar_raw = (d_rbar - blk.rbar * dot[:, None]) / blk.rbar_norm[:, None]
+    d_rbar = d_rhat * st.canon_sign[:, None]
+    dot = np.sum(st.rbar * d_rbar, axis=1)
+    d_rbar_raw = (d_rbar - st.rbar * dot[:, None]) / st.rbar_norm[:, None]
 
     # per-pair shares of the pooled sums
     p_dm, p_s, p_a, p_c, p_r = map(rep, (d_pooled_dm, d_pooled_s, d_pooled_a,
                                          d_pooled_c, d_rbar_raw))
     d_w = np.sum(p_dm * dm, axis=1)
-    d_dm = p_dm * blk.w[:, None]
-    d_w += np.sum(p_s * blk.s, axis=1)
-    d_s = p_s * blk.w[:, None]
-    d_w += p_a * blk.a
-    d_a = p_a * blk.w
-    d_w += np.sum(p_c * blk.c, axis=1)
-    d_c = p_c * blk.w[:, None]
-    d_w += blk.sigma * np.sum(p_r * blk.r, axis=1)
-    d_r = (blk.w * blk.sigma)[:, None] * p_r
+    d_dm = p_dm * st.w[:, None]
+    d_w += np.sum(p_s * st.s, axis=1)
+    d_s = p_s * st.w[:, None]
+    d_w += p_a * st.a
+    d_a = p_a * st.w
+    d_w += np.sum(p_c * st.c, axis=1)
+    d_c = p_c * st.w[:, None]
+    d_w += st.sigma * np.sum(p_r * st.r, axis=1)
+    d_r = (st.w * st.sigma)[:, None] * p_r
 
     # attention softmax and projection gradients
     if tape.pooling == "attention":
-        wdw = blk.w * d_w
+        wdw = st.w * d_w
         seg_wdw = np.add.reduceat(wdw, starts)
-        d_logits = wdw - blk.w * rep(seg_wdw)
+        d_logits = wdw - st.w * rep(seg_wdw)
         scale = 1.0 / np.sqrt(p.q_proj.shape[0])
         d_logits = d_logits * scale
-        qe = _project(e_feats, p.q_proj)
-        rel = blk.rel_tiles[:blk.raw.shape[0]]
-        kf = _project(blk.rel_tiles, p.k_proj)[:rel.shape[0]]
-        d_qe = np.add.reduceat(d_logits[:, None] * kf, starts)
-        d_kf = d_logits[:, None] * rep(qe)
+        d_qe = np.add.reduceat(d_logits[:, None] * st.kf, starts)
+        d_kf = d_logits[:, None] * st.qe
         grads["q_proj"] = d_qe.T @ e_feats
-        grads["k_proj"] = d_kf.T @ rel
+        grads["k_proj"] = d_kf.T @ blk.z_tiles[:dm.shape[0], e_feats.shape[1]:]
 
     # activation maps back to raw MLP outputs
-    d_raw = np.zeros_like(blk.raw)
+    d_raw = np.zeros_like(st.raw)
     d_raw[:, 0:3] = d_dm
-    d_raw[:, 3:6] = np.where(blk.s < SCALE_CEIL, d_s * _sigmoid(blk.raw[:, 3:6]), 0.0)
-    rdot = np.sum(blk.r * d_r, axis=1)
-    d_raw[:, 6:10] = (d_r - blk.r * rdot[:, None]) / blk.rnorm[:, None]
-    d_raw[:, 10] = d_a * blk.a * (1.0 - blk.a)
-    d_raw[:, 11:] = d_c * _sigmoid(blk.raw[:, 11:])
+    d_raw[:, 3:6] = np.where(st.s < SCALE_CEIL, d_s * _sigmoid(st.raw[:, 3:6]), 0.0)
+    rdot = np.sum(st.r * d_r, axis=1)
+    d_raw[:, 6:10] = (d_r - st.r * rdot[:, None]) / st.rnorm[:, None]
+    d_raw[:, 10] = d_a * st.a * (1.0 - st.a)
+    d_raw[:, 11:] = d_c * _sigmoid(st.raw[:, 11:])
     return d_raw
 
 

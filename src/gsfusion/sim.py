@@ -360,30 +360,25 @@ def visible_surface(spec: SceneSpec, world: VoxelGrid, agent_id: int,
 class GroundTruth:
     world: VoxelGrid
     visible_masks: list[np.ndarray]      # per agent, world-grid surface visibility
-    ego_visible: list[VoxelGrid]         # per agent, agent-frame ego grid
     collaborative: list[VoxelGrid]       # per agent, union of all agents' visibility
 
 
-def _resample_agent_grids(world: VoxelGrid, masks: list[np.ndarray], geom: GridGeometry,
-                          centers: np.ndarray, pose: RigidTransform) -> list[VoxelGrid]:
-    """The world labels under each of `masks` (empty elsewhere), resampled
-    into the agent grid `geom`, whose voxel `centers` are placed by `pose`;
-    the centers are transformed and looked up once for all masks."""
+def _resample_agent_grid(world: VoxelGrid, mask: np.ndarray, geom: GridGeometry,
+                         centers: np.ndarray, pose: RigidTransform) -> VoxelGrid:
+    """The world labels under `mask` (empty elsewhere), resampled into the
+    agent grid `geom`, whose voxel `centers` are placed by `pose`."""
     wgeom = world.geometry
     idx = wgeom.point_to_index(pose.apply(centers))
     inside = wgeom.index_inside(idx)
     ii = tuple(idx[inside].T)
-    lab = world.labels[ii]
-    grids = []
-    for mask in masks:
-        labels = np.full(centers.shape[0], EMPTY_CLASS, dtype=np.uint8)
-        labels[inside] = np.where(mask[ii], lab, EMPTY_CLASS)
-        grids.append(VoxelGrid(geom, labels=labels.reshape(geom.dims)))
-    return grids
+    labels = np.full(centers.shape[0], EMPTY_CLASS, dtype=np.uint8)
+    labels[inside] = np.where(mask[ii], world.labels[ii], EMPTY_CLASS)
+    return VoxelGrid(geom, labels=labels.reshape(geom.dims))
 
 
 def build_ground_truth(spec: SceneSpec, model: ObservationModel | None = None) -> GroundTruth:
-    """World raster plus per-agent ego-visible and collaborative grids.
+    """World raster, per-agent surface visibility, and per-agent
+    collaborative grids.
 
     The collaborative grid of each agent carries every surface voxel seen
     by any agent, resampled into that agent's ego grid; everything else is
@@ -398,13 +393,9 @@ def build_ground_truth(spec: SceneSpec, model: ObservationModel | None = None) -
         union |= msk
     geom = spec.agent_geometry()
     centers = geom.voxel_centers().reshape(-1, 3)
-    ego_grids = []
-    collab_grids = []
-    for a, pose in enumerate(spec.agents):
-        ego, collab = _resample_agent_grids(world, [masks[a], union], geom, centers, pose)
-        ego_grids.append(ego)
-        collab_grids.append(collab)
-    return GroundTruth(world, masks, ego_grids, collab_grids)
+    collab_grids = [_resample_agent_grid(world, union, geom, centers, pose)
+                    for pose in spec.agents]
+    return GroundTruth(world, masks, collab_grids)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ references that keep an earlier composition of library kernels, which a
 rewrite of that composition must reproduce bit for bit
 (`concat_scene_loss_and_grads`, `per_channel_splat`, `repeat_pair_lists`,
 `bincount_splat`, `stepwise_whole_runs`, `lovasz_softmax_oracle`,
-`two_pass_total_loss`, `kept_hidden_fusion_backward`, `sequential_train`,
+`two_pass_total_loss`, `kept_state_fusion_backward`, `sequential_train`,
 `sequential_episode`),
 and `HashGrid`, a per-query adapter over the library's neighbour search
 that tests check against `linear_scan_neighborhood`.
@@ -581,37 +581,55 @@ def concat_scene_loss_and_grads(example, fusion_cfg, splat_cfg, params, want_gra
     return report, fusion_backward(tape, {k: v[:n] for k, v in field_grads.items()})
 
 
-def kept_hidden_fusion_backward(ego_set, received_sets, cfg, params, grad_fused):
-    """(fused, tape, gradients) of `fuse_scene(record=True)` and a backward
-    over the hidden layers each block's forward computed and kept, the
-    earlier tape, where `fusion_backward` recomputes them."""
-    kept, real = [], fusion._mlp_hidden
+def fuse_scene_kept_state(ego_set, received_sets, cfg, params, neighbors=None):
+    """`fuse_scene(record=True)` with what each block's forward computed and
+    the tape does not keep: (fused, tape, [(h1, h2, state)] one a block),
+    the hidden layers of `fusion._mlp_forward` and the `fusion._block_state`
+    the forward wrote its fused rows from."""
+    hidden, states = [], []
+    real_mlp, real_state = fusion._mlp_forward, fusion._block_state
 
-    def keep(z_tiles, p):
-        kept.append(real(z_tiles, p))
-        return kept[-1]
+    def keep_hidden(*args):
+        h1, h2, raw = real_mlp(*args)
+        hidden.append((h1, h2))
+        return h1, h2, raw
 
-    fusion._mlp_hidden = keep
+    def keep_state(*args):
+        states.append(real_state(*args))
+        return states[-1]
+
+    fusion._mlp_forward, fusion._block_state = keep_hidden, keep_state
     try:
-        fused, tape = fuse_scene(ego_set, received_sets, cfg, params, record=True)
+        fused, tape = fuse_scene(ego_set, received_sets, cfg, params, record=True,
+                                 neighbors=neighbors)
     finally:
-        fusion._mlp_hidden = real
-    assert len(kept) == len(tape.blocks)
+        fusion._mlp_forward, fusion._block_state = real_mlp, real_state
+    assert len(hidden) == len(states) == len(tape.blocks)
+    return fused, tape, [(*h, st) for h, st in zip(hidden, states)]
+
+
+def kept_state_fusion_backward(ego_set, received_sets, cfg, params, grad_fused):
+    """(fused, tape, gradients) of `fuse_scene(record=True)` and a backward
+    over the state each block's forward computed and kept (its hidden
+    layers and its `fusion._block_state`), the earlier tape, where
+    `fusion_backward` recomputes that state from the pair features."""
+    fused, tape, kept = fuse_scene_kept_state(ego_set, received_sets, cfg, params)
     p = tape.params
     grads = {k: np.zeros_like(v) for k, v in p.as_dict().items()}
-    for block, (h1, h2) in zip(tape.blocks, kept):
+    for block, (h1, h2, state) in zip(tape.blocks, kept):
         attention = {}
-        d_raw = fusion._raw_output_grads(tape, block, grad_fused, attention)
+        d_raw = fusion._raw_output_grads(tape, block, state, grad_fused, attention)
         for k, g in attention.items():
             grads[k] += g
-        h1, h2 = h1[:d_raw.shape[0]], h2[:d_raw.shape[0]]
+        n = d_raw.shape[0]
+        h1, h2 = h1[:n], h2[:n]
         grads["w3"] += d_raw.T @ h2
         grads["b3"] += d_raw.sum(axis=0)
         d_h2 = (d_raw @ p.w3) * (h2 > 0.0)
         grads["w2"] += d_h2.T @ h1
         grads["b2"] += d_h2.sum(axis=0)
         d_h1 = (d_h2 @ p.w2) * (h1 > 0.0)
-        grads["w1"] += d_h1.T @ block.z
+        grads["w1"] += d_h1.T @ block.z_tiles[:n]
         grads["b1"] += d_h1.sum(axis=0)
     return fused, tape, grads
 

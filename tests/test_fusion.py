@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -38,7 +38,8 @@ from helpers import (
     fusion_digest,
     fusion_oracle,
     golden_fusion_fixture,
-    kept_hidden_fusion_backward,
+    fuse_scene_kept_state,
+    kept_state_fusion_backward,
     linear_scan_neighborhood,
     neighbor_csr_oracle,
     oracle_gaps,
@@ -332,15 +333,15 @@ class TestPropose:
         # propose's one pair is padded to a whole row tile like every block,
         # so it carries the bits fuse_scene computes for that pair
         ego, rec, cfg, params = golden_fusion_fixture()
-        _, tape = fuse_scene(ego, rec, cfg, params, record=True)
+        _, tape, ((_, _, state),) = fuse_scene_kept_state(ego, rec, cfg, params)
         (block,) = tape.blocks
-        for i in range(block.z.shape[0]):
-            p = propose(block.z[i], params)
-            assert np.array_equal(p.delta_mean, block.raw[i, 0:3]), i
-            assert np.array_equal(p.scale_star, block.s[i]), i
-            assert np.array_equal(p.rot_star, block.r[i]), i
-            assert p.opacity_star == block.a[i], i
-            assert np.array_equal(p.sem_star, block.c[i]), i
+        for i in range(state.raw.shape[0]):
+            p = propose(block.z_tiles[i], params)
+            assert np.array_equal(p.delta_mean, state.raw[i, 0:3]), i
+            assert np.array_equal(p.scale_star, state.s[i]), i
+            assert np.array_equal(p.rot_star, state.r[i]), i
+            assert p.opacity_star == state.a[i], i
+            assert np.array_equal(p.sem_star, state.c[i]), i
 
     def test_forward_matches_manual(self):
         params = FusionParams.init(seed=9)
@@ -547,15 +548,18 @@ class TestFuseScene:
         assert np.sum(neighbors[3] == 5) > 0       # the cap is in force
         assert fusion_digest(fuse_scene(ego, rec, cfg, params, neighbors=neighbors)) \
             == fusion_digest(fuse_scene(ego, rec, cfg, params))
-        fused_a, tape_a = fuse_scene(ego, rec, cfg, params, record=True, neighbors=neighbors)
-        fused_b, tape_b = fuse_scene(ego, rec, cfg, params, record=True)
+        fused_a, tape_a, kept_a = fuse_scene_kept_state(ego, rec, cfg, params, neighbors)
+        fused_b, tape_b, kept_b = fuse_scene_kept_state(ego, rec, cfg, params)
         assert fusion_digest(fused_a) == fusion_digest(fused_b)
         for name in ("seg_egos", "counts"):
             assert np.array_equal(getattr(tape_a, name), getattr(tape_b, name))
         assert len(tape_a.blocks) == len(tape_b.blocks)
         for block_a, block_b in zip(tape_a.blocks, tape_b.blocks):
-            for name in ("seg_egos", "counts", "z", "raw", "w"):
+            for name in ("seg_egos", "counts", "z_tiles"):
                 assert np.array_equal(getattr(block_a, name), getattr(block_b, name))
+        for (*_, state_a), (*_, state_b) in zip(kept_a, kept_b):
+            for name in ("raw", "w"):
+                assert np.array_equal(getattr(state_a, name), getattr(state_b, name))
         # the given lists are the ones used: none given, nothing is fused
         untouched = fuse_scene(ego, rec, cfg, params, neighbors=(np.empty(0, np.int64),) * 4)
         assert fusion_digest(untouched) == fusion_digest(ego)
@@ -771,20 +775,44 @@ class TestFusionBlocks:
     @pytest.mark.parametrize("bound", [7, "above_all"])
     @pytest.mark.parametrize("run", ["golden", "mean", "cap5", "tiny"])
     def test_recomputed_hidden_layers_equal_kept_ones(self, run, bound, monkeypatch):
-        # the tape keeps no hidden layer; the backward's recompute must give
-        # the gradients of a backward over the layers the forward computed
+        # the tape keeps only the pair features; the backward recomputes the
+        # hidden layers and the block state, and must give the gradients of
+        # a backward over the state the forward computed
         ego, rec, cfg, params = _block_runs()[run]
         rng = np.random.default_rng(2718)
         upstream = {name: rng.normal(size=getattr(ego, name).shape)
                     for name in ("means", "scales", "rotations", "opacities", "semantics")}
         counts = scene_neighbors(ego, rec, cfg)[3]
         monkeypatch.setattr(fusion, "_FUSE_BLOCK", _bound(bound, counts))
-        fused, tape, want = kept_hidden_fusion_backward(ego, rec, cfg, params, upstream)
+        fused, tape, want = kept_state_fusion_backward(ego, rec, cfg, params, upstream)
         assert (len(tape.blocks) == 1) == (bound == "above_all")
         assert fusion_digest(fused) == fusion_digest(fuse_scene(ego, rec, cfg, params))
         got = fusion_backward(tape, upstream)
+        assert got.keys() == want.keys()
         for name, g in want.items():
             assert np.array_equal(got[name], g), name
+
+    @pytest.mark.parametrize("bound", [7, "above_all"])
+    @pytest.mark.parametrize("run", ["golden", "mean", "cap5", "tiny"])
+    def test_tape_keeps_only_pair_features(self, run, bound, monkeypatch):
+        # a block keeps its segments' two index arrays and one float array,
+        # its pair features padded to whole row tiles: at most 8 bytes a
+        # feature column a pair, plus the padding
+        ego, rec, cfg, params = _block_runs()[run]
+        counts = scene_neighbors(ego, rec, cfg)[3]
+        monkeypatch.setattr(fusion, "_FUSE_BLOCK", _bound(bound, counts))
+        _, tape = fuse_scene(ego, rec, cfg, params, record=True)
+        dim = pair_feature_dim(ego.num_classes)
+        for block in tape.blocks:
+            assert [f.name for f in fields(block)] == ["seg_egos", "counts", "z_tiles"]
+            pairs = int(block.counts.sum())
+            assert block.z_tiles.dtype == np.float64
+            assert block.z_tiles.shape == (fusion._whole_tiles(pairs), dim)
+            for index in (block.seg_egos, block.counts):
+                assert index.dtype.kind == "i" and index.shape == block.seg_egos.shape
+        float_bytes = sum(b.z_tiles.nbytes for b in tape.blocks)
+        pairs = int(tape.counts.sum())
+        assert float_bytes <= 8 * dim * (pairs + fusion._ROW_TILE * len(tape.blocks))
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("kernel", sorted(_BLAS_KERNELS))

@@ -294,14 +294,16 @@ class TestGroundTruth:
         spec = flat_scene([])
         gt = build_ground_truth(spec)
         assert np.all(gt.world.labels == EMPTY_CLASS)
-        assert np.all(gt.ego_visible[0].labels == EMPTY_CLASS)
+        assert np.all(gt.collaborative[0].labels == EMPTY_CLASS)
 
     def test_collaborative_is_union(self):
         wall = SceneObject("wall", CLASS_WALL, (0.0, 0.0, 0.0), (0.8, 8.0, 3.2))
         spec = flat_scene([wall], agents=[eye_at(-4.0, 0.0), eye_at(4.0, 0.0)],
                           grid=(30, 30, 8))
         gt = build_ground_truth(spec)
-        nonempty = [int(np.sum(g.labels != EMPTY_CLASS)) for g in gt.ego_visible]
+        nonempty = [int(np.sum(resample_agent_grid_oracle(spec, gt.world, gt.visible_masks[a],
+                                                          pose) != EMPTY_CLASS))
+                    for a, pose in enumerate(spec.agents)]
         collab = int(np.sum(gt.collaborative[0].labels != EMPTY_CLASS))
         assert collab > max(nonempty)
         union_mask = gt.visible_masks[0] | gt.visible_masks[1]
@@ -316,8 +318,8 @@ class TestGroundTruth:
         for a, pose in enumerate(spec.agents):
             ego = resample_agent_grid_oracle(spec, gt.world, gt.visible_masks[a], pose)
             collab = resample_agent_grid_oracle(spec, gt.world, union, pose)
-            assert np.array_equal(gt.ego_visible[a].labels, ego)
             assert np.array_equal(gt.collaborative[a].labels, collab)
+            assert np.all((ego == EMPTY_CLASS) | (collab == ego))      # collaborative ⊇ ego
             gained.append(np.sum(collab != EMPTY_CLASS) - np.sum(ego != EMPTY_CLASS))
         assert min(gained) >= 0 and max(gained) > 0
 
